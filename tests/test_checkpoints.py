@@ -323,3 +323,67 @@ class TestRelaxedCost:
                 lo[j] -= h
                 fd = (relaxed.value(hi) - relaxed.value(lo)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def feasible_store(processor, n, seed):
+    """A bundled processor's store of ``n`` distinct feasible configurations."""
+    from aspo import assets
+    from aspo.constraints import exact_configuration
+    from aspo.evaluation import SyntheticModel
+
+    bundle = assets.load_bundle(processor)
+    space = bundle.space
+    rng = np.random.default_rng([seed, n])
+    cfgs, seen = [], set()
+    while len(cfgs) < n:
+        c = {p.name: p.values[rng.integers(p.count)] for p in space.params}
+        k = tuple(c.values())
+        if k not in seen and exact_configuration(bundle.tree, space, c):
+            seen.add(k)
+            cfgs.append(c)
+    return store_with(space, cfgs), SyntheticModel(bundle.model, space)
+
+
+#: learn_weights output on feasible_store(processor, n, seed) with the
+#: model's synthesis time, recorded from the per-trial reference loop.
+#: n = 5 and 12 learn on the whole store; n = 40 on a sampled subset.
+GOLDEN_WEIGHTS = {
+    ('el2_veer', 5, 0): (1.0, 0.1, 1.0, 1.0, 1.0),
+    ('el2_veer', 5, 1): (2.0, 1.0, 1.0, 1.0, 1.0),
+    ('el2_veer', 5, 2): (2.0, 1.0, 0.5, 1.0, 1.0),
+    ('el2_veer', 12, 0): (2.0, 0.5, 1.0, 1.0, 1.0),
+    ('el2_veer', 12, 1): (2.0, 0.5, 1.0, 1.0, 1.0),
+    ('el2_veer', 12, 2): (0.5, 1.0, 1.0, 1.0, 1.0),
+    ('el2_veer', 40, 0): (1.0, 0.1, 1.0, 1.0, 1.0),
+    ('el2_veer', 40, 1): (2.0, 1.0, 1.0, 2.0, 1.0),
+    ('el2_veer', 40, 2): (2.0, 0.1, 1.0, 1.0, 1.0),
+    ('rocketchip', 5, 0): (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('rocketchip', 5, 1): (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('rocketchip', 5, 2): (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('rocketchip', 12, 0): (2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('rocketchip', 12, 1): (2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('rocketchip', 12, 2): (2.0, 1.0, 1.0, 0.5, 0.1, 1.0, 1.0),
+    ('rocketchip', 40, 0): (2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('rocketchip', 40, 1): (2.0, 0.5, 1.0, 1.0, 1.0, 2.0, 1.0),
+    ('rocketchip', 40, 2): (2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('boom', 5, 0): (10.0, 1.0, 1.0, 1.0, 1.0, 10.0, 1.0, 1.0, 1.0, 1.0),
+    ('boom', 5, 1): (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0),
+    ('boom', 5, 2): (2.0, 0.5, 1.0, 0.1, 1.0, 0.1, 1.0, 2.0, 0.1, 1.0),
+    ('boom', 12, 0): (2.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0),
+    ('boom', 12, 1): (2.0, 0.1, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.1),
+    ('boom', 12, 2): (2.0, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ('boom', 40, 0): (2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0),
+    ('boom', 40, 1): (2.0, 0.1, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0),
+    ('boom', 40, 2): (2.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+}
+
+
+class TestLearnWeightsGolden:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_WEIGHTS))
+    def test_matches_recorded_weights(self, key):
+        processor, n, seed = key
+        store, model = feasible_store(processor, n, seed)
+        w = learn_weights(
+            store, lambda cfg, ref: model.synthesis_time(cfg, ref.config),
+            seed=seed)
+        assert np.array_equal(w.w, np.array(GOLDEN_WEIGHTS[key]))
