@@ -84,8 +84,9 @@ def _is_categorical_mask(space: ParameterSpace) -> np.ndarray:
     return np.array([p.kind == CATEGORICAL for p in space.params])
 
 
-def _pairwise_terms(space, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    cat = _is_categorical_mask(space)
+def _pairwise_terms(cat: np.ndarray, fa: np.ndarray,
+                    fb: np.ndarray) -> np.ndarray:
+    """Per-parameter distance terms; ``cat`` marks the categorical columns."""
     terms = (fa - fb) ** 2
     terms[..., cat] = (fa[..., cat] != fb[..., cat]).astype(float)
     return terms
@@ -96,7 +97,8 @@ def weighted_distance(space: ParameterSpace, x: dict, q: dict,
     """Sum of w_i * feature-difference^2 over the space's parameters."""
     fx = config_features(space, x)
     fq = config_features(space, q)
-    return float(np.dot(weights.w, _pairwise_terms(space, fx, fq)))
+    terms = _pairwise_terms(_is_categorical_mask(space), fx, fq)
+    return float(np.dot(weights.w, terms))
 
 
 def artifact_path(space: ParameterSpace, cfg: dict) -> str:
@@ -105,12 +107,18 @@ def artifact_path(space: ParameterSpace, cfg: dict) -> str:
 
 
 class CheckpointStore:
-    """Insertion-ordered map of configurations to checkpoint records."""
+    """Insertion-ordered map of configurations to checkpoint records.
+
+    Row ``i`` of the feature matrix holds ``config_features`` of record ``i``
+    and is kept current on every insert.
+    """
 
     def __init__(self, space: ParameterSpace):
         self.space = space
-        self._records: dict[tuple, CheckpointRecord] = {}
-        self._features: dict[tuple, np.ndarray] = {}
+        self.categorical = _is_categorical_mask(space)
+        self._index: dict[tuple, int] = {}
+        self._records: list[CheckpointRecord] = []
+        self._features = np.empty((0, len(space)))
 
     def _key(self, cfg: dict) -> tuple:
         return tuple(cfg[p.name] for p in self.space.params)
@@ -119,26 +127,34 @@ class CheckpointStore:
         return len(self._records)
 
     def records(self) -> list[CheckpointRecord]:
-        return list(self._records.values())
+        return list(self._records)
 
     def insert(self, record: CheckpointRecord) -> None:
         """Add or refresh a record; re-inserting keeps the original rank."""
         key = self._key(record.config)
-        self._records[key] = record
-        self._features[key] = config_features(self.space, record.config)
+        row = config_features(self.space, record.config)
+        i = self._index.get(key)
+        if i is None:
+            self._index[key] = len(self._records)
+            self._records.append(record)
+            self._features = np.vstack([self._features, row])
+        else:
+            self._records[i] = record
+            self._features[i] = row
 
     def lookup(self, cfg: dict) -> CheckpointRecord | None:
-        return self._records.get(self._key(cfg))
+        i = self._index.get(self._key(cfg))
+        return None if i is None else self._records[i]
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack(list(self._features.values())) \
-            if self._features else np.empty((0, len(self.space)))
+        """Features of every record in insertion order; read, do not modify."""
+        return self._features
 
     def save(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as fh:
-            for rec in self._records.values():
+            for rec in self._records:
                 fh.write(json.dumps(rec.to_dict()) + "\n")
 
     @classmethod
@@ -163,9 +179,9 @@ class CheckpointStore:
 
 def _distances_to_all(store: CheckpointStore, cfg: dict,
                       weights: DistanceWeights) -> np.ndarray:
-    F = store.feature_matrix()
     fx = config_features(store.space, cfg)
-    terms = _pairwise_terms(store.space, F, fx[None, :])
+    terms = _pairwise_terms(store.categorical, store.feature_matrix(),
+                            fx[None, :])
     return terms @ weights.w
 
 
@@ -191,10 +207,11 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn, seed: int = 0,
                   subset: int = LEARN_SUBSET) -> DistanceWeights:
     """Pick weights minimizing leave-one-out synthesis time on a sampled subset.
 
-    ``synthesis_time_fn(cfg, reference_record)`` supplies the time model.
-    Coordinate descent over a fixed grid, starting from all-ones; a grid value
-    is only adopted on strict improvement, so a flat objective returns the
-    all-ones vector unchanged.
+    ``synthesis_time_fn(cfg, reference_record)`` supplies the time model.  It
+    must be pure: each ordered pair of sampled records is asked at most once
+    per call, and later trials reuse the answer.  Coordinate descent over a
+    fixed grid, starting from all-ones; a grid value is only adopted on strict
+    improvement, so a flat objective returns the all-ones vector unchanged.
     """
     records = store.records()
     if len(records) < 3:
@@ -202,29 +219,36 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn, seed: int = 0,
             f"weight learning needs >= 3 records, have {len(records)}")
     rng = np.random.default_rng([seed, len(records)])
     if len(records) > subset:
-        idx = rng.choice(len(records), size=subset, replace=False)
-        sample = [records[i] for i in sorted(idx)]
+        idx = sorted(rng.choice(len(records), size=subset, replace=False))
     else:
-        sample = records
+        idx = list(range(len(records)))
+    sample = [records[i] for i in idx]
+    feats = store.feature_matrix()[idx]
 
-    space = store.space
-    feats = np.stack([config_features(space, r.config) for r in sample])
+    # terms[i, j]: sample i against sample j (j skips i), one leave-one-out
+    # block per record.  The product stays stacked so that every block is
+    # its own (n-1, P) matrix-vector product, summed exactly as one block
+    # alone would be; a flat (n*(n-1), P) product can round a row
+    # differently and so break a tie the other way.
+    terms = np.stack([
+        _pairwise_terms(store.categorical, np.delete(feats, i, axis=0),
+                        feats[i][None, :])
+        for i in range(len(sample))])
+    times: dict[tuple[int, int], float] = {}
 
     def objective(w_vec: np.ndarray) -> float:
         total = 0.0
-        for i, rec in enumerate(sample):
-            terms = _pairwise_terms(space, np.delete(feats, i, axis=0),
-                                    feats[i][None, :])
-            d = terms @ w_vec
-            j = int(np.argmin(d))
-            ref = sample[j if j < i else j + 1]
-            total += synthesis_time_fn(rec.config, ref)
+        for i, j in enumerate(np.argmin(terms @ w_vec, axis=1).tolist()):
+            j = j if j < i else j + 1
+            if (i, j) not in times:
+                times[i, j] = synthesis_time_fn(sample[i].config, sample[j])
+            total += times[i, j]
         return total
 
-    w = np.ones(len(space))
+    w = np.ones(len(store.space))
     best = objective(w)
     for _ in range(sweeps):
-        for i in range(len(space)):
+        for i in range(len(w)):
             for g in grid:
                 if g == w[i]:
                     continue

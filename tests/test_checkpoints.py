@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aspo.checkpoints import (
+    LEARN_SUBSET,
     CheckpointRecord,
     CheckpointStore,
     DistanceWeights,
@@ -387,3 +388,17 @@ class TestLearnWeightsGolden:
             store, lambda cfg, ref: model.synthesis_time(cfg, ref.config),
             seed=seed)
         assert np.array_equal(w.w, np.array(GOLDEN_WEIGHTS[key]))
+
+    @pytest.mark.parametrize("n", [5, 12, 40])
+    def test_asks_each_ordered_pair_once(self, n):
+        store, model = feasible_store("boom", n, seed=0)
+        asked = []
+
+        def t_syn(cfg, ref):
+            asked.append((tuple(cfg.values()), tuple(ref.config.values())))
+            return model.synthesis_time(cfg, ref.config)
+
+        learn_weights(store, t_syn, seed=0)
+        k = min(n, LEARN_SUBSET)
+        assert len(asked) == len(set(asked))
+        assert len(asked) <= k * (k - 1)
