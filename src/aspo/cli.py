@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration problem (bad files, bad options),
-3 infeasible space, 4 numerical failure inside the surrogate.
+3 infeasible space or no feasible candidate, 4 numerical failure inside the
+surrogate.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ class InfeasibleSpaceError(AspoError):
     """No feasible configuration was found within the sampling budget."""
 
 
-class NoFeasibleCandidateError(AspoError):
+class NoFeasibleCandidateError(InfeasibleSpaceError):
     """Acquisition maximization produced no exact-feasible candidate."""
 
 

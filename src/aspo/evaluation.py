@@ -214,11 +214,6 @@ class EvalHarness:
             power_w=0.0, eval_minutes=FAILURE_MINUTES * self.time_scale,
             valid=False, failure_stage=stage)
 
-    def synthetic_evaluate(self, cfg: dict, benchmark: str | None = None,
-                           seed: int = 0) -> EvaluationResult:
-        """Stand-alone direct evaluation (no checkpoint reuse)."""
-        return self.evaluate(cfg, DIRECT, db=None, benchmark=benchmark, seed=seed)
-
     def evaluate(self, cfg: dict, strategy: str = DIRECT,
                  db: CheckpointStore | None = None,
                  weights: DistanceWeights | None = None,

@@ -108,8 +108,8 @@ def _cholesky_with_escalation(K: np.ndarray, jitter: float):
             return L, j
         except np.linalg.LinAlgError:
             j *= 10
-        except Exception:
-            j *= 10
+        except ValueError as exc:  # non-finite entries: jitter cannot help
+            raise NumericalError(f"Cholesky input is not finite: {exc}") from exc
     raise NumericalError(
         f"Cholesky failed with jitter escalated to {MAX_JITTER}")
 

@@ -15,6 +15,7 @@ from aspo.driver import (
     run_eval_bench,
     run_optimization,
 )
+from aspo.errors import NoFeasibleCandidateError
 from aspo.evaluation import LOOKUP_MINUTES
 
 
@@ -328,6 +329,19 @@ class TestCli:
             "run", "--space", str(sfile), "--model", str(mfile),
             "--constraints", str(cfile), "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
+
+    def test_no_feasible_candidate_exits_3(self, tmp_path, monkeypatch):
+        import aspo.driver as driver_mod
+
+        def no_candidate(*args, **kwargs):
+            raise NoFeasibleCandidateError("no exact-feasible candidate")
+
+        monkeypatch.setattr(driver_mod, "maximize_acquisition", no_candidate)
+        result = CliRunner().invoke(cli_main, [
+            "run", "--processor", "boom", "--iters", "1", "--warm-start", "4",
+            "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "no exact-feasible candidate" in result.output
 
 
 class TestWeightRelearning:

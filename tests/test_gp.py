@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from aspo.errors import NumericalError
 from aspo.gp import (
@@ -264,6 +265,20 @@ class TestCholeskyEscalation:
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(NumericalError):
             _cholesky_with_escalation(K, 1e-8)
+
+    def test_non_finite_kernel_raises_without_escalating(self, monkeypatch):
+        import aspo.gp as gp_mod
+        calls = []
+
+        def counting_cholesky(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(gp_mod, "cholesky", counting_cholesky)
+        K = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(NumericalError, match="not finite"):
+            _cholesky_with_escalation(K, 1e-8)
+        assert len(calls) == 1
 
 
 class TestRelaxedGradient:
