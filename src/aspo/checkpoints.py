@@ -225,11 +225,9 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn, seed: int = 0,
     sample = [records[i] for i in idx]
     feats = store.feature_matrix()[idx]
 
-    # terms[i, j]: sample i against sample j (j skips i), one leave-one-out
-    # block per record.  The product stays stacked so that every block is
-    # its own (n-1, P) matrix-vector product, summed exactly as one block
-    # alone would be; a flat (n*(n-1), P) product can round a row
-    # differently and so break a tie the other way.
+    # terms[i]: sample i against every other sample, in order.  The product
+    # stays stacked, one (n-1, P) matrix-vector product per block: a flat
+    # (n*(n-1), P) product rounds some rows differently and can flip a tie.
     terms = np.stack([
         _pairwise_terms(store.categorical, np.delete(feats, i, axis=0),
                         feats[i][None, :])
