@@ -15,8 +15,18 @@ cooling modes are provided:
 Maximization runs a multi-start SLSQP ascent over the relaxed encoded box.
 Gradients are taken on the un-snapped point (the snap projection is piecewise
 constant and carries no gradient); snapping happens only when a local optimum
-is emitted as a candidate.  Candidates that fail the exact constraint
-semantics are discarded, so every returned configuration is feasible.
+is emitted as a candidate.  The constraint tree is compiled once per call
+into a value-and-gradient closure, so each SLSQP iterate costs one relaxed
+view of the point and one pass over the tree.  Candidates that fail the
+exact constraint semantics are discarded, so every returned configuration is
+feasible.
+
+Discrete work is batched.  Candidates and polish moves are held as rows of
+per-parameter ranks: a batch is checked against the exact semantics with one
+array call to ``exact_tree``, encoded with one index-array encode, and
+scored with one kernel matrix and one stacked cost distance
+(``_cooled_scores``).  ``alpha_cool`` is the batch of one, and every row of
+a batch scores bit for bit as it would alone.
 
 Queries whose posterior sigma sits at the duplicate floor (the variance left
 at a point that snaps onto a training input) are treated as deterministic:
@@ -35,10 +45,21 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .checkpoints import RelaxedCost
-from .constraints import exact_configuration, smooth_gradient, smooth_tree
+from .constraints import compile_tree, exact_configuration, exact_tree
 from .errors import NoFeasibleCandidateError
 from .gp import GpModel
-from .space import ParameterSpace, decode, encode, relaxed_values, snap
+from .space import (
+    ParameterSpace,
+    decode,
+    encode,
+    encode_ranks,
+    ordinal_columns,
+    point_ranks,
+    random_configuration,
+    rank_configuration,
+    relaxed_arrays,
+    snap,
+)
 from .warmstart import warm_start_configs
 
 PAPER_RATIO = "paper-ratio"
@@ -143,10 +164,24 @@ class AcquisitionContext:
 
 def alpha_cool(ctx: AcquisitionContext, x) -> float:
     """Cooled acquisition at an encoded point (snapped first)."""
-    q = snap(ctx.model.space, x)
-    alpha = expected_improvement(ctx.model, q, ctx.best_feasible)
-    cost = ctx.cost.value(q) if ctx.cost is not None else 1.0
-    return cooled_value(alpha, cost, ctx.lam(), ctx.schedule.mode)
+    return float(_cooled_scores(ctx, snap(ctx.model.space, x)[None, :])[0])
+
+
+def _cooled_scores(ctx: AcquisitionContext, Q: np.ndarray) -> np.ndarray:
+    """Cooled acquisition at every row of ``Q`` (encoded vertices).
+
+    One posterior batch (one kernel matrix) and one stacked cost distance.
+    Every row scores bit for bit as it would alone, so a batch ranks its
+    rows exactly as ``alpha_cool`` would.
+    """
+    model = ctx.model
+    floor = model.duplicate_sigma_floor()
+    cost = ctx.cost.values(Q) if ctx.cost is not None else np.ones(len(Q))
+    lam, mode = ctx.lam(), ctx.schedule.mode
+    return np.array([
+        cooled_value(_ei_with_floor(mean, math.sqrt(max(var, 0.0)),
+                                    ctx.best_feasible, floor), c, lam, mode)
+        for (mean, var), c in zip(model.predict_batch(Q), cost.tolist())])
 
 
 def _relaxed_objective(ctx: AcquisitionContext):
@@ -191,67 +226,72 @@ def _relaxed_objective(ctx: AcquisitionContext):
     return fun
 
 
+def _feasible_rows(space: ParameterSpace, tree, ranks: np.ndarray) -> np.ndarray:
+    """Rank rows passing the exact semantics, in order (one array call)."""
+    if tree is None or not len(ranks):
+        return ranks
+    return ranks[exact_tree(tree, ordinal_columns(space, ranks))]
+
+
 def _constraint_spec(space: ParameterSpace, tree):
     """SLSQP inequality dict for smooth_tree >= 0 over the relaxed box.
 
-    The solver asks for the value and the jacobian at the same iterate, so
-    the relaxed-value computation is memoized on the point's bytes.
+    The tree is compiled once.  The solver asks for the value and the
+    jacobian at the same iterate, so both are computed together and memoized
+    on the point's bytes.
     """
-    cache = {"key": None, "values": None, "slopes": None}
+    smooth = compile_tree(tree, space.ordinal_names)
+    coords = space.ordinal_coords.tolist()
+    cache = {"key": None}
 
-    def relaxed_at(u):
+    def at(u):
         u = np.clip(u, 0.0, 1.0)
         key = u.tobytes()
         if cache["key"] != key:
-            values, slopes = relaxed_values(space, u)
-            cache.update(key=key, values=values, slopes=slopes)
-        return cache["values"], cache["slopes"]
+            values, slopes = relaxed_arrays(space, u)
+            value, partials = smooth(values.tolist())
+            slopes = slopes.tolist()
+            g = np.zeros(space.encoded_dim)
+            for i, dv in partials.items():
+                g[coords[i]] += dv * slopes[i]
+            cache.update(key=key, value=float(value), jac=g)
+        return cache
 
-    def fun(u):
-        values, _ = relaxed_at(u)
-        return float(smooth_tree(tree, values))
-
-    def jac(u):
-        values, slopes = relaxed_at(u)
-        partials = smooth_gradient(tree, values)
-        g = np.zeros(space.encoded_dim)
-        for name, dv in partials.items():
-            idx, slope = slopes[name]
-            g[idx] += dv * slope
-        return g
-
-    return {"type": "ineq", "fun": fun, "jac": jac}
+    return {"type": "ineq", "fun": lambda u: at(u)["value"],
+            "jac": lambda u: at(u)["jac"]}
 
 
 #: candidates kept for the discrete polish pass
 POLISH_TOP_K = 8
 
 
-def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree, cfg: dict,
-            start_val: float, max_steps: int = 64):
+def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree,
+            ranks: np.ndarray, start_val: float, max_steps: int = 64):
     """Best-improvement walk over feasible single-parameter moves.
 
     The continuous ascent climbs the relaxed surface, whose maxima often sit
     between vertices of a one-hot block; this discrete pass re-optimizes the
-    snapped configuration under the exact (snapped) acquisition.
+    snapped configuration under the exact (snapped) acquisition.  Each step
+    lists every single-parameter move in (parameter, value) order, keeps the
+    feasible ones and scores them as one batch.  The first best move is
+    adopted, and only on a strict gain.  Takes and returns rank rows.
     """
-    current, current_val = cfg, start_val
+    move_param = np.repeat(np.arange(len(space.params)), space.counts)
+    move_rank = np.concatenate([np.arange(c) for c in space.counts])
+    move_row = np.arange(len(move_param))
+    current, current_val = ranks, start_val
     for _ in range(max_steps):
-        best_move, best_val = None, current_val
-        for p in space.params:
-            for v in p.values:
-                if v == current[p.name]:
-                    continue
-                cand = dict(current, **{p.name: v})
-                if tree is not None and \
-                        not exact_configuration(tree, space, cand):
-                    continue
-                val = alpha_cool(ctx, encode(space, cand))
-                if val > best_val:
-                    best_val, best_move = val, cand
-        if best_move is None:
+        moves = np.tile(current, (len(move_param), 1))
+        moves[move_row, move_param] = move_rank
+        moves = _feasible_rows(space, tree,
+                               moves[move_rank != current[move_param]])
+        if not len(moves):
             break
-        current, current_val = best_move, best_val
+        scores = _cooled_scores(ctx, encode_ranks(space, moves))
+        best = int(np.argmax(scores))
+        if not scores[best] > current_val:
+            break
+        current, current_val = moves[best], float(scores[best])
     return current, current_val
 
 
@@ -279,21 +319,10 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     objective = _relaxed_objective(ctx)
     constraints = [_constraint_spec(space, tree)] if tree is not None else []
 
-    candidates: list[dict] = []
-    seen: set[tuple] = set()
-
-    def add_candidate(u: np.ndarray) -> None:
-        cfg = decode(space, u)
-        key = tuple(cfg[p.name] for p in space.params)
-        if key in seen:
-            return
-        seen.add(key)
-        if tree is not None and not exact_configuration(tree, space, cfg):
-            return
-        candidates.append(cfg)
-
+    # snapped candidates as rank rows, first-seen order, duplicates dropped
+    found: dict[tuple, None] = {}
     for u0 in starts:
-        add_candidate(np.clip(u0, 0.0, 1.0))
+        found.setdefault(tuple(point_ranks(space, np.clip(u0, 0.0, 1.0))))
         try:
             res = minimize(objective, u0, jac=True, method="SLSQP",
                            bounds=[(0.0, 1.0)] * space.encoded_dim,
@@ -301,23 +330,24 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
                            options={"maxiter": maxiter, "ftol": 1e-8})
         except Exception:
             continue
-        add_candidate(np.clip(res.x, 0.0, 1.0))
+        found.setdefault(tuple(point_ranks(space, np.clip(res.x, 0.0, 1.0))))
+    candidates = _feasible_rows(space, tree, np.array(list(found),
+                                                      dtype=np.intp))
 
-    if candidates:
-        scored = [(alpha_cool(ctx, encode(space, cfg)), i, cfg)
-                  for i, cfg in enumerate(candidates)]
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        best_cfg, best_val = None, -np.inf
-        for val, _, cfg in scored[:POLISH_TOP_K]:
-            polished, polished_val = _polish(ctx, space, tree, cfg, val)
+    if len(candidates):
+        scores = _cooled_scores(ctx, encode_ranks(space, candidates))
+        order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
+        best_ranks, best_val = None, -np.inf
+        for i in order[:POLISH_TOP_K]:
+            polished, polished_val = _polish(ctx, space, tree, candidates[i],
+                                             float(scores[i]))
             if polished_val > best_val:
-                best_val, best_cfg = polished_val, polished
-        return best_cfg
+                best_val, best_ranks = polished_val, polished
+        return rank_configuration(space, best_ranks)
 
     draw_rng = np.random.default_rng([seed, ctx.iteration, 3])
     for _ in range(MAX_REJECTION_DRAWS):
-        cfg = {p.name: p.values[int(draw_rng.integers(p.count))]
-               for p in space.params}
+        cfg = random_configuration(space, draw_rng)
         if tree is None or exact_configuration(tree, space, cfg):
             return cfg
     raise NoFeasibleCandidateError(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDatabaseError, InsufficientRecordsError
-from .space import CATEGORICAL, ParameterSpace, encode
+from .space import CATEGORICAL, ParameterSpace, config_ranks, encode
 
 WEIGHT_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 LEARN_SWEEPS = 3
@@ -73,15 +73,7 @@ def config_features(space: ParameterSpace, cfg: dict) -> np.ndarray:
 
     Category indices are only ever compared for equality, never subtracted.
     """
-    out = np.empty(len(space))
-    for i, p in enumerate(space.params):
-        out[i] = p.rank_of(cfg[p.name]) if p.kind == CATEGORICAL \
-            else p.scaled_rank(cfg[p.name])
-    return out
-
-
-def _is_categorical_mask(space: ParameterSpace) -> np.ndarray:
-    return np.array([p.kind == CATEGORICAL for p in space.params])
+    return np.array(config_ranks(space, cfg), dtype=float) / space.rank_divisors
 
 
 def _pairwise_terms(cat: np.ndarray, fa: np.ndarray,
@@ -97,7 +89,7 @@ def weighted_distance(space: ParameterSpace, x: dict, q: dict,
     """Sum of w_i * feature-difference^2 over the space's parameters."""
     fx = config_features(space, x)
     fq = config_features(space, q)
-    terms = _pairwise_terms(_is_categorical_mask(space), fx, fq)
+    terms = _pairwise_terms(space.categorical_mask, fx, fq)
     return float(np.dot(weights.w, terms))
 
 
@@ -115,7 +107,7 @@ class CheckpointStore:
 
     def __init__(self, space: ParameterSpace):
         self.space = space
-        self.categorical = _is_categorical_mask(space)
+        self.categorical = space.categorical_mask
         self._index: dict[tuple, int] = {}
         self._records: list[CheckpointRecord] = []
         self._features = np.empty((0, len(space)))
@@ -294,3 +286,14 @@ class RelaxedCost:
 
     def value(self, u: np.ndarray) -> float:
         return self.value_and_gradient(np.asarray(u, dtype=float))[0]
+
+    def values(self, U: np.ndarray) -> np.ndarray:
+        """``value`` at every row of ``U``, bit for bit.
+
+        The stacked product runs one ``(records, D)`` matrix-vector product
+        per row, the same BLAS call ``value`` makes.
+        """
+        if len(self.Q) == 0:
+            return np.full(len(U), self.prior)
+        diff = U[:, None, :] - self.Q[None, :, :]
+        return ((diff ** 2) @ self.coord_weights).min(axis=1)

@@ -8,11 +8,15 @@ tree supports:
 * ``smooth_tree``  -- a differentiable relaxation whose sign agrees with the
   exact semantics at every admissible configuration (non-negative means
   satisfied);
-* ``smooth_gradient`` -- the subgradient of the relaxation, used by the
-  constrained acquisition solver.
+* ``smooth_gradient`` -- the subgradient of the relaxation;
+* ``compile_tree`` -- the relaxation and its subgradient together, as one
+  closure built once per tree.  The constrained acquisition solver calls it
+  at every iterate; ``smooth_tree`` and ``smooth_gradient`` stay as the
+  recursive reference evaluators.
 
-All smooth functions accept scalars or numpy arrays for the parameter values,
-so whole grids of configurations can be checked in one call.
+``exact_tree`` and ``smooth_tree`` accept scalars or numpy arrays for the
+parameter values, so whole grids of configurations can be checked in one
+call.
 
 Encoding notes.  A conditional "if x1 in [a1,b1] then x2 in [a2,b2]" is
 relaxed as ``max(-c1(x1) - m, min(c1(x1), c2(x2)))`` with ``c(v) =
@@ -29,6 +33,7 @@ the smallest positive value the left-hand side attains on the grid.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,6 +254,81 @@ def _value_and_gradient(tree, values):
         a, b = values[tree.xa], values[tree.xb]
         s = np.sin(2 * np.pi * a / b)
         return v, {tree.xa: -s * np.pi / b, tree.xb: s * np.pi * a / b ** 2}
+    raise TypeError(f"not a constraint node: {tree!r}")
+
+
+def compile_tree(tree, names):
+    """Compile a tree into one value-and-gradient closure.
+
+    ``names`` fixes the parameter order: the closure takes a sequence whose
+    entry ``i`` is the value of ``names[i]`` and returns ``(value,
+    partials)``, where ``partials`` maps positions to derivatives for the
+    parameters of the attaining leaf.  Treat ``partials`` as read-only.
+
+    The closure repeats the arithmetic of ``smooth_tree`` and
+    ``smooth_gradient`` operation for operation, so on Python floats its
+    partials equal ``smooth_gradient`` bit for bit and its value equals
+    ``smooth_tree`` (up to the sign of a zero).  Min and max nodes take the
+    attaining child with ties to the lowest index, as ``smooth_gradient``
+    does.  The type dispatch happens here, once, instead of on every call.
+    """
+    return _compile(tree, {n: i for i, n in enumerate(names)})
+
+
+def _compile(tree, pos):
+    if isinstance(tree, (Conj, Disj)):
+        first, *rest = [_compile(c, pos) for c in tree.children]
+        better = operator.lt if isinstance(tree, Conj) else operator.gt
+
+        def node(values):
+            best = first(values)
+            for child in rest:
+                cand = child(values)
+                if better(cand[0], best[0]):  # strict: ties keep the first
+                    best = cand
+            return best
+        return node
+    if isinstance(tree, Inequality):
+        a, b = pos[tree.xa], pos[tree.xb]
+        ka, kb, t = tree.ka, tree.kb, tree.t
+        grad = {a: 0.0, b: 0.0}
+        grad[a] += ka
+        grad[b] += -kb
+
+        def node(values):
+            return ka * values[a] - kb * values[b] + t, grad
+        return node
+    if isinstance(tree, Conditional):
+        i, j = pos[tree.condition.param], pos[tree.consequence.param]
+        lo1, hi1 = tree.condition.lo, tree.condition.hi
+        lo2, hi2 = tree.consequence.lo, tree.consequence.hi
+        margin = tree.vacuity_margin
+
+        def node(values):
+            v1, v2 = values[i], values[j]
+            c1 = -(v1 - lo1) * (v1 - hi1)
+            c2 = -(v2 - lo2) * (v2 - hi2)
+            vac = -c1 - margin
+            if c1 <= c2:
+                inner, grad = c1, {i: -(2 * v1 - lo1 - hi1), j: 0.0}
+            else:
+                inner, grad = c2, {i: 0.0, j: -(2 * v2 - lo2 - hi2)}
+            if vac >= inner:  # d(-c1) negates dc1 exactly
+                return vac, {i: 2 * v1 - lo1 - hi1, j: 0.0}
+            return inner, grad
+        return node
+    if isinstance(tree, Divisibility):
+        a, b = pos[tree.xa], pos[tree.xb]
+        xa, xb = tree.xa, tree.xb
+
+        def node(values):
+            va, vb = values[a], values[b]
+            if vb == 0:
+                raise DomainError(f"divisibility {xa!r} by {xb!r}: zero divisor")
+            v = -np.sin(np.pi * va / vb) ** 2
+            s = np.sin(2 * np.pi * va / vb)
+            return v, {a: -s * np.pi / vb, b: s * np.pi * va / vb ** 2}
+        return node
     raise TypeError(f"not a constraint node: {tree!r}")
 
 

@@ -60,7 +60,7 @@ from .evaluation import (
     estimated_execution_time,
 )
 from .gp import fit
-from .space import ParameterSpace, encode
+from .space import ParameterSpace, encode, random_configuration
 from .warmstart import warm_start_configs
 
 BASELINES = ("random", "vanilla-bo", "hill-climb")
@@ -195,8 +195,7 @@ class _AspoGenerator:
     def _feasible_draw(self, t):
         rng = np.random.default_rng([self.rc.seed, t, 11])
         for _ in range(100_000):
-            cfg = {p.name: p.values[int(rng.integers(p.count))]
-                   for p in self.space.params}
+            cfg = random_configuration(self.space, rng)
             if exact_configuration(self.tree, self.space, cfg):
                 return cfg
         raise NumericalError("could not draw a feasible fallback configuration")
@@ -213,9 +212,7 @@ class _RandomGenerator:
         self.rng = np.random.default_rng([rc.seed, 17])
 
     def propose(self, t):
-        cfg = {p.name: p.values[int(self.rng.integers(p.count))]
-               for p in self.space.params}
-        return cfg, None
+        return random_configuration(self.space, self.rng), None
 
     def observe(self, cfg, result):
         pass
@@ -238,9 +235,7 @@ class _VanillaBoGenerator:
                 X.append(encode(self.space, entry.config))
                 y.append(entry.eet_ms())
         if len({tuple(np.round(x, 12)) for x in X}) < 2:
-            cfg = {p.name: p.values[int(self.rng.integers(p.count))]
-                   for p in self.space.params}
-            return cfg, None
+            return random_configuration(self.space, self.rng), None
         model = fit(self.space, X, y, seed=self.rc.seed)
         best = float(min(y))
         cfg = maximize_ei_unconstrained(model, self.space, best,
@@ -536,8 +531,7 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
     rng = np.random.default_rng([rc.seed, 31])
     configs = []
     while len(configs) < n_configs:
-        cfg = {p.name: p.values[int(rng.integers(p.count))]
-               for p in space.params}
+        cfg = random_configuration(space, rng)
         if exact_configuration(tree, space, cfg):
             configs.append(cfg)
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 from .errors import InvalidPointError, NumericalError
@@ -221,6 +222,21 @@ class GpModel:
     def _kvec(self, q: np.ndarray) -> np.ndarray:
         return _matern52(self.params, q[None, :], self.X)[0]
 
+    def _posterior(self, k: np.ndarray):
+        """Posterior (mean, variance) in original units from a kernel row."""
+        mean_std = float(k @ self.alpha)
+        # the LAPACK call solve_triangular makes for a lower factor in
+        # Fortran order, as cholesky returns it
+        v, info = dtrtrs(self.L, k, lower=1)
+        if info:
+            raise NumericalError(f"triangular solve failed (info {info})")
+        var_std = self.params.signal_variance - float(v @ v)
+        if var_std < -1e-10:
+            logger.warning("negative posterior variance %.3e clamped", var_std)
+        var_std = max(var_std, 0.0)
+        return (mean_std * self.target_std + self.target_mean,
+                var_std * self.target_std ** 2)
+
     def predict(self, x, apply_snap: bool = True):
         """Posterior (mean, variance) at one encoded point, original units.
 
@@ -234,22 +250,27 @@ class GpModel:
         if q.shape != (self.space.encoded_dim,):
             raise InvalidPointError(
                 f"expected dimension {self.space.encoded_dim}, got {q.shape}")
-        k = self._kvec(q)
-        mean_std = float(k @ self.alpha)
-        v = solve_triangular(self.L, k, lower=True)
-        var_std = self.params.signal_variance - float(v @ v)
-        if var_std < -1e-10:
-            logger.warning("negative posterior variance %.3e clamped", var_std)
-        var_std = max(var_std, 0.0)
-        return (mean_std * self.target_std + self.target_mean,
-                var_std * self.target_std ** 2)
+        return self._posterior(self._kvec(q))
+
+    def predict_batch(self, Q: np.ndarray) -> list[tuple[float, float]]:
+        """``predict`` at every row of ``Q``, taken as given (no snap).
+
+        One kernel matrix serves the whole batch.  The mean and the
+        triangular solve then run row by row through the same dot and LAPACK
+        calls as ``predict``, so each row equals ``predict(row,
+        apply_snap=False)`` bit for bit; a matrix-vector product or a
+        multi-right-hand-side solve would sum in another order.
+        """
+        return [self._posterior(k) for k in _matern52(self.params, Q, self.X)]
 
     def predict_with_gradient(self, x):
         """Relaxed posterior and its gradient: (mean, var, dmean, dvar)."""
         q = np.asarray(x, dtype=float)
         k = self._kvec(q)
         mean_std = float(k @ self.alpha)
-        w = cho_solve((self.L, True), k)
+        w, info = dpotrs(self.L, k, lower=1)   # the call cho_solve makes
+        if info:
+            raise NumericalError(f"Cholesky solve failed (info {info})")
         var_std = max(self.params.signal_variance - float(k @ w), 0.0)
 
         # d k_i / d x_j, with the Matern radial term's r cancelled

@@ -7,6 +7,16 @@ are embedded into [0, 1]^D: a categorical with k options occupies a k-wide
 one-hot block, an ordinal occupies a single coordinate holding its scaled rank
 rank/(count-1).  ``snap`` projects any point of the box onto the nearest
 admissible vertex, which is the representation the covariance kernel sees.
+
+Every space precomputes index arrays once: the coordinates of each one-hot
+block, the coordinate and rank step of each ordinal, and a padded table of
+ordinal values.  ``encode``, ``snap``, ``decode`` and ``relaxed_values`` read
+these arrays instead of walking the parameters, and the rank helpers
+(``config_ranks``, ``point_ranks``, ``encode_ranks``, ``ordinal_columns``)
+expose the same layout to batched callers: a configuration is a row of
+per-parameter ranks, and a batch of rows encodes or feeds the exact
+constraint semantics in one array operation.  Each batched result equals the
+per-configuration one bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +109,46 @@ class ParameterSpace:
             pos += p.width
         self._offsets = tuple(offsets)
         self.encoded_dim = pos
+        self.counts = tuple(p.count for p in params)
+        self.categorical_mask = np.array([p.kind == CATEGORICAL for p in params],
+                                         dtype=bool)
+        # rank / divisor is an ordinal's scaled rank and a categorical's index
+        self.rank_divisors = np.array(
+            [c - 1 if p.kind == ORDINAL and c > 1 else 1
+             for p, c in zip(params, self.counts)], dtype=float)
+        self._rank_tables = tuple(
+            (p.name, {v: r for r, v in enumerate(p.values)}) for p in params)
+
+        cat = [i for i, p in enumerate(params) if p.kind == CATEGORICAL]
+        ordn = [i for i, p in enumerate(params) if p.kind == ORDINAL]
+        idx = partial(np.array, dtype=np.intp)
+        # one-hot blocks: row j lists block j's coordinates, padded with the
+        # index one past the box (a -inf sentinel for the block arg-max)
+        width = max((self.counts[i] for i in cat), default=0)
+        self._cat_params = idx(cat)
+        self._cat_offsets = idx([offsets[i] for i in cat])
+        self._cat_blocks = idx(
+            [[offsets[i] + k if k < self.counts[i] else pos
+              for k in range(width)] for i in cat]).reshape(len(cat), width)
+        # ordinals, all of them: relaxed values and the constraint layer
+        self.ordinal_names = tuple(params[i].name for i in ordn)
+        self.ordinal_coords = idx([offsets[i] for i in ordn])
+        self._ord_params = idx(ordn)
+        self._ord_steps = np.array([self.counts[i] - 1 for i in ordn],
+                                   dtype=float)
+        self._ord_last = np.maximum(self._ord_steps - 1, 0).astype(np.intp)
+        self._ord_rows = np.arange(len(ordn))
+        table_width = max([2] + [self.counts[i] for i in ordn])
+        self._ord_table = np.array(
+            [list(params[i].values)
+             + [params[i].values[-1]] * (table_width - self.counts[i])
+             for i in ordn], dtype=float).reshape(len(ordn), table_width)
+        # ordinals with a rank step: snap and encode (a single-valued
+        # ordinal always sits at 0)
+        stepped = self._ord_steps > 0
+        self._step_params = self._ord_params[stepped]
+        self._step_coords = self.ordinal_coords[stepped]
+        self._steps = self._ord_steps[stepped]
 
     def __len__(self) -> int:
         return len(self.params)
@@ -194,21 +245,82 @@ def _check_point(space: ParameterSpace, point) -> np.ndarray:
     if arr.shape != (space.encoded_dim,):
         raise InvalidPointError(
             f"expected dimension {space.encoded_dim}, got shape {arr.shape}")
-    if np.any(arr < -_BOX_TOL) or np.any(arr > 1.0 + _BOX_TOL):
+    # min and max propagate NaN, which then fails both comparisons
+    if arr.size and not (arr.min() >= -_BOX_TOL and arr.max() <= 1.0 + _BOX_TOL):
+        if not np.isfinite(arr).all():
+            raise InvalidPointError("non-finite coordinate")
         raise InvalidPointError("coordinates outside [0, 1]")
     return arr
 
 
+def config_ranks(space: ParameterSpace, cfg: dict) -> list[int]:
+    """Rank of each parameter's value in declaration order; validates ``cfg``."""
+    try:
+        ranks = [table[cfg[name]] for name, table in space._rank_tables]
+    except (KeyError, TypeError):
+        ranks = None
+    if ranks is None or len(cfg) != len(space.params):
+        space.validate(cfg)
+        ranks = [p.values.index(cfg[p.name]) for p in space.params]
+    return ranks
+
+
+def rank_configuration(space: ParameterSpace, ranks) -> dict:
+    """The configuration whose parameter ranks are ``ranks``."""
+    return {p.name: p.values[r]
+            for p, r in zip(space.params, np.asarray(ranks).tolist())}
+
+
+def encode_ranks(space: ParameterSpace, ranks) -> np.ndarray:
+    """Encoded vertices of rank rows: ``(M, P)`` ints to ``(M, D)`` floats.
+
+    Row ``i`` is bit for bit ``encode`` of the configuration of row ``i``.
+    """
+    ranks = np.asarray(ranks, dtype=np.intp)
+    out = np.zeros((len(ranks), space.encoded_dim))
+    rows = np.arange(len(ranks))[:, None]
+    out[rows, space._cat_offsets + ranks[:, space._cat_params]] = 1.0
+    out[:, space._step_coords] = ranks[:, space._step_params] / space._steps
+    return out
+
+
+def point_ranks(space: ParameterSpace, point) -> np.ndarray:
+    """Ranks of the vertex that ``snap`` projects a point of the box onto.
+
+    Each one-hot block takes its arg-max (ties to the lowest index); each
+    ordinal coordinate rounds to the nearest rank (ties to the lower rank).
+    """
+    arr = _check_point(space, point)
+    ranks = np.zeros(len(space.params), dtype=np.intp)
+    if len(space._cat_params):
+        padded = np.append(arr, -np.inf)
+        ranks[space._cat_params] = np.argmax(padded[space._cat_blocks], axis=1)
+    # ceil(x - 0.5) rounds half-way cases down
+    ranks[space._step_params] = np.ceil(
+        arr[space._step_coords] * space._steps - 0.5).astype(np.intp)
+    return ranks
+
+
+def ordinal_columns(space: ParameterSpace, ranks) -> dict:
+    """Ordinal parameter values of rank rows, one array per parameter.
+
+    The batched counterpart of ``ParameterSpace.ordinal_values``: pass it to
+    ``exact_tree`` to check a whole batch of configurations at once.
+    """
+    ranks = np.asarray(ranks, dtype=np.intp)
+    return {name: values[ranks[:, i]] for name, values, i in zip(
+        space.ordinal_names, space._ord_table, space._ord_params)}
+
+
+def random_configuration(space: ParameterSpace, rng) -> dict:
+    """Uniform draw: one ``rng.integers(count)`` per parameter, in order."""
+    return {p.name: p.values[int(rng.integers(c))]
+            for p, c in zip(space.params, space.counts)}
+
+
 def encode(space: ParameterSpace, cfg: dict) -> np.ndarray:
     """Embed a configuration into [0, 1]^D (one-hot blocks + scaled ranks)."""
-    space.validate(cfg)
-    out = np.zeros(space.encoded_dim)
-    for p, off in space.blocks():
-        if p.kind == CATEGORICAL:
-            out[off + p.rank_of(cfg[p.name])] = 1.0
-        else:
-            out[off] = p.scaled_rank(cfg[p.name])
-    return out
+    return encode_ranks(space, [config_ranks(space, cfg)])[0]
 
 
 def snap(space: ParameterSpace, point) -> np.ndarray:
@@ -218,32 +330,27 @@ def snap(space: ParameterSpace, point) -> np.ndarray:
     index); each ordinal coordinate rounds to the nearest scaled rank (ties
     to the lower rank).  Idempotent by construction.
     """
-    arr = _check_point(space, point)
-    out = np.zeros_like(arr)
-    for p, off in space.blocks():
-        if p.kind == CATEGORICAL:
-            out[off + int(np.argmax(arr[off:off + p.width]))] = 1.0
-        elif p.count == 1:
-            out[off] = 0.0
-        else:
-            # ceil(x - 0.5) rounds half-way cases down
-            rank = int(np.ceil(arr[off] * (p.count - 1) - 0.5))
-            out[off] = rank / (p.count - 1)
-    return out
+    return encode_ranks(space, point_ranks(space, point)[None, :])[0]
 
 
 def decode(space: ParameterSpace, point) -> dict:
     """Inverse of ``encode`` after snapping; always yields a valid configuration."""
-    snapped = snap(space, point)
-    cfg = {}
-    for p, off in space.blocks():
-        if p.kind == CATEGORICAL:
-            cfg[p.name] = p.values[int(np.argmax(snapped[off:off + p.width]))]
-        elif p.count == 1:
-            cfg[p.name] = p.values[0]
-        else:
-            cfg[p.name] = p.values[round(snapped[off] * (p.count - 1))]
-    return cfg
+    return rank_configuration(space, point_ranks(space, point))
+
+
+def relaxed_arrays(space: ParameterSpace, point):
+    """``relaxed_values`` as two arrays over ``space.ordinal_names``.
+
+    Returns ``(values, slopes)``; the coordinate of entry ``i`` is
+    ``space.ordinal_coords[i]``.
+    """
+    arr = _check_point(space, point)
+    pos = np.clip(arr[space.ordinal_coords], 0.0, 1.0) * space._ord_steps
+    i0 = np.minimum(pos.astype(np.intp), space._ord_last)
+    frac = pos - i0
+    lo = space._ord_table[space._ord_rows, i0]
+    hi = space._ord_table[space._ord_rows, i0 + 1]
+    return lo + frac * (hi - lo), (hi - lo) * space._ord_steps
 
 
 def relaxed_values(space: ParameterSpace, point):
@@ -255,19 +362,8 @@ def relaxed_values(space: ParameterSpace, point):
     can chain gradients back to the encoded box.  Categorical parameters have
     no numeric view and are omitted.
     """
-    arr = _check_point(space, point)
-    values, slopes = {}, {}
-    for p, off in space.blocks():
-        if p.kind != ORDINAL:
-            continue
-        if p.count == 1:
-            values[p.name] = float(p.values[0])
-            slopes[p.name] = (off, 0.0)
-            continue
-        pos = float(np.clip(arr[off], 0.0, 1.0)) * (p.count - 1)
-        i0 = min(int(pos), p.count - 2)
-        frac = pos - i0
-        lo, hi = p.values[i0], p.values[i0 + 1]
-        values[p.name] = lo + frac * (hi - lo)
-        slopes[p.name] = (off, (hi - lo) * (p.count - 1))
-    return values, slopes
+    values, slopes = relaxed_arrays(space, point)
+    names = space.ordinal_names
+    return (dict(zip(names, values.tolist())),
+            {n: (c, s) for n, c, s in zip(
+                names, space.ordinal_coords.tolist(), slopes.tolist())})

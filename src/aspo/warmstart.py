@@ -15,7 +15,7 @@ import numpy as np
 
 from .constraints import exact_configuration
 from .errors import InfeasibleSpaceError
-from .space import ParameterSpace
+from .space import ParameterSpace, random_configuration
 
 MAX_REJECTION_DRAWS = 100_000
 
@@ -105,7 +105,7 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
     """
     if budget < 1:
         raise ValueError("warm-start budget must be at least 1")
-    oa = generate_oa([p.count for p in space.params], seed)
+    oa = generate_oa(space.counts, seed)
     chosen: list[dict] = []
     seen: set[tuple] = set()
 
@@ -132,6 +132,5 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
                 f"could not collect {budget} feasible configurations within "
                 f"{MAX_REJECTION_DRAWS} draws ({len(chosen)} found)")
         draws += 1
-        try_add({p.name: p.values[int(rng.integers(p.count))]
-                 for p in space.params})
+        try_add(random_configuration(space, rng))
     return chosen[:budget]

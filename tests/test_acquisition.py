@@ -10,6 +10,7 @@ from aspo.acquisition import (
     PAPER_RATIO,
     AcquisitionContext,
     CoolingSchedule,
+    _cooled_scores,
     alpha_cool,
     cooled_value,
     cooling_factor,
@@ -27,9 +28,22 @@ from aspo.checkpoints import (
 )
 from aspo.constraints import exact_configuration, parse_constraints
 from aspo.errors import NoFeasibleCandidateError
-from aspo.evaluation import EvaluationResult
+from aspo.evaluation import (
+    EvalHarness,
+    EvaluationResult,
+    SyntheticModel,
+    estimated_execution_time,
+)
 from aspo.gp import KernelParams, fit
-from aspo.space import ParameterDef, ParameterSpace, encode
+from aspo.space import (
+    ParameterDef,
+    ParameterSpace,
+    config_ranks,
+    encode,
+    encode_ranks,
+    random_configuration,
+    snap,
+)
 
 
 def ok_metrics():
@@ -223,7 +237,6 @@ class TestAlphaCool:
         space = small_space()
         ctx, _, _ = fitted_context(space, seed=7)
         rng = np.random.default_rng(8)
-        from aspo.space import snap
         for _ in range(20):
             u = rng.uniform(size=space.encoded_dim)
             assert alpha_cool(ctx, u) == alpha_cool(ctx, snap(space, u))
@@ -234,6 +247,73 @@ class TestAlphaCool:
         ctx, cfgs, y = fitted_context(space, seed=9)
         incumbent = encode(space, cfgs[int(np.argmin(y))])
         assert alpha_cool(ctx, incumbent) == 0.0
+
+
+def reference_alpha_cool(ctx, x):
+    """The per-point acquisition that the batched scorer replaced."""
+    q = snap(ctx.model.space, x)
+    alpha = expected_improvement(ctx.model, q, ctx.best_feasible)
+    cost = ctx.cost.value(q) if ctx.cost is not None else 1.0
+    return cooled_value(alpha, cost, ctx.lam(), ctx.schedule.mode)
+
+
+class TestBatchedScores:
+    """The polish scorer against the scalar acquisition on single moves."""
+
+    @staticmethod
+    def feasible_draws(bundle, rng, n):
+        out = []
+        while len(out) < n:
+            cfg = random_configuration(bundle.space, rng)
+            if exact_configuration(bundle.tree, bundle.space, cfg):
+                out.append(cfg)
+        return out
+
+    @pytest.mark.parametrize("mode", [PAPER_RATIO, EXPONENT])
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
+    def test_matches_alpha_cool_on_every_single_move(self, processor, mode):
+        bundle = assets.load_bundle(processor)
+        space = bundle.space
+        rng = np.random.default_rng(41)
+        train = self.feasible_draws(bundle, rng, 16)
+        harness = EvalHarness(SyntheticModel(bundle.model, space), bundle.tree)
+        y = [estimated_execution_time(harness.evaluate(c)) for c in train]
+        model = fit(space, [encode(space, c) for c in train], y, seed=0)
+        store = CheckpointStore(space)
+        for cfg in train[:8]:
+            store.insert(CheckpointRecord(
+                config=cfg, encoded=encode(space, cfg), metrics=ok_metrics(),
+                artifact=artifact_path(space, cfg), synthesis_minutes=1.0))
+        ctx = AcquisitionContext(
+            model=model, best_feasible=float(min(y)),
+            cost=RelaxedCost(store, DistanceWeights.ones(space)),
+            schedule=CoolingSchedule(mode=mode), iteration=3)
+        checked = 0
+        for cfg in self.feasible_draws(bundle, rng, 50):
+            ranks = np.array(config_ranks(space, cfg))
+            moves = []
+            for i, p in enumerate(space.params):
+                for r in range(p.count):
+                    if r != ranks[i]:
+                        moves.append(ranks.copy())
+                        moves[-1][i] = r
+            got = _cooled_scores(ctx, encode_ranks(space, moves))
+            for row, score in zip(moves, got):
+                q = encode_ranks(space, [row])[0]
+                want = reference_alpha_cool(ctx, q)
+                # stricter than a relative 1e-12: every row is scored with the
+                # same dot and triangular-solve calls as a lone point
+                assert score == want
+                assert alpha_cool(ctx, q) == want
+                checked += 1
+        assert checked > 50 * len(space)
+
+    def test_empty_store_uses_the_prior(self):
+        space = small_space()
+        ctx, cfgs, _ = fitted_context(space, seed=3, with_store=False)
+        Q = np.stack([encode(space, c) for c in cfgs])
+        want = [reference_alpha_cool(ctx, q) for q in Q]
+        assert list(_cooled_scores(ctx, Q)) == want
 
 
 class TestMaximizeAcquisition:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aspo import assets
 from aspo.checkpoints import (
     LEARN_SUBSET,
     CheckpointRecord,
@@ -8,6 +9,7 @@ from aspo.checkpoints import (
     DistanceWeights,
     RelaxedCost,
     artifact_path,
+    config_features,
     cost_estimate,
     learn_weights,
     match_config,
@@ -15,7 +17,7 @@ from aspo.checkpoints import (
 )
 from aspo.errors import EmptyDatabaseError, InsufficientRecordsError
 from aspo.evaluation import EvaluationResult
-from aspo.space import ParameterDef, ParameterSpace, encode
+from aspo.space import ParameterDef, ParameterSpace, encode, random_configuration
 
 
 @pytest.fixture
@@ -402,3 +404,17 @@ class TestLearnWeightsGolden:
         k = min(n, LEARN_SUBSET)
         assert len(asked) == len(set(asked))
         assert len(asked) <= k * (k - 1)
+
+
+@pytest.mark.parametrize("processor", ["boom", "rocketchip", "el2_veer"])
+def test_config_features_match_reference_loop(processor):
+    """The index-array features equal the per-parameter loop bit for bit."""
+    space = assets.load_bundle(processor).space
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        cfg = random_configuration(space, rng)
+        want = np.empty(len(space))
+        for i, p in enumerate(space.params):
+            want[i] = p.rank_of(cfg[p.name]) if p.kind == "categorical" \
+                else p.scaled_rank(cfg[p.name])
+        assert config_features(space, cfg).tobytes() == want.tobytes()

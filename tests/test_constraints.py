@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aspo import assets
 from aspo.constraints import (
     Conditional,
     Conj,
@@ -8,6 +9,8 @@ from aspo.constraints import (
     Divisibility,
     Inequality,
     IntervalAtom,
+    compile_tree,
+    exact_configuration,
     exact_tree,
     parse_constraints,
     smooth_gradient,
@@ -18,7 +21,14 @@ from aspo.constraints import (
     tree_parameters,
 )
 from aspo.errors import ConstraintSyntaxError, DomainError, UnknownParameterError
-from aspo.space import ParameterDef, ParameterSpace
+from aspo.space import (
+    ParameterDef,
+    ParameterSpace,
+    config_ranks,
+    ordinal_columns,
+    random_configuration,
+    relaxed_values,
+)
 
 
 def ordspace(**params):
@@ -367,3 +377,92 @@ class TestGradient:
         grad = smooth_gradient(tree, {"FetchWidth": 4.0, "DecodeWidth": 1.0,
                                       "dcache_nWays": 8.0, "dcache_nSets": 4.0})
         assert set(grad) == tree_parameters(tree)
+
+
+class TestCompiledTree:
+    """compile_tree against the recursive evaluators, with ==."""
+
+    @staticmethod
+    def check(tree, values):
+        names = sorted(values)
+        value, partials = compile_tree(tree, names)([values[n] for n in names])
+        assert value == smooth_tree(tree, values)
+        grad = smooth_gradient(tree, values)
+        assert {names[i] for i in partials} <= set(grad)
+        for i, name in enumerate(names):
+            if name in grad:
+                assert partials.get(i, 0.0) == grad[name], name
+            else:
+                assert i not in partials
+
+    def test_boom_tree_at_random_box_points(self):
+        bundle = assets.load_bundle("boom")
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            u = rng.uniform(size=bundle.space.encoded_dim)
+            values, _ = relaxed_values(bundle.space, u)
+            self.check(bundle.tree, values)
+
+    def test_boom_tree_at_vertices(self):
+        bundle = assets.load_bundle("boom")
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            u = np.round(rng.uniform(size=bundle.space.encoded_dim) * 60) / 60
+            values, _ = relaxed_values(bundle.space, u)
+            self.check(bundle.tree, values)
+
+    def test_disjunction(self):
+        tree = Conj((
+            Disj((Inequality(1.0, "a", 1.0, "b", 0.0),
+                  Inequality(2.0, "b", 1.0, "c", -3.0),
+                  Divisibility("c", "b"))),
+            Conditional(IntervalAtom("a", 2, 4), IntervalAtom("c", 1, 3),
+                        vacuity_margin=0.5)))
+        rng = np.random.default_rng(37)
+        for _ in range(500):
+            self.check(tree, {n: float(rng.uniform(1.0, 9.0)) for n in "abc"})
+
+    def test_ties_go_to_the_lowest_index(self):
+        # equal children with different gradients: the first one attains
+        for node in (Conj, Disj):
+            tree = node((Inequality(1.0, "a", 0.0, "b", 0.0),
+                         Inequality(0.0, "a", -1.0, "b", 0.0)))
+            self.check(tree, {"a": 3.0, "b": 3.0})
+            _, partials = compile_tree(tree, ["a", "b"])([3.0, 3.0])
+            assert partials == {0: 1.0, 1: -0.0}
+
+    def test_conditional_kinks(self):
+        tree = Conditional(IntervalAtom("a", 0, 4), IntervalAtom("b", 1, 5),
+                           vacuity_margin=0.0)
+        # c1 == c2 == 3 with slopes 2 and -2: the condition's branch attains
+        self.check(tree, {"a": 1.0, "b": 4.0})
+        # c1 == 0 == vac <= c2: the vacuous branch attains
+        self.check(tree, {"a": 0.0, "b": 2.0})
+        for values in ({"a": 2.0, "b": 2.0}, {"a": 4.0, "b": 4.0},
+                       {"a": 0.0, "b": 6.0}, {"a": 5.0, "b": 1.0}):
+            self.check(tree, values)
+
+    def test_shared_parameter(self):
+        # one parameter on both sides of a leaf
+        for leaf in (Inequality(3.0, "a", 1.0, "a", 0.5),
+                     Conditional(IntervalAtom("a", 1, 3), IntervalAtom("a", 2, 5)),
+                     Divisibility("a", "a")):
+            for v in (1.5, 2.0, 2.5, 4.0):
+                self.check(Conj((leaf,)), {"a": v})
+
+    def test_zero_divisor_raises(self):
+        fn = compile_tree(Conj((Divisibility("a", "b"),)), ["a", "b"])
+        with pytest.raises(DomainError):
+            fn([4.0, 0.0])
+
+
+def test_batched_exact_matches_per_configuration():
+    """One array call over rank rows decides as exact_configuration does."""
+    bundle = assets.load_bundle("boom")
+    rng = np.random.default_rng(43)
+    cfgs = [random_configuration(bundle.space, rng) for _ in range(20_000)]
+    ranks = np.array([config_ranks(bundle.space, c) for c in cfgs])
+    got = exact_tree(bundle.tree, ordinal_columns(bundle.space, ranks))
+    want = [exact_configuration(bundle.tree, bundle.space, c) for c in cfgs]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
+from aspo import assets
 from aspo.errors import InvalidConfigurationError, InvalidPointError
-from aspo.space import ParameterDef, ParameterSpace, decode, encode, relaxed_values, snap
+from aspo.space import (
+    CATEGORICAL,
+    ORDINAL,
+    ParameterDef,
+    ParameterSpace,
+    decode,
+    encode,
+    random_configuration,
+    relaxed_values,
+    snap,
+)
 
 
 def ordinal(name, values, default=None):
@@ -198,3 +209,126 @@ class TestRelaxedValues:
         _, slopes = relaxed_values(space, [u])
         fd = (v_hi["o"] - v_lo["o"]) / (2 * h)
         assert slopes["o"][1] == pytest.approx(fd, rel=1e-5)
+
+
+class TestNonFinitePoints:
+    """NaN fails both box comparisons, so it needs its own check."""
+
+    @pytest.fixture
+    def space(self):
+        return assets.load_bundle("boom").space
+
+    @pytest.mark.parametrize("fn", [snap, decode, relaxed_values])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", [ORDINAL, CATEGORICAL])
+    def test_rejected(self, space, fn, bad, kind):
+        p = next(p for p in space.params if p.kind == kind)
+        point = np.full(space.encoded_dim, 0.5)
+        point[space.block(p.name)[0]] = bad
+        with pytest.raises(InvalidPointError):
+            fn(space, point)
+
+
+# Reference loops: the per-block snap and relaxed_values that the index-array
+# versions replaced.  The array versions must reproduce them bit for bit.
+
+def reference_snap(space, point):
+    arr = np.asarray(point, dtype=float)
+    out = np.zeros_like(arr)
+    for p, off in space.blocks():
+        if p.kind == CATEGORICAL:
+            out[off + int(np.argmax(arr[off:off + p.width]))] = 1.0
+        elif p.count == 1:
+            out[off] = 0.0
+        else:
+            rank = int(np.ceil(arr[off] * (p.count - 1) - 0.5))
+            out[off] = rank / (p.count - 1)
+    return out
+
+
+def reference_encode(space, cfg):
+    out = np.zeros(space.encoded_dim)
+    for p, off in space.blocks():
+        if p.kind == CATEGORICAL:
+            out[off + p.rank_of(cfg[p.name])] = 1.0
+        else:
+            out[off] = p.scaled_rank(cfg[p.name])
+    return out
+
+
+def reference_relaxed_values(space, point):
+    arr = np.asarray(point, dtype=float)
+    values, slopes = {}, {}
+    for p, off in space.blocks():
+        if p.kind != ORDINAL:
+            continue
+        if p.count == 1:
+            values[p.name] = float(p.values[0])
+            slopes[p.name] = (off, 0.0)
+            continue
+        pos = float(np.clip(arr[off], 0.0, 1.0)) * (p.count - 1)
+        i0 = min(int(pos), p.count - 2)
+        frac = pos - i0
+        lo, hi = p.values[i0], p.values[i0 + 1]
+        values[p.name] = lo + frac * (hi - lo)
+        slopes[p.name] = (off, (hi - lo) * (p.count - 1))
+    return values, slopes
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _equivalence_points(space, n, seed):
+    """Uniform points, half of them on a 1/840 grid that hits every rank
+    midpoint and many one-hot ties, plus the two faces of the box."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(n, space.encoded_dim))
+    pts[::2] = np.round(pts[::2] * 840) / 840
+    pts[0], pts[1] = 0.0, 1.0
+    return pts
+
+
+def _space(name):
+    if name == "mixed":   # single-valued blocks of both kinds
+        return ParameterSpace([
+            ordinal("fixed", [7]), categorical("only", ["x"]),
+            categorical("c", ["a", "b"]), ordinal("o", [1, 4, 8, 64]),
+            categorical("d", ["p", "q", "r", "s"])])
+    return assets.load_bundle(name).space
+
+
+@pytest.mark.parametrize("processor",
+                         ["boom", "rocketchip", "el2_veer", "mixed"])
+class TestIndexArraysMatchReference:
+    N = 10_000
+
+    def test_snap_decode_encode(self, processor):
+        space = _space(processor)
+        for u in _equivalence_points(space, self.N, 1):
+            want = reference_snap(space, u)
+            assert _bits(snap(space, u)) == _bits(want)
+            cfg = decode(space, u)
+            assert _bits(encode(space, cfg)) == _bits(want)
+            assert _bits(reference_encode(space, cfg)) == _bits(want)
+
+    def test_relaxed_values(self, processor):
+        space = _space(processor)
+        for u in _equivalence_points(space, self.N, 2):
+            values, slopes = relaxed_values(space, u)
+            want_values, want_slopes = reference_relaxed_values(space, u)
+            assert list(values) == list(want_values)
+            assert _bits(list(values.values())) == \
+                _bits(list(want_values.values()))
+            assert list(slopes) == list(want_slopes)
+            for name, (off, slope) in slopes.items():
+                assert off == want_slopes[name][0]
+                assert _bits([slope]) == _bits([want_slopes[name][1]])
+
+    def test_random_configuration_draw_order(self, processor):
+        space = _space(processor)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            want = {p.name: p.values[int(ref.integers(p.count))]
+                    for p in space.params}
+            assert random_configuration(space, rng) == want
