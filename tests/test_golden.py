@@ -1,46 +1,86 @@
 """Golden trajectories: pinned proposal sequences of full optimization runs.
 
-The fixture ``golden_trajectories.json`` was recorded from the optimizer
-before its acquisition hot path was batched; it is the oracle that any
-refactor or speed-up must reproduce.  Configurations must match exactly;
-floats (best EET, per-entry acquisition value and cost estimate) must agree
-to a relative 1e-9.
+The fixture ``golden_trajectories.json`` is the oracle that any refactor or
+speed-up must reproduce.  The ASPO cases were recorded from the optimizer
+before its acquisition hot path was batched; the baseline cases (random,
+conventional BO, hill climbing) and the report hashes were recorded later,
+from code whose ASPO trajectories the fixture already confirmed.
+Configurations must match exactly; floats (best EET, per-entry acquisition
+value and cost estimate) must agree to a relative 1e-9.  The report cases
+pin the sha256 of ``report.jsonl`` and ``report.csv`` byte for byte.
 
-Regenerate only from code whose trajectories are trusted:
+Record missing cases only from code whose trajectories are trusted:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+Recording adds the keys the fixture lacks and leaves every recorded entry
+as it is.
 """
 
+import hashlib
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from aspo import assets
-from aspo.driver import RunConfig, run_optimization
+from aspo.driver import RunConfig, emit_report, run_baseline, run_optimization
 
 FIXTURE = Path(__file__).with_name("golden_trajectories.json")
 RTOL = 1e-9
 
-#: (processor, seed, iterations)
-CASES = [("boom", s, 5) for s in range(4)] + \
-    [("rocketchip", 0, 10), ("el2_veer", 0, 10)]
+
+class Case(NamedTuple):
+    processor: str
+    seed: int
+    iterations: int
+    generator: str = "aspo"
+    tdt_limit_minutes: float = 2100.0
+
+    @property
+    def id(self) -> str:
+        name = self.processor if self.generator == "aspo" \
+            else f"{self.processor}-{self.generator}"
+        unlimited = "-no-tdt-limit" if math.isinf(self.tdt_limit_minutes) else ""
+        return f"{name}-seed{self.seed}-it{self.iterations}{unlimited}"
 
 
-def case_id(processor, seed, iterations):
-    return f"{processor}-seed{seed}-it{iterations}"
+#: the hill climb runs with the time limit lifted, so it climbs until it
+#: converges
+HILL_CLIMB = Case("boom", 0, 10_000, "hill-climb", math.inf)
+CASES = [Case("boom", s, 5) for s in range(4)] + [
+    Case("rocketchip", 0, 10), Case("el2_veer", 0, 10),
+    Case("boom", 0, 10, "random"), Case("boom", 0, 10, "vanilla-bo"),
+    Case("el2_veer", 0, 10, "vanilla-bo"), HILL_CLIMB]
+#: cases whose emitted report files are pinned by hash
+REPORT_CASES = [Case("boom", 0, 5), HILL_CLIMB]
+REPORT_FILES = ("report.jsonl", "report.csv")
 
 
-def trajectory(processor, seed, iterations) -> dict:
+def report_id(case: Case) -> str:
+    return f"reports/{case.id}"
+
+
+def run(case: Case):
     root = assets.asset_root()
-    constraint = root / f"constraints/{processor}.json"
-    report = run_optimization(RunConfig(
-        space_file=str(root / f"spaces/{processor}.json"),
-        model_file=str(root / f"models/{processor}.json"),
+    constraint = root / f"constraints/{case.processor}.json"
+    rc = RunConfig(
+        space_file=str(root / f"spaces/{case.processor}.json"),
+        model_file=str(root / f"models/{case.processor}.json"),
         constraint_file=str(constraint) if constraint.exists() else None,
-        budget_iterations=iterations, seed=seed, stagnation_limit=None))
+        budget_iterations=case.iterations, seed=case.seed,
+        tdt_limit_minutes=case.tdt_limit_minutes, stagnation_limit=None)
+    if case.generator == "aspo":
+        return run_optimization(rc)
+    return run_baseline(rc, case.generator)
+
+
+def trajectory(case: Case) -> dict:
+    report = run(case)
     return {
         "proposals": [{"iteration": e.iteration, "config": e.config,
                        "alpha": e.alpha_value, "cost": e.cost_estimate}
@@ -48,6 +88,13 @@ def trajectory(processor, seed, iterations) -> dict:
         "best_eet_ms": report.best_eet_ms,
         "stop_reason": report.stop_reason,
     }
+
+
+def report_hashes(case: Case) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        emit_report(run(case), out)
+        return {name: hashlib.sha256((Path(out) / name).read_bytes())
+                .hexdigest() for name in REPORT_FILES}
 
 
 def _close(got, want) -> bool:
@@ -61,10 +108,10 @@ def golden():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: case_id(*c))
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.id)
 def test_trajectory_matches_golden(golden, case):
-    want = golden[case_id(*case)]
-    got = trajectory(*case)
+    want = golden[case.id]
+    got = trajectory(case)
     assert got["stop_reason"] == want["stop_reason"]
     assert len(got["proposals"]) == len(want["proposals"])
     for i, (g, w) in enumerate(zip(got["proposals"], want["proposals"])):
@@ -75,9 +122,21 @@ def test_trajectory_matches_golden(golden, case):
     assert _close(got["best_eet_ms"], want["best_eet_ms"])
 
 
+@pytest.mark.parametrize("case", REPORT_CASES, ids=lambda c: c.id)
+def test_report_bytes_match_golden(golden, case):
+    assert report_hashes(case) == golden[report_id(case)]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    data = {case_id(*c): trajectory(*c) for c in CASES}
+    data = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    entries = [(c.id, trajectory, c) for c in CASES] + \
+        [(report_id(c), report_hashes, c) for c in REPORT_CASES]
+    added = []
+    for key, record, case in entries:
+        if key not in data:
+            data[key] = record(case)
+            added.append(key)
     FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
+    print(f"added {len(added)} case(s) to {FIXTURE}: {', '.join(added) or 'none'}")
