@@ -45,17 +45,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .checkpoints import RelaxedCost
-from .constraints import compile_tree, exact_configuration, exact_tree
+from .constraints import compile_tree, exact_tree, feasible_draws
 from .errors import NoFeasibleCandidateError
 from .gp import GpModel
 from .space import (
     ParameterSpace,
-    decode,
     encode,
     encode_ranks,
     ordinal_columns,
     point_ranks,
-    random_configuration,
     rank_configuration,
     relaxed_arrays,
     snap,
@@ -70,7 +68,6 @@ EXPONENT = "exponent"
 COST_EPS = 1e-6
 
 N_UNIFORM_STARTS = 32
-MAX_REJECTION_DRAWS = 100_000
 
 
 @dataclass
@@ -295,6 +292,21 @@ def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree,
     return current, current_val
 
 
+def _starts(space: ParameterSpace, seed: int, iteration: int, warm_configs,
+            n_uniform: int) -> list[np.ndarray]:
+    """Multi-start points: the warm-start configurations, then seeded draws."""
+    if warm_configs is None:
+        warm_configs = warm_start_configs(space, None, seed, budget=10)
+    rng = np.random.default_rng([seed, iteration, 2])
+    return [encode(space, cfg) for cfg in warm_configs] + \
+        list(rng.uniform(size=(n_uniform, space.encoded_dim)))
+
+
+def _box_ranks(space: ParameterSpace, u) -> tuple:
+    """Rank row of the vertex a solver's point snaps to, as a dict key."""
+    return tuple(point_ranks(space, np.clip(u, 0.0, 1.0)))
+
+
 def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
                          *, seed: int = 0, warm_configs=None,
                          n_uniform: int = N_UNIFORM_STARTS,
@@ -310,19 +322,13 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     cooled acquisition wins (first on ties).  Falls back to rejection
     sampling when no start yields a feasible candidate.
     """
-    if warm_configs is None:
-        warm_configs = warm_start_configs(space, None, seed, budget=10)
-    rng = np.random.default_rng([seed, ctx.iteration, 2])
-    starts = [encode(space, cfg) for cfg in warm_configs]
-    starts += list(rng.uniform(size=(n_uniform, space.encoded_dim)))
-
     objective = _relaxed_objective(ctx)
     constraints = [_constraint_spec(space, tree)] if tree is not None else []
 
     # snapped candidates as rank rows, first-seen order, duplicates dropped
     found: dict[tuple, None] = {}
-    for u0 in starts:
-        found.setdefault(tuple(point_ranks(space, np.clip(u0, 0.0, 1.0))))
+    for u0 in _starts(space, seed, ctx.iteration, warm_configs, n_uniform):
+        found.setdefault(_box_ranks(space, u0))
         try:
             res = minimize(objective, u0, jac=True, method="SLSQP",
                            bounds=[(0.0, 1.0)] * space.encoded_dim,
@@ -330,7 +336,7 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
                            options={"maxiter": maxiter, "ftol": 1e-8})
         except Exception:
             continue
-        found.setdefault(tuple(point_ranks(space, np.clip(res.x, 0.0, 1.0))))
+        found.setdefault(_box_ranks(space, res.x))
     candidates = _feasible_rows(space, tree, np.array(list(found),
                                                       dtype=np.intp))
 
@@ -345,13 +351,9 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
                 best_val, best_ranks = polished_val, polished
         return rank_configuration(space, best_ranks)
 
-    draw_rng = np.random.default_rng([seed, ctx.iteration, 3])
-    for _ in range(MAX_REJECTION_DRAWS):
-        cfg = random_configuration(space, draw_rng)
-        if tree is None or exact_configuration(tree, space, cfg):
-            return cfg
-    raise NoFeasibleCandidateError(
-        "no feasible candidate found by local search or rejection sampling")
+    return next(feasible_draws(
+        tree, space, np.random.default_rng([seed, ctx.iteration, 3]),
+        NoFeasibleCandidateError))
 
 
 def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
@@ -362,31 +364,19 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     """Plain EI maximization: no constraints, no cost, no feasibility filter.
 
     This is the conventional-BO proposal generator used as a baseline; the
-    relaxed posterior is ascended with L-BFGS-B and the best snapped vertex
-    by EI wins.
+    relaxed posterior is ascended with L-BFGS-B from each start, and the
+    best distinct snapped optimum by EI wins (first on ties).  EI is the
+    cooled acquisition under a neutral context: no cost, so c = 1, and
+    lambda = 1 at iteration 0, which leaves every score exactly EI.
     """
-    if warm_configs is None:
-        warm_configs = warm_start_configs(space, None, seed, budget=10)
     ctx = AcquisitionContext(model=model, best_feasible=best)
-    rng = np.random.default_rng([seed, iteration, 2])
-    starts = [encode(space, cfg) for cfg in warm_configs]
-    starts += list(rng.uniform(size=(n_uniform, space.encoded_dim)))
     objective = _relaxed_objective(ctx)
-
-    best_cfg = None
-    best_val = -np.inf
-    seen: set[tuple] = set()
-    for u0 in starts:
+    found: dict[tuple, None] = {}
+    for u0 in _starts(space, seed, iteration, warm_configs, n_uniform):
         res = minimize(objective, u0, jac=True, method="L-BFGS-B",
                        bounds=[(0.0, 1.0)] * space.encoded_dim,
                        options={"maxiter": maxiter})
-        cfg = decode(space, np.clip(res.x, 0.0, 1.0))
-        key = tuple(cfg[p.name] for p in space.params)
-        if key in seen:
-            continue
-        seen.add(key)
-        val = expected_improvement(model, encode(space, cfg), best)
-        if val > best_val:
-            best_val = val
-            best_cfg = cfg
-    return best_cfg
+        found.setdefault(_box_ranks(space, res.x))
+    candidates = np.array(list(found), dtype=np.intp)
+    scores = _cooled_scores(ctx, encode_ranks(space, candidates))
+    return rank_configuration(space, candidates[int(np.argmax(scores))])

@@ -38,13 +38,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintSyntaxError, DomainError, UnknownParameterError
-from .space import ORDINAL, ParameterSpace
+from .errors import (
+    ConstraintSyntaxError,
+    DomainError,
+    InfeasibleSpaceError,
+    UnknownParameterError,
+)
+from .space import ORDINAL, ParameterSpace, random_configuration
 
 # |smooth| at or above zero minus this tolerance counts as satisfied; the
 # divisibility relaxation evaluates sin at large multiples of pi, which lands
 # near -1e-29 instead of 0 in float64.
 SIGN_TOL = 1e-9
+
+#: uniform draws a rejection sampler may spend before it gives up
+MAX_REJECTION_DRAWS = 100_000
 
 # Fallback vacuity margin for hand-built conditionals; safe for integer grids
 # whose admissible values clear interval endpoints by at least one unit.
@@ -199,6 +207,22 @@ def exact_configuration(tree, space: ParameterSpace, cfg: dict) -> bool:
     if tree is None:
         return True
     return bool(exact_tree(tree, space.ordinal_values(cfg)))
+
+
+def feasible_draws(tree, space: ParameterSpace, rng,
+                   error: type[InfeasibleSpaceError] = InfeasibleSpaceError):
+    """Rejection sampling: the feasible ones among seeded uniform draws.
+
+    Yields in draw order.  Once ``MAX_REJECTION_DRAWS`` draws are spent, the
+    next request raises ``error``, so a caller that needs ``n`` feasible
+    configurations fails only when the cap leaves it short.
+    """
+    for _ in range(MAX_REJECTION_DRAWS):
+        cfg = random_configuration(space, rng)
+        if exact_configuration(tree, space, cfg):
+            yield cfg
+    raise error(f"too few feasible configurations within "
+                f"{MAX_REJECTION_DRAWS} random draws")
 
 
 def smooth_gradient(tree, values) -> dict:

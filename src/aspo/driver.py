@@ -48,9 +48,10 @@ from .checkpoints import (
     cost_estimate,
     learn_weights,
 )
-from .constraints import exact_configuration, load_constraints
+from .constraints import feasible_draws, load_constraints
 from .errors import InvalidConfigurationError, NumericalError
 from .evaluation import (
+    DIRECT,
     RETRIEVAL,
     STRATEGIES,
     EvalHarness,
@@ -154,110 +155,60 @@ def load_inputs(rc: RunConfig):
     return space, tree, model
 
 
-class _AspoGenerator:
-    """Constraint-aware cooled-acquisition proposals."""
-
-    def __init__(self, rc, space, tree, store, warm, state):
-        self.rc = rc
-        self.space = space
-        self.tree = tree
-        self.store = store
-        self.warm = warm
-        self.state = state  # shares weights + history with the loop
-
-    def _training_set(self):
-        X, y = [], []
-        for entry in self.state["history"]:
-            if entry.result.valid:
-                X.append(encode(self.space, entry.config))
-                y.append(entry.eet_ms())
-        return X, y
-
-    def propose(self, t):
-        X, y = self._training_set()
-        if len({tuple(np.round(x, 12)) for x in X}) < 2:
-            return self._feasible_draw(t), None
-        model = fit(self.space, X, y, seed=self.rc.seed)
-        ctx = AcquisitionContext(
-            model=model,
-            best_feasible=float(min(y)),
-            tree=self.tree,
-            cost=RelaxedCost(self.store, self.state["weights"]),
-            schedule=CoolingSchedule(self.rc.lambda0, self.rc.cooling_k,
-                                     self.rc.acquisition_mode),
-            iteration=t - 1,
-        )
-        cfg = maximize_acquisition(ctx, self.space, self.tree,
-                                   seed=self.rc.seed, warm_configs=self.warm,
-                                   maxiter=INNER_MAXITER)
-        return cfg, alpha_cool(ctx, encode(self.space, cfg))
-
-    def _feasible_draw(self, t):
-        rng = np.random.default_rng([self.rc.seed, t, 11])
-        for _ in range(100_000):
-            cfg = random_configuration(self.space, rng)
-            if exact_configuration(self.tree, self.space, cfg):
-                return cfg
-        raise NumericalError("could not draw a feasible fallback configuration")
-
-    def observe(self, cfg, result):
-        pass
+def _setup(rc: RunConfig):
+    """Inputs, evaluation harness and an empty checkpoint store for a run."""
+    space, tree, model = load_inputs(rc)
+    harness = EvalHarness(model, tree=tree,
+                          resource_budget=ResourceBudget(
+                              rc.max_luts or model.lut_budget),
+                          benchmark=rc.benchmark,
+                          time_scale=rc.time_compression)
+    return space, tree, harness, CheckpointStore(space)
 
 
-class _RandomGenerator:
-    """Seeded uniform draws over the whole space, constraints ignored."""
-
-    def __init__(self, rc, space):
-        self.space = space
-        self.rng = np.random.default_rng([rc.seed, 17])
-
-    def propose(self, t):
-        return random_configuration(self.space, self.rng), None
-
-    def observe(self, cfg, result):
-        pass
+def _virtual_timestamp(clock_minutes: float) -> str:
+    stamp = _EPOCH + timedelta(minutes=clock_minutes)
+    return stamp.isoformat(timespec="seconds") + "Z"
 
 
-class _VanillaBoGenerator:
-    """Conventional BO: plain EI, no snap awareness, no constraints, no cost."""
+def _insert(store: CheckpointStore, cfg: dict, result: EvaluationResult,
+            clock: float) -> None:
+    """Store a valid result's checkpoint, stamped with the virtual clock."""
+    store.insert(CheckpointRecord(
+        config=cfg, encoded=encode(store.space, cfg), metrics=result,
+        artifact=artifact_path(store.space, cfg),
+        synthesis_minutes=result.eval_minutes,
+        inserted_at=_virtual_timestamp(clock)))
 
-    def __init__(self, rc, space, warm, state):
-        self.rc = rc
-        self.space = space
-        self.warm = warm
-        self.state = state
-        self.rng = np.random.default_rng([rc.seed, 23])
 
-    def propose(self, t):
-        X, y = [], []
-        for entry in self.state["history"]:
-            if entry.result.valid:
-                X.append(encode(self.space, entry.config))
-                y.append(entry.eet_ms())
-        if len({tuple(np.round(x, 12)) for x in X}) < 2:
-            return random_configuration(self.space, self.rng), None
-        model = fit(self.space, X, y, seed=self.rc.seed)
-        best = float(min(y))
-        cfg = maximize_ei_unconstrained(model, self.space, best,
-                                        seed=self.rc.seed, iteration=t - 1,
-                                        warm_configs=self.warm,
-                                        maxiter=INNER_MAXITER)
-        return cfg, expected_improvement(model, encode(self.space, cfg), best)
+def _surrogate(space: ParameterSpace, history, seed: int):
+    """GP on every valid result so far, and the best EET among them.
 
-    def observe(self, cfg, result):
-        pass
+    None while the valid results snap to fewer than two distinct points.
+    """
+    valid = [e for e in history if e.result.valid]
+    X = [encode(space, e.config) for e in valid]
+    if len({tuple(np.round(x, 12)) for x in X}) < 2:
+        return None
+    y = [e.eet_ms() for e in valid]
+    return fit(space, X, y, seed=seed), float(min(y))
 
 
 class _HillClimbGenerator:
-    """Best-improvement ascent over single-parameter moves from the default."""
+    """Best-improvement ascent over single-parameter moves from the default.
 
-    def __init__(self, space, start_cfg):
+    Learns each result from the run's history, warm start included.
+    """
+
+    def __init__(self, space, start_cfg, history):
         self.space = space
         self.current = dict(start_cfg)
         self.current_eet = math.inf
         self.known: dict[tuple, float] = {}
         self.queue: list[dict] | None = None
         self.started = False
+        self.history = history
+        self.seen = 0
 
     def _key(self, cfg):
         return tuple(cfg[p.name] for p in self.space.params)
@@ -268,7 +219,13 @@ class _HillClimbGenerator:
                 if v != cfg[p.name]:
                     yield dict(cfg, **{p.name: v})
 
-    def propose(self, t):
+    def propose(self):
+        for entry in self.history[self.seen:]:
+            eet = entry.eet_ms() if entry.result.valid else math.inf
+            self.known[self._key(entry.config)] = eet
+            if self._key(entry.config) == self._key(self.current):
+                self.current_eet = min(self.current_eet, eet)
+        self.seen = len(self.history)
         if not self.started:
             self.started = True
             if self._key(self.current) not in self.known:
@@ -291,27 +248,12 @@ class _HillClimbGenerator:
             self.current, self.current_eet = best_cfg, best_eet
             self.queue = None
 
-    def observe(self, cfg, result):
-        eet = estimated_execution_time(result) if result.valid else math.inf
-        self.known[self._key(cfg)] = eet
-        if self._key(cfg) == self._key(self.current):
-            self.current_eet = min(self.current_eet, eet)
 
-
-def _virtual_timestamp(clock_minutes: float) -> str:
-    stamp = _EPOCH + timedelta(minutes=clock_minutes)
-    return stamp.isoformat(timespec="seconds") + "Z"
-
-
-def _run(rc: RunConfig, generator_factory) -> RunReport:
-    space, tree, model = load_inputs(rc)
-    budget = ResourceBudget(rc.max_luts or model.lut_budget)
-    harness = EvalHarness(model, tree=tree, resource_budget=budget,
-                          benchmark=rc.benchmark,
-                          time_scale=rc.time_compression)
-    store = CheckpointStore(space)
-    state = {"history": [], "weights": DistanceWeights.ones(space)}
-    history: list[HistoryEntry] = state["history"]
+def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
+    """ASPO, or the named baseline with only the proposal step swapped."""
+    space, tree, harness, store = _setup(rc)
+    weights = DistanceWeights.ones(space)
+    history: list[HistoryEntry] = []
     clock = 0.0
     limit = rc.tdt_limit_minutes * rc.time_compression
     inserts = 0
@@ -320,27 +262,22 @@ def _run(rc: RunConfig, generator_factory) -> RunReport:
     error = None
 
     def t_syn(cfg, ref_record):
-        return model.synthesis_time(cfg, ref_record.config)
+        return harness.model.synthesis_time(cfg, ref_record.config)
 
     def run_eval(iteration, cfg, alpha_value):
-        nonlocal clock, inserts
-        cost_before = cost_estimate(store, cfg, state["weights"])
+        nonlocal clock, inserts, weights
+        cost_before = cost_estimate(store, cfg, weights)
         cache_hit = rc.strategy == RETRIEVAL and store.lookup(cfg) is not None
         result = harness.evaluate(cfg, rc.strategy, db=store,
-                                  weights=state["weights"], seed=rc.seed)
+                                  weights=weights, seed=rc.seed)
         clock += result.eval_minutes
         history.append(HistoryEntry(iteration, cfg, result, alpha_value,
                                     cost_before))
         if result.valid and not cache_hit:
-            store.insert(CheckpointRecord(
-                config=cfg, encoded=encode(space, cfg), metrics=result,
-                artifact=artifact_path(space, cfg),
-                synthesis_minutes=result.eval_minutes,
-                inserted_at=_virtual_timestamp(clock)))
+            _insert(store, cfg, result, clock)
             inserts += 1
             if inserts % RELEARN_EVERY == 0 and len(store) >= 3:
-                state["weights"] = learn_weights(store, t_syn, seed=rc.seed)
-        return result
+                weights = learn_weights(store, t_syn, seed=rc.seed)
 
     def best_valid():
         best_entry, best_eet = None, math.inf
@@ -357,9 +294,41 @@ def _run(rc: RunConfig, generator_factory) -> RunReport:
             break
         run_eval(0, cfg, None)
 
-    generator = generator_factory(rc, space, tree, model, store, warm, state)
-    for entry in history:
-        generator.observe(entry.config, entry.result)
+    if baseline == "hill-climb":
+        climber = _HillClimbGenerator(space, space.default_configuration(),
+                                      history)
+    # the random baseline's proposals, or conventional BO's draws while its
+    # surrogate cannot be fitted yet
+    rng = np.random.default_rng([rc.seed, 17 if baseline == "random" else 23])
+
+    def propose(t):
+        if baseline == "random":
+            return random_configuration(space, rng), None
+        if baseline == "hill-climb":
+            return climber.propose()
+        surrogate = _surrogate(space, history, rc.seed)
+        if baseline == "vanilla-bo":
+            if surrogate is None:
+                return random_configuration(space, rng), None
+            model, best = surrogate
+            cfg = maximize_ei_unconstrained(model, space, best, seed=rc.seed,
+                                            iteration=t - 1, warm_configs=warm,
+                                            maxiter=INNER_MAXITER)
+            return cfg, expected_improvement(model, encode(space, cfg), best)
+        if surrogate is None:
+            draws = feasible_draws(tree, space,
+                                   np.random.default_rng([rc.seed, t, 11]))
+            return next(draws), None
+        model, best = surrogate
+        ctx = AcquisitionContext(
+            model=model, best_feasible=best, tree=tree,
+            cost=RelaxedCost(store, weights),
+            schedule=CoolingSchedule(rc.lambda0, rc.cooling_k,
+                                     rc.acquisition_mode),
+            iteration=t - 1)
+        cfg = maximize_acquisition(ctx, space, tree, seed=rc.seed,
+                                   warm_configs=warm, maxiter=INNER_MAXITER)
+        return cfg, alpha_cool(ctx, encode(space, cfg))
 
     _, prev_best = best_valid()
     stagnant = 0
@@ -369,14 +338,12 @@ def _run(rc: RunConfig, generator_factory) -> RunReport:
                 stop_reason = "tdt-limit"
                 break
             t0 = time.perf_counter()
-            proposal = generator.propose(t)
+            proposal = propose(t)
             overhead_s += time.perf_counter() - t0
             if proposal is None:
                 stop_reason = "converged"
                 break
-            cfg, alpha_value = proposal
-            result = run_eval(t, cfg, alpha_value)
-            generator.observe(cfg, result)
+            run_eval(t, *proposal)
 
             _, new_best = best_valid()
             improved = (prev_best is None and new_best is not None) or (
@@ -408,40 +375,30 @@ def _run(rc: RunConfig, generator_factory) -> RunReport:
 
 
 def run_optimization(rc: RunConfig) -> RunReport:
-    def factory(rc, space, tree, model, store, warm, state):
-        return _AspoGenerator(rc, space, tree, store, warm, state)
-
-    return _run(rc, factory)
+    return _run(rc)
 
 
 def run_baseline(rc: RunConfig, baseline: str) -> RunReport:
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}; "
                          f"choose from {', '.join(BASELINES)}")
-
-    def factory(rc, space, tree, model, store, warm, state):
-        if baseline == "random":
-            return _RandomGenerator(rc, space)
-        if baseline == "vanilla-bo":
-            return _VanillaBoGenerator(rc, space, warm, state)
-        return _HillClimbGenerator(space, space.default_configuration())
-
-    return _run(rc, factory)
+    return _run(rc, baseline)
 
 
 # --------------------------------------------------------------------------
 # report emission
 
+#: history-row fields after the iteration and the configuration
+_ROW_FIELDS = ("cycles", "fmax_mhz", "luts", "power_w", "eval_minutes",
+               "valid", "failure_stage", "eet_ms", "alpha", "cost_estimate")
+
 
 def _history_row(space: ParameterSpace, entry: HistoryEntry) -> dict:
-    row = {"iteration": entry.iteration}
-    row["config"] = {p.name: entry.config[p.name] for p in space.params}
-    r = entry.result
-    row.update(cycles=r.cycles, fmax_mhz=r.fmax_mhz, luts=r.luts,
-               power_w=r.power_w, eval_minutes=r.eval_minutes, valid=r.valid,
-               failure_stage=r.failure_stage, eet_ms=entry.eet_ms(),
-               alpha=entry.alpha_value, cost_estimate=entry.cost_estimate)
-    return row
+    """One evaluation as a report row: the schema both emitters write."""
+    return {"iteration": entry.iteration,
+            "config": {p.name: entry.config[p.name] for p in space.params},
+            **entry.result.to_dict(), "eet_ms": entry.eet_ms(),
+            "alpha": entry.alpha_value, "cost_estimate": entry.cost_estimate}
 
 
 def _summary(report: RunReport) -> dict:
@@ -471,34 +428,27 @@ def emit_report(report: RunReport, out_dir, formats=("jsonl", "csv")) -> list[Pa
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     space = report.space
+    rows = [_history_row(space, entry) for entry in report.history]
     written = []
 
     if "jsonl" in formats:
         path = out_dir / "report.jsonl"
         with path.open("w", newline="\n") as fh:
-            for entry in report.history:
-                fh.write(json.dumps(_history_row(space, entry)) + "\n")
-            fh.write(json.dumps(_summary(report)) + "\n")
+            for row in rows + [_summary(report)]:
+                fh.write(json.dumps(row) + "\n")
         written.append(path)
 
     if "csv" in formats:
         path = out_dir / "report.csv"
         param_names = [p.name for p in space.params]
-        header = (["iteration"] + param_names +
-                  ["cycles", "fmax_mhz", "luts", "power_w", "eval_minutes",
-                   "valid", "failure_stage", "eet_ms", "alpha",
-                   "cost_estimate", "idr", "tdt_minutes", "best_eet_ms"])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for entry in report.history:
-            r = entry.result
+        writer.writerow(["iteration", *param_names, *_ROW_FIELDS,
+                         "idr", "tdt_minutes", "best_eet_ms"])
+        for row in rows:
             writer.writerow([_csv_cell(c) for c in (
-                [entry.iteration] +
-                [entry.config[n] for n in param_names] +
-                [r.cycles, r.fmax_mhz, r.luts, r.power_w, r.eval_minutes,
-                 r.valid, r.failure_stage, entry.eet_ms(),
-                 entry.alpha_value, entry.cost_estimate, None, None, None])])
+                row["iteration"], *row["config"].values(),
+                *(row[f] for f in _ROW_FIELDS), None, None, None)])
         best = report.best_config or {}
         writer.writerow([_csv_cell(c) for c in (
             ["summary"] +
@@ -522,34 +472,20 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
     plus a warm-start round, mirroring how the strategies are meant to be
     compared; returns per-strategy mean/min/max virtual minutes.
     """
-    space, tree, model = load_inputs(rc)
-    harness = EvalHarness(model, tree=tree,
-                          resource_budget=ResourceBudget(
-                              rc.max_luts or model.lut_budget),
-                          benchmark=rc.benchmark,
-                          time_scale=rc.time_compression)
-    rng = np.random.default_rng([rc.seed, 31])
-    configs = []
-    while len(configs) < n_configs:
-        cfg = random_configuration(space, rng)
-        if exact_configuration(tree, space, cfg):
-            configs.append(cfg)
+    space, tree, harness, store = _setup(rc)
+    draws = feasible_draws(tree, space, np.random.default_rng([rc.seed, 31]))
+    configs = [next(draws) for _ in range(n_configs)]
 
-    store = CheckpointStore(space)
     prepop = [space.default_configuration()] + \
         warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)
     clock = 0.0
     for cfg in prepop:
         if store.lookup(cfg) is not None:
             continue
-        res = harness.evaluate(cfg, "direct")
+        res = harness.evaluate(cfg, DIRECT)
         clock += res.eval_minutes
         if res.valid:
-            store.insert(CheckpointRecord(
-                config=cfg, encoded=encode(space, cfg), metrics=res,
-                artifact=artifact_path(space, cfg),
-                synthesis_minutes=res.eval_minutes,
-                inserted_at=_virtual_timestamp(clock)))
+            _insert(store, cfg, res, clock)
 
     out = {"configs": configs, "strategies": {}}
     for strategy in STRATEGIES:

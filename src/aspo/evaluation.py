@@ -48,7 +48,6 @@ STRATEGIES = (DIRECT, FIXED_CHECKPOINT, RETRIEVAL)
 STAGE_CONSTRAINT = "constraint"
 STAGE_RESOURCE = "resource"
 STAGE_SYNTHESIS = "synthesis"
-STAGE_SIMULATION = "simulation"
 
 #: virtual minutes charged for a database hit and for a failed evaluation
 LOOKUP_MINUTES = 0.1

@@ -15,10 +15,8 @@ variance, keeping the Gram matrix well conditioned.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -64,17 +62,6 @@ class KernelParams:
     @classmethod
     def default(cls, dim: int) -> "KernelParams":
         return cls(lengthscales=np.full(dim, 0.5))
-
-    def to_dict(self) -> dict:
-        return {"lengthscales": self.lengthscales.tolist(),
-                "signal_variance": self.signal_variance,
-                "noise_variance": self.noise_variance,
-                "jitter": self.jitter}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelParams":
-        return cls(np.asarray(data["lengthscales"]), data["signal_variance"],
-                   data["noise_variance"], data["jitter"])
 
 
 def _matern52(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -286,30 +273,6 @@ class GpModel:
         s = self.target_std
         return (mean_std * s + self.target_mean, var_std * s * s,
                 dmean * s, dvar * s * s)
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "inputs": self.X.tolist(),
-            "targets": self.targets.tolist(),
-            "extra_noise": self.extra_noise.tolist(),
-            "target_mean": self.target_mean,
-            "target_std": self.target_std,
-        }
-
-    @classmethod
-    def from_dict(cls, space: ParameterSpace, data: dict) -> "GpModel":
-        return cls(space, KernelParams.from_dict(data["params"]),
-                   np.asarray(data["inputs"]), np.asarray(data["targets"]),
-                   np.asarray(data["extra_noise"]),
-                   data["target_mean"], data["target_std"])
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()))
-
-    @classmethod
-    def load(cls, space: ParameterSpace, path) -> "GpModel":
-        return cls.from_dict(space, json.loads(Path(path).read_text()))
 
 
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,

@@ -13,18 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import exact_configuration
-from .errors import InfeasibleSpaceError
-from .space import ParameterSpace, random_configuration
-
-MAX_REJECTION_DRAWS = 100_000
+from .constraints import exact_configuration, feasible_draws
+from .space import ParameterSpace
 
 
 @dataclass
 class OrthogonalArray:
     rows: np.ndarray          # (N, F) level indices
     levels: tuple             # per-factor level counts
-    strength: int
     exact: bool
 
 
@@ -72,12 +68,12 @@ def generate_oa(level_counts, seed: int = 0) -> OrthogonalArray:
     f = len(levels)
     if f == 1:
         rows = np.arange(levels[0], dtype=int)[:, None]
-        return OrthogonalArray(rows, levels, 2, exact=True)
+        return OrthogonalArray(rows, levels, exact=True)
 
     distinct = set(levels)
     if len(distinct) == 1 and _is_prime(levels[0]) and f <= levels[0] + 1:
         rows = _bose(levels[0], f)
-        return OrthogonalArray(rows, levels, 2, exact=True)
+        return OrthogonalArray(rows, levels, exact=True)
 
     s = _next_prime(max(max(levels), f - 1))
     rows = _bose(s, f)
@@ -92,7 +88,7 @@ def generate_oa(level_counts, seed: int = 0) -> OrthogonalArray:
         rng.shuffle(mapping)
         rows[:, col] = mapping[rows[:, col]]
     exact = pair_balance_deficit(rows, levels) == 0
-    return OrthogonalArray(rows, levels, 2, exact=exact)
+    return OrthogonalArray(rows, levels, exact=exact)
 
 
 def warm_start_configs(space: ParameterSpace, tree, seed: int,
@@ -106,31 +102,18 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
     if budget < 1:
         raise ValueError("warm-start budget must be at least 1")
     oa = generate_oa(space.counts, seed)
-    chosen: list[dict] = []
-    seen: set[tuple] = set()
-
-    def try_add(cfg: dict) -> None:
-        key = tuple(cfg[p.name] for p in space.params)
-        if key in seen:
-            return
-        if not exact_configuration(tree, space, cfg):
-            return
-        seen.add(key)
-        chosen.append(cfg)
-
+    # keyed by parameter values; the first of equal configurations is kept
+    chosen: dict[tuple, dict] = {}
     for row in oa.rows:
         if len(chosen) >= budget:
             break
-        try_add({p.name: p.values[int(level)]
-                 for p, level in zip(space.params, row)})
+        cfg = {p.name: p.values[int(level)]
+               for p, level in zip(space.params, row)}
+        if exact_configuration(tree, space, cfg):
+            chosen.setdefault(tuple(cfg.values()), cfg)
 
-    rng = np.random.default_rng([seed, 1])
-    draws = 0
+    draws = feasible_draws(tree, space, np.random.default_rng([seed, 1]))
     while len(chosen) < budget:
-        if draws >= MAX_REJECTION_DRAWS:
-            raise InfeasibleSpaceError(
-                f"could not collect {budget} feasible configurations within "
-                f"{MAX_REJECTION_DRAWS} draws ({len(chosen)} found)")
-        draws += 1
-        try_add(random_configuration(space, rng))
-    return chosen[:budget]
+        cfg = next(draws)
+        chosen.setdefault(tuple(cfg.values()), cfg)
+    return list(chosen.values())

@@ -15,7 +15,7 @@ from aspo.driver import (
     run_eval_bench,
     run_optimization,
 )
-from aspo.errors import NoFeasibleCandidateError
+from aspo.errors import InfeasibleSpaceError, NoFeasibleCandidateError
 from aspo.evaluation import LOOKUP_MINUTES
 
 
@@ -41,6 +41,33 @@ def feasible_fraction():
                           for n in names], indexing="ij")
     cols = {n: g.ravel() for n, g in zip(names, grids)}
     return float(np.mean(exact_tree(bundle.tree, cols)))
+
+
+def infeasible_inputs(tmp_path) -> list[str]:
+    """CLI input options for a two-parameter space with no feasible point."""
+    space_doc = {"parameters": [
+        {"name": "a", "kind": "ordinal", "values": [1, 2], "default": 1},
+        {"name": "b", "kind": "ordinal", "values": [5, 6], "default": 5},
+    ]}
+    model_doc = {
+        "processor": "tiny", "base_frequency_mhz": 50.0,
+        "frequency_sensitivity": 0.2, "base_luts": 100, "lut_budget": 10000,
+        "full_synthesis_minutes": 10.0, "base_synthesis_minutes": 2.0,
+        "power_idle_w": 0.1, "power_per_lut_w": 1e-5, "noise_sd": 0.0,
+        "benchmarks": {"multiply": 1000},
+        "match_weights": {"a": 1.0, "b": 1.0},
+        "parameters": {"a": {"cycle_beta": 0.5, "lut_cost": 100},
+                       "b": {"cycle_beta": 0.3, "lut_cost": 100}},
+    }
+    constraint_doc = {"all": [
+        {"ineq": {"xa": "a", "xb": "b"}}]}  # a >= b is impossible here
+    args = []
+    for option, doc in (("--space", space_doc), ("--model", model_doc),
+                        ("--constraints", constraint_doc)):
+        path = tmp_path / f"{option[2:]}.json"
+        path.write_text(json.dumps(doc))
+        args += [option, str(path)]
+    return args
 
 
 class TestRunOptimization:
@@ -252,6 +279,20 @@ class TestEmitReport:
         assert len(csv_lines) == 2
 
 
+class TestFallbackDraw:
+    def test_exhausted_draws_are_infeasible_not_numerical(self, monkeypatch):
+        import aspo.constraints as constraints_mod
+
+        # one warm-start point is too few to fit, so iteration 1 draws its
+        # proposal at random; with no draws allowed the space counts as
+        # infeasible (exit 3), not as a surrogate failure (exit 4)
+        monkeypatch.setattr(constraints_mod, "MAX_REJECTION_DRAWS", 0)
+        # the warm start's one point is an array row and needs no draw
+        run_optimization(boom_rc(budget_iterations=0, warm_start_budget=1))
+        with pytest.raises(InfeasibleSpaceError):
+            run_optimization(boom_rc(budget_iterations=1, warm_start_budget=1))
+
+
 class TestEvalBench:
     def test_strategy_ordering(self):
         result = run_eval_bench(boom_rc(), n_configs=10)
@@ -302,33 +343,17 @@ class TestCli:
         assert result.exit_code == 2
 
     def test_infeasible_space_exits_3(self, tmp_path):
-        space_doc = {"parameters": [
-            {"name": "a", "kind": "ordinal", "values": [1, 2], "default": 1},
-            {"name": "b", "kind": "ordinal", "values": [5, 6], "default": 5},
-        ]}
-        model_doc = {
-            "processor": "tiny", "base_frequency_mhz": 50.0,
-            "frequency_sensitivity": 0.2, "base_luts": 100, "lut_budget": 10000,
-            "full_synthesis_minutes": 10.0, "base_synthesis_minutes": 2.0,
-            "power_idle_w": 0.1, "power_per_lut_w": 1e-5, "noise_sd": 0.0,
-            "benchmarks": {"multiply": 1000},
-            "match_weights": {"a": 1.0, "b": 1.0},
-            "parameters": {"a": {"cycle_beta": 0.5, "lut_cost": 100},
-                           "b": {"cycle_beta": 0.3, "lut_cost": 100}},
-        }
-        constraint_doc = {"all": [
-            {"ineq": {"xa": "a", "xb": "b"}}]}  # a >= b is impossible here
-        sfile = tmp_path / "space.json"
-        mfile = tmp_path / "model.json"
-        cfile = tmp_path / "constraints.json"
-        sfile.write_text(json.dumps(space_doc))
-        mfile.write_text(json.dumps(model_doc))
-        cfile.write_text(json.dumps(constraint_doc))
-        runner = CliRunner()
-        result = runner.invoke(cli_main, [
-            "run", "--space", str(sfile), "--model", str(mfile),
-            "--constraints", str(cfile), "--out", str(tmp_path / "out")])
+        result = CliRunner().invoke(cli_main, [
+            "run", *infeasible_inputs(tmp_path),
+            "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
+
+    def test_eval_bench_infeasible_space_exits_3(self, tmp_path):
+        # drawing its feasible configurations gives up at the sampler's cap
+        result = CliRunner().invoke(cli_main, [
+            "eval-bench", *infeasible_inputs(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert "feasible" in result.output
 
     def test_no_feasible_candidate_exits_3(self, tmp_path, monkeypatch):
         import aspo.driver as driver_mod

@@ -4,7 +4,6 @@ from scipy.linalg import cholesky
 
 from aspo.errors import NumericalError
 from aspo.gp import (
-    GpModel,
     KernelParams,
     _cholesky_with_escalation,
     fit,
@@ -231,17 +230,6 @@ class TestFit:
         m2 = fit(space, X, y, seed=3)
         assert np.array_equal(m1.params.lengthscales, m2.params.lengthscales)
         assert m1.params.noise_variance == m2.params.noise_variance
-
-    def test_json_round_trip(self, tmp_path):
-        space = make_space()
-        X = random_vertices(space, 6, seed=21)
-        y = np.random.default_rng(22).normal(size=6)
-        model = fit(space, X, y, seed=4)
-        path = tmp_path / "model.json"
-        model.save(path)
-        clone = GpModel.load(space, path)
-        q = np.random.default_rng(23).uniform(size=space.encoded_dim)
-        assert clone.predict(q) == model.predict(q)
 
     def test_cholesky_factor_reconstructs_gram(self):
         space = make_space()
