@@ -23,7 +23,7 @@ feasible.
 
 Discrete work is batched.  Candidates and polish moves are held as rows of
 per-parameter ranks: a batch is checked against the exact semantics with one
-array call to ``exact_tree``, encoded with one index-array encode, and
+``feasible_rows`` call, encoded with one index-array encode, and
 scored with one kernel matrix and one stacked cost distance
 (``_cooled_scores``).  ``alpha_cool`` is the batch of one, and every row of
 a batch scores bit for bit as it would alone.
@@ -45,14 +45,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .checkpoints import RelaxedCost
-from .constraints import compile_tree, exact_tree, feasible_draws
+from .constraints import compile_tree, feasible_draws, feasible_rows
 from .errors import NoFeasibleCandidateError
 from .gp import GpModel
 from .space import (
     ParameterSpace,
     encode,
     encode_ranks,
-    ordinal_columns,
     point_ranks,
     rank_configuration,
     relaxed_arrays,
@@ -126,17 +125,10 @@ def _ei_with_floor(mean, sigma, best, sigma_floor):
     return ei_value(mean, sigma, best)
 
 
-def expected_improvement(model: GpModel, x, best: float) -> float:
-    """EI of an encoded point under the snap-composed posterior."""
-    mean, var = model.predict(x)
-    return _ei_with_floor(mean, math.sqrt(max(var, 0.0)), best,
-                          model.duplicate_sigma_floor())
-
-
-def cooled_value(alpha: float, cost: float, lam: float, mode: str = PAPER_RATIO,
-                 eps: float = COST_EPS) -> float:
+def cooled_value(alpha: float, cost: float, lam: float,
+                 mode: str = PAPER_RATIO) -> float:
     """Combine an acquisition value with a cooled cost estimate."""
-    c = max(cost, eps)
+    c = max(cost, COST_EPS)
     if mode == PAPER_RATIO:
         return alpha / (lam * c)
     if mode == EXPONENT:
@@ -162,6 +154,15 @@ class AcquisitionContext:
 def alpha_cool(ctx: AcquisitionContext, x) -> float:
     """Cooled acquisition at an encoded point (snapped first)."""
     return float(_cooled_scores(ctx, snap(ctx.model.space, x)[None, :])[0])
+
+
+def expected_improvement(model: GpModel, x, best: float) -> float:
+    """EI of an encoded point under the snap-composed posterior.
+
+    The cooled acquisition under a neutral context: no cost, so c = 1, and
+    lambda = 1 at iteration 0, which leaves the score exactly EI.
+    """
+    return alpha_cool(AcquisitionContext(model=model, best_feasible=best), x)
 
 
 def _cooled_scores(ctx: AcquisitionContext, Q: np.ndarray) -> np.ndarray:
@@ -223,13 +224,6 @@ def _relaxed_objective(ctx: AcquisitionContext):
     return fun
 
 
-def _feasible_rows(space: ParameterSpace, tree, ranks: np.ndarray) -> np.ndarray:
-    """Rank rows passing the exact semantics, in order (one array call)."""
-    if tree is None or not len(ranks):
-        return ranks
-    return ranks[exact_tree(tree, ordinal_columns(space, ranks))]
-
-
 def _constraint_spec(space: ParameterSpace, tree):
     """SLSQP inequality dict for smooth_tree >= 0 over the relaxed box.
 
@@ -258,12 +252,13 @@ def _constraint_spec(space: ParameterSpace, tree):
             "jac": lambda u: at(u)["jac"]}
 
 
-#: candidates kept for the discrete polish pass
+#: candidates kept for the discrete polish pass, and its cap on moves
 POLISH_TOP_K = 8
+POLISH_MAX_STEPS = 64
 
 
 def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree,
-            ranks: np.ndarray, start_val: float, max_steps: int = 64):
+            ranks: np.ndarray, start_val: float):
     """Best-improvement walk over feasible single-parameter moves.
 
     The continuous ascent climbs the relaxed surface, whose maxima often sit
@@ -277,11 +272,11 @@ def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree,
     move_rank = np.concatenate([np.arange(c) for c in space.counts])
     move_row = np.arange(len(move_param))
     current, current_val = ranks, start_val
-    for _ in range(max_steps):
+    for _ in range(POLISH_MAX_STEPS):
         moves = np.tile(current, (len(move_param), 1))
         moves[move_row, move_param] = move_rank
-        moves = _feasible_rows(space, tree,
-                               moves[move_rank != current[move_param]])
+        moves = feasible_rows(tree, space,
+                              moves[move_rank != current[move_param]])
         if not len(moves):
             break
         scores = _cooled_scores(ctx, encode_ranks(space, moves))
@@ -337,8 +332,8 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
         except Exception:
             continue
         found.setdefault(_box_ranks(space, res.x))
-    candidates = _feasible_rows(space, tree, np.array(list(found),
-                                                      dtype=np.intp))
+    candidates = feasible_rows(tree, space, np.array(list(found),
+                                                     dtype=np.intp))
 
     if len(candidates):
         scores = _cooled_scores(ctx, encode_ranks(space, candidates))

@@ -27,6 +27,8 @@ from .space import CATEGORICAL, ParameterSpace, config_ranks, encode
 WEIGHT_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 LEARN_SWEEPS = 3
 LEARN_SUBSET = 20
+#: cost estimate while the database is empty
+COST_PRIOR = 1.0
 
 _EPOCH = "2000-01-01T00:00:00Z"
 
@@ -186,17 +188,16 @@ def match_config(store: CheckpointStore, cfg: dict,
     return store.records()[int(np.argmin(d))]
 
 
-def cost_estimate(store: CheckpointStore, cfg: dict, weights: DistanceWeights,
-                  prior: float = 1.0) -> float:
-    """Minimum weighted distance to the database; ``prior`` when it is empty."""
+def cost_estimate(store: CheckpointStore, cfg: dict,
+                  weights: DistanceWeights) -> float:
+    """Minimum weighted distance to the database; ``COST_PRIOR`` when empty."""
     if len(store) == 0:
-        return prior
+        return COST_PRIOR
     return float(_distances_to_all(store, cfg, weights).min())
 
 
-def learn_weights(store: CheckpointStore, synthesis_time_fn, seed: int = 0,
-                  grid=WEIGHT_GRID, sweeps: int = LEARN_SWEEPS,
-                  subset: int = LEARN_SUBSET) -> DistanceWeights:
+def learn_weights(store: CheckpointStore, synthesis_time_fn,
+                  seed: int = 0) -> DistanceWeights:
     """Pick weights minimizing leave-one-out synthesis time on a sampled subset.
 
     ``synthesis_time_fn(cfg, reference_record)`` supplies the time model.  It
@@ -210,8 +211,9 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn, seed: int = 0,
         raise InsufficientRecordsError(
             f"weight learning needs >= 3 records, have {len(records)}")
     rng = np.random.default_rng([seed, len(records)])
-    if len(records) > subset:
-        idx = sorted(rng.choice(len(records), size=subset, replace=False))
+    if len(records) > LEARN_SUBSET:
+        idx = sorted(rng.choice(len(records), size=LEARN_SUBSET,
+                                replace=False))
     else:
         idx = list(range(len(records)))
     sample = [records[i] for i in idx]
@@ -237,9 +239,9 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn, seed: int = 0,
 
     w = np.ones(len(store.space))
     best = objective(w)
-    for _ in range(sweeps):
+    for _ in range(LEARN_SWEEPS):
         for i in range(len(w)):
-            for g in grid:
+            for g in WEIGHT_GRID:
                 if g == w[i]:
                     continue
                 trial = w.copy()
@@ -260,10 +262,8 @@ class RelaxedCost:
     gradient follows the attaining (nearest) record, earliest insert on ties.
     """
 
-    def __init__(self, store: CheckpointStore, weights: DistanceWeights,
-                 prior: float = 1.0):
+    def __init__(self, store: CheckpointStore, weights: DistanceWeights):
         self.space = store.space
-        self.prior = prior
         records = store.records()
         if records:
             self.Q = np.stack([r.encoded for r in records])
@@ -277,23 +277,20 @@ class RelaxedCost:
 
     def value_and_gradient(self, u: np.ndarray):
         if len(self.Q) == 0:
-            return self.prior, np.zeros(self.space.encoded_dim)
+            return COST_PRIOR, np.zeros(self.space.encoded_dim)
         diff = u[None, :] - self.Q
         dists = (diff ** 2) @ self.coord_weights
         i = int(np.argmin(dists))
         grad = 2.0 * self.coord_weights * diff[i]
         return float(dists[i]), grad
 
-    def value(self, u: np.ndarray) -> float:
-        return self.value_and_gradient(np.asarray(u, dtype=float))[0]
-
     def values(self, U: np.ndarray) -> np.ndarray:
-        """``value`` at every row of ``U``, bit for bit.
+        """The value of ``value_and_gradient`` at every row of ``U``, bit for bit.
 
         The stacked product runs one ``(records, D)`` matrix-vector product
-        per row, the same BLAS call ``value`` makes.
+        per row, the same BLAS call ``value_and_gradient`` makes.
         """
         if len(self.Q) == 0:
-            return np.full(len(U), self.prior)
+            return np.full(len(U), COST_PRIOR)
         diff = U[:, None, :] - self.Q[None, :, :]
         return ((diff ** 2) @ self.coord_weights).min(axis=1)

@@ -8,15 +8,15 @@ tree supports:
 * ``smooth_tree``  -- a differentiable relaxation whose sign agrees with the
   exact semantics at every admissible configuration (non-negative means
   satisfied);
-* ``smooth_gradient`` -- the subgradient of the relaxation;
 * ``compile_tree`` -- the relaxation and its subgradient together, as one
   closure built once per tree.  The constrained acquisition solver calls it
-  at every iterate; ``smooth_tree`` and ``smooth_gradient`` stay as the
-  recursive reference evaluators.
+  at every iterate;
+* ``smooth_gradient`` -- the subgradient of the relaxation as a dict, read
+  off the compiled closure.
 
 ``exact_tree`` and ``smooth_tree`` accept scalars or numpy arrays for the
 parameter values, so whole grids of configurations can be checked in one
-call.
+call; ``feasible_rows`` applies that to rows of parameter ranks.
 
 Encoding notes.  A conditional "if x1 in [a1,b1] then x2 in [a2,b2]" is
 relaxed as ``max(-c1(x1) - m, min(c1(x1), c2(x2)))`` with ``c(v) =
@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleSpaceError,
     UnknownParameterError,
 )
-from .space import ORDINAL, ParameterSpace, random_configuration
+from .space import ORDINAL, ParameterSpace, ordinal_columns, random_configuration
 
 # |smooth| at or above zero minus this tolerance counts as satisfied; the
 # divisibility relaxation evaluates sin at large multiples of pi, which lands
@@ -160,10 +160,10 @@ def smooth_tree(tree, values):
     raise TypeError(f"not a constraint node: {tree!r}")
 
 
-def smooth_satisfied(value, tol: float = SIGN_TOL):
+def smooth_satisfied(value):
     """Interpret a smooth constraint value as a Boolean (array)."""
-    return np.asarray(value) >= -tol if isinstance(value, np.ndarray) \
-        else value >= -tol
+    return np.asarray(value) >= -SIGN_TOL if isinstance(value, np.ndarray) \
+        else value >= -SIGN_TOL
 
 
 def exact_tree(tree, values):
@@ -209,6 +209,13 @@ def exact_configuration(tree, space: ParameterSpace, cfg: dict) -> bool:
     return bool(exact_tree(tree, space.ordinal_values(cfg)))
 
 
+def feasible_rows(tree, space: ParameterSpace, ranks: np.ndarray) -> np.ndarray:
+    """Rank rows passing the exact semantics, in order (one array call)."""
+    if tree is None or not len(ranks):
+        return ranks
+    return ranks[exact_tree(tree, ordinal_columns(space, ranks))]
+
+
 def feasible_draws(tree, space: ParameterSpace, rng,
                    error: type[InfeasibleSpaceError] = InfeasibleSpaceError):
     """Rejection sampling: the feasible ones among seeded uniform draws.
@@ -225,62 +232,6 @@ def feasible_draws(tree, space: ParameterSpace, rng,
                 f"{MAX_REJECTION_DRAWS} random draws")
 
 
-def smooth_gradient(tree, values) -> dict:
-    """Subgradient of ``smooth_tree`` with respect to each parameter value.
-
-    At min/max kinks the gradient of the attaining child is used, ties broken
-    toward the lowest-index child.  Returns a dict covering every parameter
-    mentioned in the tree (zero entries included).
-    """
-    value, grad = _value_and_gradient(tree, values)
-    return grad
-
-
-def _value_and_gradient(tree, values):
-    if isinstance(tree, (Conj, Disj)):
-        pairs = [_value_and_gradient(c, values) for c in tree.children]
-        best_i = 0
-        for i in range(1, len(pairs)):
-            v = pairs[i][0]
-            # strict comparison keeps the lowest index on ties
-            if (v < pairs[best_i][0]) if isinstance(tree, Conj) else (v > pairs[best_i][0]):
-                best_i = i
-        merged = {}
-        for _, g in pairs:
-            for k in g:
-                merged.setdefault(k, 0.0)
-        merged.update(pairs[best_i][1])
-        return pairs[best_i][0], merged
-    if isinstance(tree, Inequality):
-        v = smooth_inequality(tree, values)
-        grad = {tree.xa: 0.0, tree.xb: 0.0}
-        grad[tree.xa] += tree.ka
-        grad[tree.xb] += -tree.kb
-        return v, grad
-    if isinstance(tree, Conditional):
-        cond, cons = tree.condition, tree.consequence
-        v1, v2 = values[cond.param], values[cons.param]
-        c1 = _interval_value(cond, v1)
-        c2 = _interval_value(cons, v2)
-        dc1 = -(2 * v1 - cond.lo - cond.hi)
-        dc2 = -(2 * v2 - cons.lo - cons.hi)
-        vac = -c1 - tree.vacuity_margin
-        if c1 <= c2:
-            inner, inner_grad = c1, {cond.param: dc1, cons.param: 0.0}
-        else:
-            inner, inner_grad = c2, {cond.param: 0.0, cons.param: dc2}
-        if vac >= inner:
-            grad = {cond.param: -dc1, cons.param: 0.0}
-            return vac, grad
-        return inner, inner_grad
-    if isinstance(tree, Divisibility):
-        v = _smooth_divisibility(tree, values)
-        a, b = values[tree.xa], values[tree.xb]
-        s = np.sin(2 * np.pi * a / b)
-        return v, {tree.xa: -s * np.pi / b, tree.xb: s * np.pi * a / b ** 2}
-    raise TypeError(f"not a constraint node: {tree!r}")
-
-
 def compile_tree(tree, names):
     """Compile a tree into one value-and-gradient closure.
 
@@ -289,12 +240,11 @@ def compile_tree(tree, names):
     partials)``, where ``partials`` maps positions to derivatives for the
     parameters of the attaining leaf.  Treat ``partials`` as read-only.
 
-    The closure repeats the arithmetic of ``smooth_tree`` and
-    ``smooth_gradient`` operation for operation, so on Python floats its
-    partials equal ``smooth_gradient`` bit for bit and its value equals
-    ``smooth_tree`` (up to the sign of a zero).  Min and max nodes take the
-    attaining child with ties to the lowest index, as ``smooth_gradient``
-    does.  The type dispatch happens here, once, instead of on every call.
+    The closure repeats the arithmetic of ``smooth_tree`` operation for
+    operation, so its value equals ``smooth_tree`` (up to the sign of a
+    zero).  Min and max nodes take the attaining child's value and partials,
+    with ties to the lowest index.  The type dispatch happens here, once,
+    instead of on every call.
     """
     return _compile(tree, {n: i for i, n in enumerate(names)})
 
@@ -354,6 +304,20 @@ def _compile(tree, pos):
             return v, {a: -s * np.pi / vb, b: s * np.pi * va / vb ** 2}
         return node
     raise TypeError(f"not a constraint node: {tree!r}")
+
+
+def smooth_gradient(tree, values) -> dict:
+    """Subgradient of ``smooth_tree`` with respect to each parameter value.
+
+    At min/max kinks the gradient of the attaining child is used, ties broken
+    toward the lowest-index child.  Returns a dict covering every parameter
+    mentioned in the tree (zero entries included).
+    """
+    names = sorted(tree_parameters(tree))
+    _, partials = compile_tree(tree, names)([values[n] for n in names])
+    grad = dict.fromkeys(names, 0.0)
+    grad.update((names[i], dv) for i, dv in partials.items())
+    return grad
 
 
 def tree_parameters(tree) -> set:

@@ -194,59 +194,42 @@ def _surrogate(space: ParameterSpace, history, seed: int):
     return fit(space, X, y, seed=seed), float(min(y))
 
 
-class _HillClimbGenerator:
+def _hill_climb(space: ParameterSpace, history):
     """Best-improvement ascent over single-parameter moves from the default.
 
-    Learns each result from the run's history, warm start included.
+    Yields proposals; the driver answers each with one history entry.  Each
+    step moves to the best neighbour, first in (parameter, value) order on
+    ties, and the climb returns once no neighbour is strictly better.
     """
+    def key(cfg):
+        return tuple(cfg[p.name] for p in space.params)
 
-    def __init__(self, space, start_cfg, history):
-        self.space = space
-        self.current = dict(start_cfg)
-        self.current_eet = math.inf
-        self.known: dict[tuple, float] = {}
-        self.queue: list[dict] | None = None
-        self.started = False
-        self.history = history
-        self.seen = 0
+    def neighbors(cfg):
+        return [dict(cfg, **{p.name: v}) for p in space.params
+                for v in p.values if v != cfg[p.name]]
 
-    def _key(self, cfg):
-        return tuple(cfg[p.name] for p in self.space.params)
+    known: dict[tuple, float] = {}
 
-    def _neighbors(self, cfg):
-        for p in self.space.params:
-            for v in p.values:
-                if v != cfg[p.name]:
-                    yield dict(cfg, **{p.name: v})
+    def learn(entries):
+        for e in entries:
+            known[key(e.config)] = e.eet_ms() if e.result.valid else math.inf
 
-    def propose(self):
-        for entry in self.history[self.seen:]:
-            eet = entry.eet_ms() if entry.result.valid else math.inf
-            self.known[self._key(entry.config)] = eet
-            if self._key(entry.config) == self._key(self.current):
-                self.current_eet = min(self.current_eet, eet)
-        self.seen = len(self.history)
-        if not self.started:
-            self.started = True
-            if self._key(self.current) not in self.known:
-                return self.current, None
-            self.current_eet = self.known[self._key(self.current)]
-        while True:
-            if self.queue is None:
-                self.queue = list(self._neighbors(self.current))
-            while self.queue:
-                cfg = self.queue.pop(0)
-                if self._key(cfg) not in self.known:
-                    return cfg, None
-            best_cfg, best_eet = None, self.current_eet
-            for n in self._neighbors(self.current):
-                eet = self.known.get(self._key(n), math.inf)
-                if eet < best_eet:
-                    best_cfg, best_eet = n, eet
-            if best_cfg is None:
-                return None  # converged: no improving neighbor
-            self.current, self.current_eet = best_cfg, best_eet
-            self.queue = None
+    current = space.default_configuration()
+    learn(history)                  # the warm start
+    if key(current) not in known:
+        yield current
+        learn(history[-1:])
+    current_eet = known[key(current)]
+    while True:
+        for cfg in neighbors(current):
+            if key(cfg) not in known:
+                yield cfg
+                learn(history[-1:])
+        best = min(neighbors(current), key=lambda c: known[key(c)],
+                   default=current)
+        if not known[key(best)] < current_eet:
+            return
+        current, current_eet = best, known[key(best)]
 
 
 def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
@@ -295,8 +278,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         run_eval(0, cfg, None)
 
     if baseline == "hill-climb":
-        climber = _HillClimbGenerator(space, space.default_configuration(),
-                                      history)
+        climber = _hill_climb(space, history)
     # the random baseline's proposals, or conventional BO's draws while its
     # surrogate cannot be fitted yet
     rng = np.random.default_rng([rc.seed, 17 if baseline == "random" else 23])
@@ -305,7 +287,8 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         if baseline == "random":
             return random_configuration(space, rng), None
         if baseline == "hill-climb":
-            return climber.propose()
+            cfg = next(climber, None)
+            return None if cfg is None else (cfg, None)
         surrogate = _surrogate(space, history, rc.seed)
         if baseline == "vanilla-bo":
             if surrogate is None:

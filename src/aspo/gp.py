@@ -23,7 +23,7 @@ from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.optimize import minimize
 
-from .errors import InvalidPointError, NumericalError
+from .errors import NumericalError
 from .space import ParameterSpace, snap
 
 logger = logging.getLogger(__name__)
@@ -37,6 +37,9 @@ SIGNAL_BOUNDS = (1e-3, 1e3)
 NOISE_BOUNDS = (1e-8, 1e1)
 
 MAX_JITTER = 1e-2
+
+#: L-BFGS-B restarts per fit: the initial hyperparameters, then seeded draws
+FIT_RESTARTS = 5
 
 
 @dataclass
@@ -64,11 +67,18 @@ class KernelParams:
         return cls(lengthscales=np.full(dim, 0.5))
 
 
+def _matern_terms(ell, sv, diff: np.ndarray):
+    """Matern-5/2 at differences ``diff``: (K, r, exp(-sqrt5 r), scaled_sq)."""
+    scaled_sq = (diff / ell) ** 2
+    r = np.sqrt(np.sum(scaled_sq, axis=-1))
+    expo = np.exp(-SQRT5 * r)
+    return sv * (1 + SQRT5 * r + 5 * r * r / 3) * expo, r, expo, scaled_sq
+
+
 def _matern52(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Base kernel matrix between row sets A (n x D) and B (m x D)."""
-    diff = A[:, None, :] - B[None, :, :]
-    r = np.sqrt(np.sum((diff / params.lengthscales) ** 2, axis=-1))
-    return params.signal_variance * (1 + SQRT5 * r + 5 * r * r / 3) * np.exp(-SQRT5 * r)
+    return _matern_terms(params.lengthscales, params.signal_variance,
+                         A[:, None, :] - B[None, :, :])[0]
 
 
 def kernel_value(space: ParameterSpace, params: KernelParams, x, y) -> float:
@@ -102,22 +112,19 @@ def _cholesky_with_escalation(K: np.ndarray, jitter: float):
         f"Cholesky failed with jitter escalated to {MAX_JITTER}")
 
 
-def _nll_and_grad(theta, X, y, extra_noise, jitter):
+def _nll_and_grad(theta, diff, y, extra_noise, jitter):
     """Negative log marginal likelihood and its gradient in log-space.
 
-    theta = log([lengthscales (D), signal_variance, noise_variance]).
-    Returns a large penalty on Cholesky failure so line searches back off.
+    theta = log([lengthscales (D), signal_variance, noise_variance]); ``diff``
+    holds the input pairs' differences.  Returns a large penalty on Cholesky
+    failure so line searches back off.
     """
-    n, D = X.shape
+    n, D = len(y), diff.shape[-1]
     ell = np.exp(theta[:D])
     sv = np.exp(theta[D])
     nv = np.exp(theta[D + 1])
 
-    diff = X[:, None, :] - X[None, :, :]
-    scaled_sq = (diff / ell) ** 2
-    r = np.sqrt(np.sum(scaled_sq, axis=-1))
-    expo = np.exp(-SQRT5 * r)
-    K_sig = sv * (1 + SQRT5 * r + 5 * r * r / 3) * expo
+    K_sig, r, expo, scaled_sq = _matern_terms(ell, sv, diff)
     K = K_sig + np.diag(nv + extra_noise)
     try:
         L = cholesky(K + jitter * np.eye(n), lower=True)
@@ -153,7 +160,8 @@ def log_marginal_likelihood(space, params: KernelParams, inputs, targets,
     theta = np.concatenate([np.log(params.lengthscales),
                             [np.log(params.signal_variance),
                              np.log(max(params.noise_variance, 1e-300))]])
-    nll, grad = _nll_and_grad(theta, X, y, extra, params.jitter)
+    nll, grad = _nll_and_grad(theta, X[:, None, :] - X[None, :, :], y, extra,
+                              params.jitter)
     return -nll, -grad
 
 
@@ -206,9 +214,6 @@ class GpModel:
         return float(np.sqrt(self.params.noise_variance + 10 * self.jitter_used)
                      * self.target_std)
 
-    def _kvec(self, q: np.ndarray) -> np.ndarray:
-        return _matern52(self.params, q[None, :], self.X)[0]
-
     def _posterior(self, k: np.ndarray):
         """Posterior (mean, variance) in original units from a kernel row."""
         mean_std = float(k @ self.alpha)
@@ -224,44 +229,40 @@ class GpModel:
         return (mean_std * self.target_std + self.target_mean,
                 var_std * self.target_std ** 2)
 
-    def predict(self, x, apply_snap: bool = True):
+    def predict(self, x):
         """Posterior (mean, variance) at one encoded point, original units.
 
-        With ``apply_snap`` (the default and the model's contract) the query
-        is projected onto its vertex first, so any two points with the same
-        snap get bitwise-identical predictions.  The relaxed form
-        (``apply_snap=False``) is what gradient-based acquisition search uses
-        between vertices.
+        The query is projected onto its vertex first, so any two points with
+        the same snap get bitwise-identical predictions.
         """
-        q = snap(self.space, x) if apply_snap else np.asarray(x, dtype=float)
-        if q.shape != (self.space.encoded_dim,):
-            raise InvalidPointError(
-                f"expected dimension {self.space.encoded_dim}, got {q.shape}")
-        return self._posterior(self._kvec(q))
+        return self.predict_batch(snap(self.space, x)[None, :])[0]
 
     def predict_batch(self, Q: np.ndarray) -> list[tuple[float, float]]:
-        """``predict`` at every row of ``Q``, taken as given (no snap).
+        """Posterior (mean, variance) at every row of ``Q``, taken as given.
 
         One kernel matrix serves the whole batch.  The mean and the
         triangular solve then run row by row through the same dot and LAPACK
-        calls as ``predict``, so each row equals ``predict(row,
-        apply_snap=False)`` bit for bit; a matrix-vector product or a
-        multi-right-hand-side solve would sum in another order.
+        calls, so each row equals its batch of one bit for bit; a
+        matrix-vector product or a multi-right-hand-side solve would sum in
+        another order.
         """
         return [self._posterior(k) for k in _matern52(self.params, Q, self.X)]
 
     def predict_with_gradient(self, x):
         """Relaxed posterior and its gradient: (mean, var, dmean, dvar)."""
         q = np.asarray(x, dtype=float)
-        k = self._kvec(q)
+        diff = q[None, :] - self.X
+        k = _matern_terms(self.params.lengthscales,
+                          self.params.signal_variance, diff)[0]
         mean_std = float(k @ self.alpha)
         w, info = dpotrs(self.L, k, lower=1)   # the call cho_solve makes
         if info:
             raise NumericalError(f"Cholesky solve failed (info {info})")
         var_std = max(self.params.signal_variance - float(k @ w), 0.0)
 
-        # d k_i / d x_j, with the Matern radial term's r cancelled
-        diff = q[None, :] - self.X
+        # d k_i / d x_j, with the Matern radial term's r cancelled.  This r
+        # and its exp round differently from the kernel's; sharing those
+        # changes trajectories, so it waits for a fixture re-record.
         ell2 = self.params.lengthscales ** 2
         r = np.sqrt(np.sum(diff ** 2 / ell2, axis=-1))
         coef = -(5.0 / 3.0) * self.params.signal_variance \
@@ -276,7 +277,7 @@ class GpModel:
 
 
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,
-        *, optimize: bool = True, restarts: int = 5, seed: int = 0) -> GpModel:
+        *, optimize: bool = True, seed: int = 0) -> GpModel:
     """Fit a model, maximizing marginal likelihood by multi-start L-BFGS-B.
 
     Restart 0 begins at ``init`` (or the defaults), the rest at seeded
@@ -322,11 +323,12 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
             [rng.uniform(np.log(0.1), np.log(10.0)),
              rng.uniform(np.log(1e-7), np.log(1e-2))]])
 
+    diff = X[:, None, :] - X[None, :, :]
     best = None
-    for r in range(restarts):
+    for r in range(FIT_RESTARTS):
         theta0 = np.clip(start_point(r), lo, hi)
         res = minimize(_nll_and_grad, theta0,
-                       args=(X, y, extra, init.jitter),
+                       args=(diff, y, extra, init.jitter),
                        jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": 60})
         if best is None or res.fun < best.fun:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import exact_configuration, feasible_draws
-from .space import ParameterSpace
+from .constraints import feasible_draws, feasible_rows
+from .space import ParameterSpace, rank_configuration
 
 
 @dataclass
@@ -95,22 +95,20 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
                        budget: int) -> list[dict]:
     """Feasible, distinct configurations for the initial evaluation round.
 
-    Array rows are mapped to configurations and filtered by the exact
-    constraint semantics in array order; if fewer than ``budget`` survive,
-    seeded rejection sampling tops the list up.
+    Array rows, which are rows of parameter ranks, are filtered by the exact
+    constraint semantics in array order; if fewer than ``budget`` distinct
+    configurations survive, seeded rejection sampling tops the list up.
     """
     if budget < 1:
         raise ValueError("warm-start budget must be at least 1")
     oa = generate_oa(space.counts, seed)
     # keyed by parameter values; the first of equal configurations is kept
     chosen: dict[tuple, dict] = {}
-    for row in oa.rows:
+    for row in feasible_rows(tree, space, oa.rows):
         if len(chosen) >= budget:
             break
-        cfg = {p.name: p.values[int(level)]
-               for p, level in zip(space.params, row)}
-        if exact_configuration(tree, space, cfg):
-            chosen.setdefault(tuple(cfg.values()), cfg)
+        cfg = rank_configuration(space, row)
+        chosen.setdefault(tuple(cfg.values()), cfg)
 
     draws = feasible_draws(tree, space, np.random.default_rng([seed, 1]))
     while len(chosen) < budget:

@@ -253,7 +253,7 @@ def reference_alpha_cool(ctx, x):
     """The per-point acquisition that the batched scorer replaced."""
     q = snap(ctx.model.space, x)
     alpha = expected_improvement(ctx.model, q, ctx.best_feasible)
-    cost = ctx.cost.value(q) if ctx.cost is not None else 1.0
+    cost = ctx.cost.value_and_gradient(q)[0] if ctx.cost is not None else 1.0
     return cooled_value(alpha, cost, ctx.lam(), ctx.schedule.mode)
 
 

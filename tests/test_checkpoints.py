@@ -301,12 +301,11 @@ class TestRelaxedCost:
         rng = np.random.default_rng(8)
         for _ in range(50):
             x = {p.name: p.values[rng.integers(p.count)] for p in space.params}
-            assert relaxed.value(encode(space, x)) == \
+            assert relaxed.values(encode(space, x)[None, :])[0] == \
                 pytest.approx(cost_estimate(store, x, w))
 
     def test_empty_store_prior(self, space):
-        relaxed = RelaxedCost(CheckpointStore(space), DistanceWeights.ones(space),
-                              prior=1.0)
+        relaxed = RelaxedCost(CheckpointStore(space), DistanceWeights.ones(space))
         v, g = relaxed.value_and_gradient(np.zeros(space.encoded_dim))
         assert v == 1.0
         assert np.all(g == 0)
@@ -324,7 +323,8 @@ class TestRelaxedCost:
                 hi, lo = u.copy(), u.copy()
                 hi[j] += h
                 lo[j] -= h
-                fd = (relaxed.value(hi) - relaxed.value(lo)) / (2 * h)
+                fd = (relaxed.values(hi[None, :])[0]
+                      - relaxed.values(lo[None, :])[0]) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 

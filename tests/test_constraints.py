@@ -31,6 +31,57 @@ from aspo.space import (
 )
 
 
+def reference_value_and_gradient(tree, values):
+    """The recursive smooth value and subgradient: the oracle for
+    ``compile_tree`` and ``smooth_gradient``, kept independent of both."""
+    if isinstance(tree, (Conj, Disj)):
+        pairs = [reference_value_and_gradient(c, values) for c in tree.children]
+        best_i = 0
+        for i in range(1, len(pairs)):
+            v = pairs[i][0]
+            # strict comparison keeps the lowest index on ties
+            if (v < pairs[best_i][0]) if isinstance(tree, Conj) else (v > pairs[best_i][0]):
+                best_i = i
+        merged = {}
+        for _, g in pairs:
+            for k in g:
+                merged.setdefault(k, 0.0)
+        merged.update(pairs[best_i][1])
+        return pairs[best_i][0], merged
+    if isinstance(tree, Inequality):
+        v = smooth_inequality(tree, values)
+        grad = {tree.xa: 0.0, tree.xb: 0.0}
+        grad[tree.xa] += tree.ka
+        grad[tree.xb] += -tree.kb
+        return v, grad
+    if isinstance(tree, Conditional):
+        cond, cons = tree.condition, tree.consequence
+        v1, v2 = values[cond.param], values[cons.param]
+        c1 = smooth_interval_atom(cond, v1)
+        c2 = smooth_interval_atom(cons, v2)
+        dc1 = -(2 * v1 - cond.lo - cond.hi)
+        dc2 = -(2 * v2 - cons.lo - cons.hi)
+        vac = -c1 - tree.vacuity_margin
+        if c1 <= c2:
+            inner, inner_grad = c1, {cond.param: dc1, cons.param: 0.0}
+        else:
+            inner, inner_grad = c2, {cond.param: 0.0, cons.param: dc2}
+        if vac >= inner:
+            grad = {cond.param: -dc1, cons.param: 0.0}
+            return vac, grad
+        return inner, inner_grad
+    if isinstance(tree, Divisibility):
+        v = smooth_tree(tree, values)
+        a, b = values[tree.xa], values[tree.xb]
+        s = np.sin(2 * np.pi * a / b)
+        return v, {tree.xa: -s * np.pi / b, tree.xb: s * np.pi * a / b ** 2}
+    raise TypeError(f"not a constraint node: {tree!r}")
+
+
+def reference_gradient(tree, values):
+    return reference_value_and_gradient(tree, values)[1]
+
+
 def ordspace(**params):
     return ParameterSpace([
         ParameterDef(name, "ordinal", tuple(vals), vals[0])
@@ -321,7 +372,8 @@ class TestGradient:
     def test_divisibility_gradient_finite_difference(self):
         tree = Conj((Divisibility("a", "b"),))
         values = {"a": 5.0, "b": 2.0}
-        grad = smooth_gradient(tree, values)
+        grad = reference_gradient(tree, values)
+        assert smooth_gradient(tree, values) == grad
         h = 1e-6
         for name in ("a", "b"):
             hi = dict(values)
@@ -345,7 +397,8 @@ class TestGradient:
         checked = 0
         while checked < 1000:
             values = {n: float(rng.uniform(1.0, 70.0)) for n in names}
-            grad = smooth_gradient(tree, values)
+            grad = reference_gradient(tree, values)
+            assert smooth_gradient(tree, values) == grad
             kink = False
             fds = {}
             for n in names:
@@ -380,14 +433,15 @@ class TestGradient:
 
 
 class TestCompiledTree:
-    """compile_tree against the recursive evaluators, with ==."""
+    """compile_tree and smooth_gradient against the recursive oracle, with ==."""
 
     @staticmethod
     def check(tree, values):
         names = sorted(values)
         value, partials = compile_tree(tree, names)([values[n] for n in names])
         assert value == smooth_tree(tree, values)
-        grad = smooth_gradient(tree, values)
+        grad = reference_gradient(tree, values)
+        assert smooth_gradient(tree, values) == grad
         assert {names[i] for i in partials} <= set(grad)
         for i, name in enumerate(names):
             if name in grad:

@@ -224,6 +224,12 @@ class TestBaselines:
                        budget_iterations=50, warm_start_budget=2, seed=0)
         report = run_baseline(rc, "hill-climb")
         assert report.stop_reason == "converged"
+        # the default (1, 1) is in the seed-0 warm start, so the climb starts
+        # from it without proposing it again, then tries the neighbours in
+        # (parameter, value) order: to (4, 1), to (4, 2), where none improves
+        assert [(e.iteration, e.config["a"], e.config["b"])
+                for e in report.history] == [
+            (0, 1, 1), (0, 1, 2), (1, 2, 1), (2, 4, 1), (3, 4, 2), (4, 2, 2)]
         # converged means the best config has no improving neighbor
         evaluated = {tuple(e.config.values()): e.eet_ms()
                      for e in report.history if e.result.valid}
