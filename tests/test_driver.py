@@ -253,6 +253,41 @@ class TestBaselines:
             e.result.eval_minutes for e in report.history)
 
 
+class TestResourceStage:
+    def test_over_budget_proposals_fail_at_resource(self, monkeypatch):
+        from aspo.checkpoints import CheckpointStore
+        from aspo.constraints import exact_configuration
+        from aspo.evaluation import FAILURE_MINUTES, SyntheticModel
+
+        inserted = []
+        real_insert = CheckpointStore.insert
+
+        def recording_insert(store, record):
+            inserted.append(record.config)
+            return real_insert(store, record)
+
+        monkeypatch.setattr(CheckpointStore, "insert", recording_insert)
+        # the default needs 116,100 LUTs; widening moves climb past 125,000
+        rc = boom_rc(max_luts=125_000, budget_iterations=40,
+                     stagnation_limit=None)
+        report = run_baseline(rc, "hill-climb")
+        bundle = assets.load_bundle("boom")
+        model = SyntheticModel(bundle.model, bundle.space)
+        rejected = [e for e in report.history
+                    if e.result.failure_stage == "resource"]
+        assert len(rejected) >= 5
+        for e in report.history:
+            over = model.luts(e.config) > rc.max_luts
+            feasible = exact_configuration(bundle.tree, bundle.space, e.config)
+            assert (e.result.failure_stage == "resource") == (feasible and over)
+        for e in rejected:
+            assert not e.result.valid
+            assert e.result.luts == model.luts(e.config)
+            assert e.result.eval_minutes == FAILURE_MINUTES * rc.time_compression
+            assert e.config not in inserted
+        assert len(inserted) == sum(e.result.valid for e in report.history)
+
+
 class TestEmitReport:
     def test_row_counts(self, tmp_path):
         report = run_optimization(boom_rc(budget_iterations=0))
