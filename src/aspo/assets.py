@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .constraints import parse_constraints, tree_parameters
-from .errors import AssetError
+from .constraints import parse_constraints
+from .errors import AssetError, InvalidConfigurationError
+from .evaluation import SyntheticModel
 from .space import ParameterSpace
 
 #: processors with a bundled constraint file
@@ -92,7 +93,10 @@ def load_bundle(processor: str, root=None) -> Bundle:
     space = load_space(processor, root)
     tree = load_constraint_tree(processor, space, root)
     model = load_model_dict(processor, root)
-    _cross_check(processor, space, tree, model)
+    try:
+        SyntheticModel(model, space)
+    except InvalidConfigurationError as exc:
+        raise AssetError(f"{processor}: {exc}") from None
     return Bundle(processor, space, tree, model)
 
 
@@ -110,14 +114,3 @@ def load_assets(root=None) -> dict:
         raise AssetError(f"bundled files missing from manifest: {sorted(unlisted)}")
     return {p: load_bundle(p, root) for p in PROCESSORS}
 
-
-def _cross_check(processor, space, tree, model) -> None:
-    if tree is not None:
-        undeclared = tree_parameters(tree) - {p.name for p in space.params}
-        if undeclared:
-            raise AssetError(f"{processor}: constraints reference undeclared "
-                             f"parameters {sorted(undeclared)}")
-    missing = {p.name for p in space.params} - set(model.get("parameters", {}))
-    if missing:
-        raise AssetError(f"{processor}: model file lacks coefficients for "
-                         f"{sorted(missing)}")

@@ -163,7 +163,7 @@ class CheckpointStore:
             store.insert(CheckpointRecord(
                 config=data["config"],
                 encoded=encode(space, data["config"]),
-                metrics=EvaluationResult.from_dict(data["metrics"]),
+                metrics=EvaluationResult(**data["metrics"]),
                 artifact=data["artifact"],
                 synthesis_minutes=data["synthesis_minutes"],
                 inserted_at=data["inserted_at"],

@@ -128,10 +128,6 @@ def smooth_inequality(c: Inequality, values):
     return c.ka * values[c.xa] - c.kb * values[c.xb] + c.t
 
 
-def smooth_interval_atom(atom: IntervalAtom, v):
-    return _interval_value(atom, v)
-
-
 def _smooth_divisibility(d: Divisibility, values):
     xb = values[d.xb]
     if np.any(np.asarray(xb) == 0):

@@ -158,9 +158,8 @@ def load_inputs(rc: RunConfig):
 def _setup(rc: RunConfig):
     """Inputs, evaluation harness and an empty checkpoint store for a run."""
     space, tree, model = load_inputs(rc)
-    harness = EvalHarness(model, tree=tree,
-                          resource_budget=ResourceBudget(
-                              rc.max_luts or model.lut_budget),
+    harness = EvalHarness(model, tree,
+                          ResourceBudget(rc.max_luts or model.lut_budget),
                           benchmark=rc.benchmark,
                           time_scale=rc.time_compression)
     return space, tree, harness, CheckpointStore(space)
@@ -245,7 +244,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     error = None
 
     def t_syn(cfg, ref_record):
-        return harness.model.synthesis_time(cfg, ref_record.config)
+        return harness.backend.synthesis_time(cfg, ref_record.config)
 
     def run_eval(iteration, cfg, alpha_value):
         nonlocal clock, inserts, weights
@@ -452,8 +451,8 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
     """Evaluate one random feasible config set under all three strategies.
 
     The retrieval database is pre-populated with the default configuration
-    plus a warm-start round, mirroring how the strategies are meant to be
-    compared; returns per-strategy mean/min/max virtual minutes.
+    plus a warm-start round, and retrieval matches with the model's own
+    distance weights; returns per-strategy mean/min/max virtual minutes.
     """
     space, tree, harness, store = _setup(rc)
     draws = feasible_draws(tree, space, np.random.default_rng([rc.seed, 31]))
@@ -471,9 +470,10 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
             _insert(store, cfg, res, clock)
 
     out = {"configs": configs, "strategies": {}}
+    oracle = harness.backend.match_weights
     for strategy in STRATEGIES:
-        minutes = [harness.evaluate(c, strategy, db=store).eval_minutes
-                   for c in configs]
+        minutes = [harness.evaluate(c, strategy, db=store, weights=oracle)
+                   .eval_minutes for c in configs]
         out["strategies"][strategy] = {
             "mean_minutes": float(np.mean(minutes)),
             "min_minutes": float(np.min(minutes)),

@@ -1,23 +1,27 @@
-"""Configuration evaluation: synthetic processor model and external tools.
+"""Configuration evaluation: one harness in front of two synthesis backends.
 
-The synthetic model is a deterministic closed form standing in for a real
+``EvalHarness`` runs every evaluation the same way, whatever synthesizes the
+design: the constraint stage, the retrieval lookup, the choice of reference
+checkpoint, synthesis by the backend, the resource stage on the synthesized
+LUT count, and the one conversion of the tool's minutes into the run's
+virtual minutes (``time_scale``).  It builds every failed result.  The
+reference is none under ``direct`` (synthesis from scratch), the default
+configuration under ``fixed-checkpoint``, and the nearest stored checkpoint
+under ``retrieval``, where an exact hit returns the cached metrics at lookup
+cost.  A backend has a ``space``, a ``base_frequency`` that failed results
+record, and ``synthesize(cfg, reference_cfg, benchmark, seed)``, which
+returns a valid result in the tool's own minutes or raises ``Rejected``.
+
+``SyntheticModel`` is a deterministic closed form standing in for a real
 simulate-and-synthesize flow.  Cycle counts start from a per-benchmark base
 (instructions retired) and grow by a quadratic penalty for every ordinal
 parameter left below its top rank plus a fixed factor per categorical choice;
 LUT usage accumulates per-parameter costs; the maximum frequency degrades
 linearly with normalized LUT complexity; synthesis time ramps from a base
 (incremental) to a full (from scratch) figure with the weighted distance to
-the reference checkpoint.  All coefficients live in a bundled, frozen model
-file so results are reproducible oracles.
-
-Three accounting strategies mirror common evaluation setups: ``direct``
-(every run synthesizes from scratch), ``fixed-checkpoint`` (always reuse the
-default configuration's checkpoint), and ``retrieval`` (reuse the nearest
-stored checkpoint; exact hits return cached metrics at lookup cost).
-
-``ExternalEvaluator`` shells out to a real toolchain over a one-request,
-one-response JSON line protocol, mapping timeouts and malformed output onto
-the same result type.
+the reference.  All coefficients live in a bundled, frozen model file so
+results are reproducible oracles.  ``ExternalEvaluator`` runs a real
+toolchain over a one-request, one-response JSON line protocol.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +37,17 @@ import numpy as np
 from .checkpoints import (
     CheckpointStore,
     DistanceWeights,
+    artifact_path,
     match_config,
     weighted_distance,
 )
 from .constraints import exact_configuration
-from .errors import ProtocolError, ToolError, UndefinedMetricError
+from .errors import (
+    InvalidConfigurationError,
+    ProtocolError,
+    ToolError,
+    UndefinedMetricError,
+)
 from .space import CATEGORICAL, ParameterSpace
 
 DIRECT = "direct"
@@ -70,14 +80,7 @@ class EvaluationResult:
                              "invalid ones must name it")
 
     def to_dict(self) -> dict:
-        return {"cycles": self.cycles, "fmax_mhz": self.fmax_mhz,
-                "luts": self.luts, "power_w": self.power_w,
-                "eval_minutes": self.eval_minutes, "valid": self.valid,
-                "failure_stage": self.failure_stage}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvaluationResult":
-        return cls(**data)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,13 @@ class SyntheticModel:
     """Frozen closed-form stand-in for simulation plus synthesis."""
 
     def __init__(self, data: dict, space: ParameterSpace):
+        names = [p.name for p in space.params]
+        missing = [n for n in names if n not in data["parameters"]
+                   or n not in data["match_weights"]]
+        if missing:
+            raise InvalidConfigurationError("model file lacks coefficients "
+                                            f"for {', '.join(missing)}")
         self.space = space
-        self.data = data
         self.base_frequency = float(data["base_frequency_mhz"])
         self.gamma = float(data["frequency_sensitivity"])
         self.base_luts = int(data["base_luts"])
@@ -115,23 +123,15 @@ class SyntheticModel:
         self.benchmarks = dict(data["benchmarks"])
         self.coeffs = data["parameters"]
         self.match_weights = DistanceWeights(
-            np.array([data["match_weights"][p.name] for p in space.params]))
+            np.array([data["match_weights"][n] for n in names]))
         self._max_dist = float(self.match_weights.w.sum())
-        self._max_extra_luts = sum(self._max_lut(p.name) for p in space.params)
-
-    @classmethod
-    def from_dict(cls, data: dict, space: ParameterSpace) -> "SyntheticModel":
-        return cls(data, space)
+        self._max_extra_luts = sum(
+            max(c["lut_factors"].values()) if "lut_factors" in c
+            else c["lut_cost"] for c in map(self.coeffs.get, names))
 
     @classmethod
     def load(cls, path, space: ParameterSpace) -> "SyntheticModel":
         return cls(json.loads(Path(path).read_text()), space)
-
-    def _max_lut(self, name: str) -> float:
-        c = self.coeffs[name]
-        if "lut_factors" in c:
-            return max(c["lut_factors"].values())
-        return c["lut_cost"]
 
     def luts(self, cfg: dict) -> int:
         total = float(self.base_luts)
@@ -193,88 +193,103 @@ class SyntheticModel:
         return min(max(self.t_base + (self.t_full - self.t_base) * frac,
                        self.t_base), self.t_full)
 
+    def synthesize(self, cfg: dict, reference_cfg: dict | None,
+                   benchmark: str, seed: int) -> EvaluationResult:
+        luts = self.luts(cfg)
+        return EvaluationResult(
+            cycles=self.cycles(cfg, benchmark, seed), fmax_mhz=self.fmax(cfg),
+            luts=luts, power_w=self.power(luts),
+            eval_minutes=self.synthesis_time(cfg, reference_cfg), valid=True)
+
+
+class Rejected(Exception):
+    """``Rejected(stage, minutes)``: the tool turned the design down."""
+
 
 class EvalHarness:
-    """Binds a synthetic model to a space, constraints, and a resource budget."""
+    """The evaluation stages in front of a synthesis backend."""
 
-    def __init__(self, model: SyntheticModel, tree=None,
-                 resource_budget: ResourceBudget | None = None,
+    def __init__(self, backend, tree, resource_budget: ResourceBudget,
                  benchmark: str = "multiply", time_scale: float = 1.0):
-        self.model = model
-        self.space = model.space
+        self.backend = backend
+        self.space = backend.space
         self.tree = tree
-        self.budget = resource_budget or ResourceBudget(model.lut_budget)
+        self.budget = resource_budget
         self.benchmark = benchmark
         self.time_scale = time_scale
 
-    def _failed(self, stage: str, luts: int = 0) -> EvaluationResult:
+    def _failed(self, stage: str, luts: int, minutes: float) -> EvaluationResult:
         return EvaluationResult(
-            cycles=0, fmax_mhz=self.model.base_frequency, luts=luts,
-            power_w=0.0, eval_minutes=FAILURE_MINUTES * self.time_scale,
-            valid=False, failure_stage=stage)
+            cycles=0, fmax_mhz=self.backend.base_frequency, luts=luts,
+            power_w=0.0, eval_minutes=minutes, valid=False, failure_stage=stage)
 
     def evaluate(self, cfg: dict, strategy: str = DIRECT,
                  db: CheckpointStore | None = None,
                  weights: DistanceWeights | None = None,
-                 benchmark: str | None = None, seed: int = 0) -> EvaluationResult:
-        """Constraint check, resource check, then strategy-priced metrics."""
+                 seed: int = 0) -> EvaluationResult:
+        """Constraint stage, lookup or synthesis, resource stage; the charge
+        in the tool's minutes is scaled to run minutes here, once."""
+        result = self._stages(cfg, strategy, db, weights, seed)
+        return replace(result, eval_minutes=result.eval_minutes * self.time_scale)
+
+    def _stages(self, cfg, strategy, db, weights, seed) -> EvaluationResult:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        benchmark = benchmark or self.benchmark
         if not exact_configuration(self.tree, self.space, cfg):
-            return self._failed(STAGE_CONSTRAINT)
-        luts = self.model.luts(cfg)
-        if luts > self.budget.max_luts:
-            return self._failed(STAGE_RESOURCE, luts=luts)
-
-        if strategy == DIRECT:
-            reference = None
-        elif strategy == FIXED_CHECKPOINT:
-            reference = self.space.default_configuration()
+            return self._failed(STAGE_CONSTRAINT, 0, FAILURE_MINUTES)
+        from_store = strategy == RETRIEVAL and db is not None and len(db) > 0
+        if from_store and (hit := db.lookup(cfg)) is not None:
+            result = replace(hit.metrics, eval_minutes=LOOKUP_MINUTES)
         else:
-            if db is not None and (hit := db.lookup(cfg)) is not None:
-                return replace(hit.metrics,
-                               eval_minutes=LOOKUP_MINUTES * self.time_scale)
-            if db is not None and len(db) > 0:
-                w = weights or self.model.match_weights
-                reference = match_config(db, cfg, w).config
+            if strategy == FIXED_CHECKPOINT:
+                reference = self.space.default_configuration()
             else:
-                reference = None
-
-        minutes = self.model.synthesis_time(cfg, reference) * self.time_scale
-        cycles = self.model.cycles(cfg, benchmark, seed)
-        return EvaluationResult(
-            cycles=cycles,
-            fmax_mhz=self.model.fmax(cfg),
-            luts=luts,
-            power_w=self.model.power(luts),
-            eval_minutes=minutes,
-            valid=True,
-        )
+                reference = match_config(db, cfg, weights).config \
+                    if from_store else None
+            try:
+                result = self.backend.synthesize(cfg, reference,
+                                                 self.benchmark, seed)
+            except Rejected as rejection:
+                stage, minutes = rejection.args
+                return self._failed(stage, 0, minutes)
+        if result.luts > self.budget.max_luts:
+            return self._failed(STAGE_RESOURCE, result.luts, FAILURE_MINUTES)
+        return result
 
 
 class ExternalEvaluator:
-    """Child-process evaluator speaking one JSON line each way.
+    """Synthesis backend that runs a real toolchain, one JSON line each way.
 
     Request:  {"id": ..., "config": {...}, "checkpoint_hint": ...,
                "benchmark": ...}
     Response: {"id": ..., "status": "ok", "cycles": ..., "fmax_mhz": ...,
                "luts": ..., "power_w": ..., "synthesis_minutes": ...}
           or  {"id": ..., "status": "invalid", "stage": ...}
+
+    ``checkpoint_hint`` is the artifact handle of the reference
+    configuration, or null for a from-scratch run.  A timeout is a rejection
+    at the synthesis stage charged ``timeout_s`` of the tool's time; an
+    ``invalid`` reply is one charged ``FAILURE_MINUTES``.
     """
 
     REQUIRED = ("cycles", "fmax_mhz", "luts", "power_w", "synthesis_minutes")
+    #: a rejected design has no frequency; its failed result records this
+    base_frequency = 1.0
 
-    def __init__(self, command: list[str], timeout_s: float = 300.0):
+    def __init__(self, command: list[str], space: ParameterSpace,
+                 timeout_s: float = 300.0):
         self.command = list(command)
+        self.space = space
         self.timeout_s = timeout_s
         self._next_id = 0
 
-    def evaluate(self, cfg: dict, benchmark: str,
-                 checkpoint_hint: str | None = None) -> EvaluationResult:
+    def synthesize(self, cfg: dict, reference_cfg: dict | None,
+                   benchmark: str, seed: int) -> EvaluationResult:
         self._next_id += 1
+        hint = None if reference_cfg is None \
+            else artifact_path(self.space, reference_cfg)
         request = {"id": f"r{self._next_id}", "config": cfg,
-                   "checkpoint_hint": checkpoint_hint, "benchmark": benchmark}
+                   "checkpoint_hint": hint, "benchmark": benchmark}
         proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
                                 stdout=subprocess.PIPE, text=True)
         try:
@@ -283,10 +298,7 @@ class ExternalEvaluator:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.communicate()
-            return EvaluationResult(
-                cycles=0, fmax_mhz=1.0, luts=0, power_w=0.0,
-                eval_minutes=self.timeout_s / 60.0, valid=False,
-                failure_stage=STAGE_SYNTHESIS)
+            raise Rejected(STAGE_SYNTHESIS, self.timeout_s / 60.0) from None
         if proc.returncode != 0:
             raise ToolError(f"evaluator exited with code {proc.returncode}")
         lines = [l for l in out.splitlines() if l.strip()]
@@ -301,10 +313,8 @@ class ExternalEvaluator:
                 f"response id {response.get('id')!r} does not echo request id")
         status = response.get("status")
         if status == "invalid":
-            return EvaluationResult(
-                cycles=0, fmax_mhz=1.0, luts=0, power_w=0.0,
-                eval_minutes=FAILURE_MINUTES, valid=False,
-                failure_stage=response.get("stage", STAGE_SYNTHESIS))
+            raise Rejected(response.get("stage", STAGE_SYNTHESIS),
+                           FAILURE_MINUTES)
         if status != "ok":
             raise ProtocolError(f"unknown status {status!r}")
         missing = [k for k in self.REQUIRED if k not in response]

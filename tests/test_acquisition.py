@@ -31,6 +31,7 @@ from aspo.errors import NoFeasibleCandidateError
 from aspo.evaluation import (
     EvalHarness,
     EvaluationResult,
+    ResourceBudget,
     SyntheticModel,
     estimated_execution_time,
 )
@@ -276,7 +277,9 @@ class TestBatchedScores:
         space = bundle.space
         rng = np.random.default_rng(41)
         train = self.feasible_draws(bundle, rng, 16)
-        harness = EvalHarness(SyntheticModel(bundle.model, space), bundle.tree)
+        synthetic = SyntheticModel(bundle.model, space)
+        harness = EvalHarness(synthetic, bundle.tree,
+                              ResourceBudget(synthetic.lut_budget))
         y = [estimated_execution_time(harness.evaluate(c)) for c in train]
         model = fit(space, [encode(space, c) for c in train], y, seed=0)
         store = CheckpointStore(space)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import shutil
 
 import pytest
@@ -57,6 +59,22 @@ def test_unlisted_file_rejected(tmp_path):
     (root / "models" / "rogue.json").write_text("{}")
     with pytest.raises(AssetError, match="rogue"):
         assets.load_assets(root=root)
+
+
+def test_model_without_coefficients_rejected(tmp_path):
+    root = tmp_path / "assets"
+    shutil.copytree(assets.asset_root(), root)
+    target = root / "models" / "boom.json"
+    model = json.loads(target.read_text())
+    del model["parameters"]["FetchWidth"]
+    target.write_text(json.dumps(model))
+    manifest = json.loads((root / "manifest.json").read_text())
+    for entry in manifest["files"]:
+        if entry["path"] == "models/boom.json":
+            entry["sha256"] = hashlib.sha256(target.read_bytes()).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(AssetError, match="boom: .*FetchWidth"):
+        assets.load_bundle("boom", root=root)
 
 
 def test_unknown_processor_rejected():

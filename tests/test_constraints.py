@@ -9,13 +9,13 @@ from aspo.constraints import (
     Divisibility,
     Inequality,
     IntervalAtom,
+    _interval_value,
     compile_tree,
     exact_configuration,
     exact_tree,
     parse_constraints,
     smooth_gradient,
     smooth_inequality,
-    smooth_interval_atom,
     smooth_satisfied,
     smooth_tree,
     tree_parameters,
@@ -57,8 +57,8 @@ def reference_value_and_gradient(tree, values):
     if isinstance(tree, Conditional):
         cond, cons = tree.condition, tree.consequence
         v1, v2 = values[cond.param], values[cons.param]
-        c1 = smooth_interval_atom(cond, v1)
-        c2 = smooth_interval_atom(cons, v2)
+        c1 = _interval_value(cond, v1)
+        c2 = _interval_value(cons, v2)
         dc1 = -(2 * v1 - cond.lo - cond.hi)
         dc2 = -(2 * v2 - cons.lo - cons.hi)
         vac = -c1 - tree.vacuity_margin
@@ -194,12 +194,12 @@ class TestSmoothIntervalAtom:
     @pytest.mark.parametrize("v,expected", [(3, 1), (2, 0), (5, -3)])
     def test_values(self, v, expected):
         atom = IntervalAtom("x", 2, 4)
-        assert smooth_interval_atom(atom, v) == expected
+        assert _interval_value(atom, v) == expected
 
     def test_sign_iff_inside(self):
         atom = IntervalAtom("x", 2, 4)
         for v in np.linspace(0, 6, 61):
-            assert (smooth_interval_atom(atom, v) >= 0) == (2 <= v <= 4)
+            assert (_interval_value(atom, v) >= 0) == (2 <= v <= 4)
 
 
 class TestSmoothTree:

@@ -361,6 +361,20 @@ class TestCli:
         result = runner.invoke(cli_main, ["validate", "--space", str(bad)])
         assert result.exit_code == 2
 
+    def test_validate_names_every_parameter_the_model_lacks(self, tmp_path):
+        root = assets.asset_root()
+        model = json.loads((root / "models/boom.json").read_text())
+        del model["parameters"]["FetchWidth"]
+        del model["parameters"]["RobEntry"]
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(model))
+        result = CliRunner().invoke(cli_main, [
+            "validate", "--space", str(root / "spaces/boom.json"),
+            "--model", str(mfile)])
+        assert result.exit_code == 2
+        assert "error: model file lacks coefficients for FetchWidth, " \
+            "RobEntry" in result.output
+
     def test_run_writes_reports(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli_main, [

@@ -1,4 +1,6 @@
+import json
 import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from aspo.checkpoints import (
     CheckpointRecord,
     CheckpointStore,
     artifact_path,
+    match_config,
     weighted_distance,
 )
+from aspo.constraints import feasible_draws
 from aspo.errors import ProtocolError, ToolError, UndefinedMetricError
 from aspo.evaluation import (
     DIRECT,
@@ -30,23 +34,17 @@ from aspo.space import encode
 @pytest.fixture(scope="module")
 def boom():
     bundle = assets.load_bundle("boom")
-    model = SyntheticModel.from_dict(bundle.model, bundle.space)
+    model = SyntheticModel(bundle.model, bundle.space)
     return bundle, model
 
 
-def harness_for(bundle, model, **kw):
-    return EvalHarness(model, tree=bundle.tree, **kw)
+def harness_for(bundle, backend, max_luts=None, **kw):
+    budget = ResourceBudget(max_luts or bundle.model["lut_budget"])
+    return EvalHarness(backend, bundle.tree, budget, **kw)
 
 
 def random_feasible(bundle, rng, n):
-    from aspo.constraints import exact_configuration
-    out = []
-    while len(out) < n:
-        cfg = {p.name: p.values[rng.integers(p.count)]
-               for p in bundle.space.params}
-        if exact_configuration(bundle.tree, bundle.space, cfg):
-            out.append(cfg)
-    return out
+    return list(islice(feasible_draws(bundle.tree, bundle.space, rng), n))
 
 
 def insert_all(store, space, model, cfgs, harness):
@@ -68,7 +66,7 @@ class TestEvaluationResult:
     def test_round_trip(self):
         r = EvaluationResult(cycles=5, fmax_mhz=50.0, luts=10, power_w=0.2,
                              eval_minutes=3.0, valid=True)
-        assert EvaluationResult.from_dict(r.to_dict()) == r
+        assert EvaluationResult(**r.to_dict()) == r
 
 
 class TestSyntheticModel:
@@ -83,8 +81,7 @@ class TestSyntheticModel:
     def test_default_config_metrics_match_model_formula(self, boom):
         bundle, model = boom
         cfg = bundle.space.default_configuration()
-        res = harness_for(bundle, model).evaluate(cfg, DIRECT,
-                                                  benchmark="multiply")
+        res = harness_for(bundle, model).evaluate(cfg, DIRECT)
         # oracle: evaluate the frozen coefficient file by hand
         coeffs = bundle.model["parameters"]
         penalty = 0.0
@@ -104,12 +101,12 @@ class TestSyntheticModel:
     def test_unknown_benchmark(self, boom):
         bundle, model = boom
         with pytest.raises(UndefinedMetricError):
-            harness_for(bundle, model).evaluate(
-                bundle.space.default_configuration(), DIRECT, benchmark="doom3")
+            harness_for(bundle, model, benchmark="doom3").evaluate(
+                bundle.space.default_configuration(), DIRECT)
 
     def test_resource_overrun(self, boom):
         bundle, model = boom
-        h = harness_for(bundle, model, resource_budget=ResourceBudget(1000))
+        h = harness_for(bundle, model, max_luts=1000)
         res = h.evaluate(bundle.space.default_configuration(), DIRECT)
         assert not res.valid
         assert res.failure_stage == "resource"
@@ -118,7 +115,7 @@ class TestSyntheticModel:
         # max-complexity configuration stays deployable on the target board
         for proc in assets.PROCESSORS:
             bundle = assets.load_bundle(proc)
-            model = SyntheticModel.from_dict(bundle.model, bundle.space)
+            model = SyntheticModel(bundle.model, bundle.space)
             maxed = {p.name: p.values[-1] for p in bundle.space.params}
             worst = max(model.luts({**maxed, p.name: v})
                         for p in bundle.space.params for v in p.values)
@@ -150,7 +147,7 @@ class TestSynthesisTime:
         published = {"el2_veer": 11.4, "rocketchip": 45.4, "boom": 81.2}
         for proc, minutes in published.items():
             bundle = assets.load_bundle(proc)
-            model = SyntheticModel.from_dict(bundle.model, bundle.space)
+            model = SyntheticModel(bundle.model, bundle.space)
             assert model.t_full == minutes
 
     def test_monotone_in_distance(self, boom):
@@ -191,7 +188,9 @@ class TestStrategies:
 
         def mean_minutes(strategy, db=None):
             return float(np.mean([
-                h.evaluate(c, strategy, db=db).eval_minutes for c in cfgs]))
+                h.evaluate(c, strategy, db=db,
+                           weights=model.match_weights).eval_minutes
+                for c in cfgs]))
 
         direct = mean_minutes(DIRECT)
         fixed = mean_minutes(FIXED_CHECKPOINT)
@@ -209,7 +208,8 @@ class TestStrategies:
         for cfg in random_feasible(bundle, np.random.default_rng(10), 20):
             if store.lookup(cfg) is not None:
                 continue
-            r = h.evaluate(cfg, RETRIEVAL, db=store).eval_minutes
+            r = h.evaluate(cfg, RETRIEVAL, db=store,
+                           weights=model.match_weights).eval_minutes
             f = h.evaluate(cfg, FIXED_CHECKPOINT).eval_minutes
             assert r <= f
 
@@ -299,47 +299,136 @@ print(json.dumps({"id": req["id"], "status": "invalid", "stage": "synthesis"}))
 """
 
 
-def script_evaluator(body, timeout_s=60.0):
-    return ExternalEvaluator([sys.executable, "-c", body], timeout_s=timeout_s)
+RECORDER = r"""
+import json, sys
+line = sys.stdin.readline()
+with open(sys.argv[1], "a") as fh:
+    fh.write(line)
+req = json.loads(line)
+print(json.dumps({"id": req["id"], "status": "ok", "cycles": 100,
+                  "fmax_mhz": 50.0, "luts": 10, "power_w": 0.1,
+                  "synthesis_minutes": 1.0}))
+"""
+
+
+def tool_harness(bundle, body, *argv, timeout_s=60.0, **kw):
+    """A harness whose backend runs the script ``body`` as the tool."""
+    tool = ExternalEvaluator([sys.executable, "-c", body, *argv],
+                             bundle.space, timeout_s=timeout_s)
+    return harness_for(bundle, tool, **kw)
+
+
+def recorded_requests(path):
+    if not path.exists():
+        return []
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestExternalEvaluator:
-    def test_round_trip(self):
-        ev = script_evaluator(ECHO_EVALUATOR)
-        res = ev.evaluate({"FetchWidth": 4}, "multiply")
+    # the default configuration passes the constraint stage and has
+    # FetchWidth 4, which REQUEST_CHECKER expects
+    def test_round_trip(self, boom):
+        bundle, _ = boom
+        res = tool_harness(bundle, ECHO_EVALUATOR).evaluate(
+            bundle.space.default_configuration(), DIRECT)
         assert res == EvaluationResult(cycles=12345, fmax_mhz=62.5, luts=41000,
                                        power_w=1.2, eval_minutes=17.5, valid=True)
 
-    def test_request_carries_config_hint_and_benchmark(self):
-        ev = script_evaluator(REQUEST_CHECKER)
-        bare = ev.evaluate({"FetchWidth": 4}, "multiply")
+    def test_request_carries_config_hint_and_benchmark(self, boom):
+        bundle, _ = boom
+        h = tool_harness(bundle, REQUEST_CHECKER)
+        cfg = bundle.space.default_configuration()
+        bare = h.evaluate(cfg, DIRECT)
         assert bare.valid and bare.cycles == 1
-        hinted = ev.evaluate({"FetchWidth": 4}, "multiply",
-                             checkpoint_hint="artifacts/abc")
+        hinted = h.evaluate(cfg, FIXED_CHECKPOINT)
         assert hinted.valid and hinted.cycles == 2
 
-    def test_timeout_is_synthesis_failure(self):
-        ev = script_evaluator(SLEEPER, timeout_s=1.0)
-        res = ev.evaluate({"FetchWidth": 4}, "multiply")
+    def test_timeout_is_synthesis_failure(self, boom):
+        bundle, _ = boom
+        res = tool_harness(bundle, SLEEPER, timeout_s=1.0).evaluate(
+            bundle.space.default_configuration(), DIRECT)
         assert not res.valid
         assert res.failure_stage == "synthesis"
+        assert res.eval_minutes == 1.0 / 60.0
 
-    def test_missing_cycles_is_protocol_error(self):
+    def test_missing_cycles_is_protocol_error(self, boom):
+        bundle, _ = boom
         with pytest.raises(ProtocolError, match="cycles"):
-            script_evaluator(MISSING_FIELD).evaluate({"FetchWidth": 4}, "multiply")
+            tool_harness(bundle, MISSING_FIELD).evaluate(
+                bundle.space.default_configuration(), DIRECT)
 
-    def test_invalid_status_maps_to_stage(self):
-        res = script_evaluator(INVALID_STAGE).evaluate({"FetchWidth": 4}, "mm")
+    def test_invalid_status_maps_to_stage(self, boom):
+        bundle, _ = boom
+        res = tool_harness(bundle, INVALID_STAGE, benchmark="mm").evaluate(
+            bundle.space.default_configuration(), DIRECT)
         assert not res.valid
         assert res.failure_stage == "synthesis"
+        assert res.eval_minutes == FAILURE_MINUTES
 
-    def test_nonzero_exit_is_tool_error(self):
+    def test_nonzero_exit_is_tool_error(self, boom):
+        bundle, _ = boom
         with pytest.raises(ToolError):
-            script_evaluator("import sys; sys.stdin.readline(); sys.exit(3)") \
-                .evaluate({"FetchWidth": 4}, "multiply")
+            tool_harness(bundle,
+                         "import sys; sys.stdin.readline(); sys.exit(3)") \
+                .evaluate(bundle.space.default_configuration(), DIRECT)
 
-    def test_garbage_output_is_protocol_error(self):
+    def test_garbage_output_is_protocol_error(self, boom):
+        bundle, _ = boom
         with pytest.raises(ProtocolError):
-            script_evaluator(
-                "import sys; sys.stdin.readline(); print('not json')") \
-                .evaluate({"FetchWidth": 4}, "multiply")
+            tool_harness(
+                bundle, "import sys; sys.stdin.readline(); print('not json')") \
+                .evaluate(bundle.space.default_configuration(), DIRECT)
+
+    def test_failure_charges_are_scaled(self, boom):
+        bundle, _ = boom
+        cfg = bundle.space.default_configuration()
+        timeout = tool_harness(bundle, SLEEPER, timeout_s=1.0,
+                               time_scale=1 / 60).evaluate(cfg, DIRECT)
+        assert timeout.failure_stage == "synthesis"
+        assert timeout.eval_minutes == pytest.approx(1.0 / 60 / 60, rel=1e-12)
+        invalid = tool_harness(bundle, INVALID_STAGE,
+                               time_scale=1 / 60).evaluate(cfg, DIRECT)
+        assert invalid.failure_stage == "synthesis"
+        assert invalid.eval_minutes == pytest.approx(FAILURE_MINUTES / 60,
+                                                     rel=1e-12)
+
+    def test_resource_stage_checks_the_tool_luts(self, boom):
+        bundle, _ = boom
+        res = tool_harness(bundle, ECHO_EVALUATOR, max_luts=40_000).evaluate(
+            bundle.space.default_configuration(), DIRECT)
+        assert res.failure_stage == "resource"
+        assert res.luts == 41000
+        assert res.eval_minutes == FAILURE_MINUTES
+
+    def test_hint_is_the_reference_artifact(self, boom, tmp_path):
+        bundle, model = boom
+        space = bundle.space
+        log = tmp_path / "requests.jsonl"
+        h = tool_harness(bundle, RECORDER, str(log))
+        default = space.default_configuration()
+        near, cfg = random_feasible(bundle, np.random.default_rng(3), 2)
+        store = CheckpointStore(space)
+        insert_all(store, space, model, [default, near],
+                   harness_for(bundle, model))
+        weights = model.match_weights
+        matched = match_config(store, cfg, weights)
+        assert matched.config == near
+        h.evaluate(cfg, DIRECT)
+        h.evaluate(cfg, FIXED_CHECKPOINT)
+        h.evaluate(cfg, RETRIEVAL, db=store, weights=weights)
+        hints = [r["checkpoint_hint"] for r in recorded_requests(log)]
+        assert hints == [None, artifact_path(space, default), matched.artifact]
+
+    def test_lookup_hit_never_spawns_the_tool(self, boom, tmp_path):
+        bundle, model = boom
+        log = tmp_path / "requests.jsonl"
+        h = tool_harness(bundle, RECORDER, str(log))
+        cfg = bundle.space.default_configuration()
+        store = CheckpointStore(bundle.space)
+        insert_all(store, bundle.space, model, [cfg],
+                   harness_for(bundle, model))
+        res = h.evaluate(cfg, RETRIEVAL, db=store,
+                         weights=model.match_weights)
+        assert res.eval_minutes == LOOKUP_MINUTES
+        assert res.cycles == store.lookup(cfg).metrics.cycles
+        assert recorded_requests(log) == []
