@@ -15,11 +15,19 @@ cooling modes are provided:
 Maximization runs a multi-start SLSQP ascent over the relaxed encoded box.
 Gradients are taken on the un-snapped point (the snap projection is piecewise
 constant and carries no gradient); snapping happens only when a local optimum
-is emitted as a candidate.  The constraint tree is compiled once per call
-into a value-and-gradient closure, so each SLSQP iterate costs one relaxed
-view of the point and one pass over the tree.  Candidates that fail the
-exact constraint semantics are discarded, so every returned configuration is
-feasible.
+is emitted as a candidate.  Candidates that fail the exact constraint
+semantics are discarded, so every returned configuration is feasible.
+
+The starts run in lockstep rounds.  Each keeps its own state of scipy's
+SLSQP solver (``_slsqplib.slsqp``, which ``minimize`` drives); a round
+advances every live start by one solver call, then evaluates the round's
+new points as one batch: one kernel matrix and gradient tensor, one stacked
+cost distance and one relaxed view for the constraint tree (compiled once
+per call).  Dot products, Cholesky solves, EI arithmetic and the tree still
+run row by row, so each row equals its batch of one bit for bit and each
+start ends exactly where ``minimize`` takes it alone.  A start whose
+objective or constraint raises ``NumericalError`` or ``InvalidPointError``
+is retired: its snapped start stays a candidate, and the others run on.
 
 Discrete work is batched.  Candidates and polish moves are held as rows of
 per-parameter ranks: a batch is checked against the exact semantics with one
@@ -43,10 +51,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.optimize._slsqplib import slsqp
 
 from .checkpoints import RelaxedCost
 from .constraints import compile_tree, feasible_draws, feasible_rows
-from .errors import NoFeasibleCandidateError
+from .errors import InvalidPointError, NoFeasibleCandidateError, NumericalError
 from .gp import GpModel
 from .space import (
     ParameterSpace,
@@ -182,74 +191,69 @@ def _cooled_scores(ctx: AcquisitionContext, Q: np.ndarray) -> np.ndarray:
         for (mean, var), c in zip(model.predict_batch(Q), cost.tolist())])
 
 
-def _relaxed_objective(ctx: AcquisitionContext):
-    """Negated cooled acquisition and gradient over the un-snapped box."""
+def _relaxed_objective_batch(ctx: AcquisitionContext):
+    """Negated cooled acquisition and gradient at every row of a batch.
+
+    One ``predict_with_gradient_batch`` and one stacked cost distance serve
+    the batch; the EI arithmetic runs row by row, so each row equals its
+    batch of one bit for bit.  Returns a list of ``(value, gradient)``.
+    """
     model = ctx.model
     best = ctx.best_feasible
     floor = model.duplicate_sigma_floor()
     lam = ctx.lam()
     mode = ctx.schedule.mode
 
-    def fun(u):
-        mean, var, dmean, dvar = model.predict_with_gradient(u)
-        sigma = math.sqrt(max(var, 0.0))
-        if sigma <= floor:
-            improvement = best - mean
-            if improvement > floor:
-                ei, dei = improvement, -dmean
-            else:
-                ei, dei = 0.0, np.zeros_like(dmean)
-        else:
-            z = (best - mean) / sigma
-            cdf, pdf = _norm_cdf(z), _norm_pdf(z)
-            ei = (best - mean) * cdf + sigma * pdf
-            dsigma = dvar / (2.0 * sigma)
-            dei = -cdf * dmean + pdf * dsigma
+    def fun(U):
         if ctx.cost is not None:
-            c, dc = ctx.cost.value_and_gradient(u)
+            costs, dcosts = ctx.cost.values_and_gradients(U)
         else:
-            c, dc = 1.0, np.zeros_like(u)
-        if c < COST_EPS:
-            c, dc = COST_EPS, np.zeros_like(u)
-        if mode == PAPER_RATIO:
-            denom = lam * c
-            val = ei / denom
-            grad = dei / denom - ei * lam * dc / denom ** 2
-        else:
-            scale = c ** lam
-            val = ei / scale
-            grad = (dei - ei * lam * dc / c) / scale
-        return -val, -grad
+            costs, dcosts = np.ones(len(U)), np.zeros_like(U)
+        out = []
+        for (mean, var, dmean, dvar), c, dc in zip(
+                model.predict_with_gradient_batch(U), costs.tolist(), dcosts):
+            sigma = math.sqrt(max(var, 0.0))
+            ei = _ei_with_floor(mean, sigma, best, floor)
+            if sigma > floor:
+                z = (best - mean) / sigma
+                dsigma = dvar / (2.0 * sigma)
+                dei = -_norm_cdf(z) * dmean + _norm_pdf(z) * dsigma
+            else:   # deterministic: ei is the improvement, or zero
+                dei = -dmean if ei else np.zeros_like(dmean)
+            if c < COST_EPS:
+                c, dc = COST_EPS, np.zeros_like(dc)
+            if mode == PAPER_RATIO:
+                grad = dei / (lam * c) - ei * lam * dc / (lam * c) ** 2
+            else:
+                grad = (dei - ei * lam * dc / c) / c ** lam
+            out.append((-cooled_value(ei, c, lam, mode), -grad))
+        return out
 
     return fun
 
 
-def _constraint_spec(space: ParameterSpace, tree):
-    """SLSQP inequality dict for smooth_tree >= 0 over the relaxed box.
+def _smooth_constraint(space: ParameterSpace, tree):
+    """Value and jacobian of smooth_tree >= 0 at every row of a batch.
 
-    The tree is compiled once.  The solver asks for the value and the
-    jacobian at the same iterate, so both are computed together and memoized
-    on the point's bytes.
+    The tree is compiled once and the rows are clipped into the box.  One
+    ``relaxed_arrays`` call serves the batch; the tree then runs row by
+    row.  Returns a list of ``(value, jacobian)``.
     """
     smooth = compile_tree(tree, space.ordinal_names)
     coords = space.ordinal_coords.tolist()
-    cache = {"key": None}
 
-    def at(u):
-        u = np.clip(u, 0.0, 1.0)
-        key = u.tobytes()
-        if cache["key"] != key:
-            values, slopes = relaxed_arrays(space, u)
-            value, partials = smooth(values.tolist())
-            slopes = slopes.tolist()
+    def at(U):
+        values, slopes = relaxed_arrays(space, np.clip(U, 0.0, 1.0))
+        out = []
+        for row, row_slopes in zip(values.tolist(), slopes.tolist()):
+            value, partials = smooth(row)
             g = np.zeros(space.encoded_dim)
             for i, dv in partials.items():
-                g[coords[i]] += dv * slopes[i]
-            cache.update(key=key, value=float(value), jac=g)
-        return cache
+                g[coords[i]] += dv * row_slopes[i]
+            out.append((float(value), g))
+        return out
 
-    return {"type": "ineq", "fun": lambda u: at(u)["value"],
-            "jac": lambda u: at(u)["jac"]}
+    return at
 
 
 #: candidates kept for the discrete polish pass, and its cap on moves
@@ -302,6 +306,114 @@ def _box_ranks(space: ParameterSpace, u) -> tuple:
     return tuple(point_ranks(space, np.clip(u, 0.0, 1.0)))
 
 
+#: the errors a start's objective or constraint can raise; they retire it
+_RETIRING = (NumericalError, InvalidPointError)
+
+
+class _SlsqpStart:
+    """One start's SLSQP reverse-communication state over the unit box.
+
+    Laid out as ``_minimize_slsqp`` lays it out for ``m`` inequality
+    constraints.  The memo follows its ``ScalarFunction`` rules: ``nfev``
+    counts values handed to the solver at a new point, and a gradient asked
+    for away from the last evaluation is evaluated without counting.
+    """
+
+    def __init__(self, x0, m: int, maxiter: int):
+        n = len(x0)
+        self.x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+        self.state = dict.fromkeys(
+            ("alpha", "f0", "gs", "h1", "h2", "h3", "h4", "t", "t0"), 0.0)
+        ftol = 1e-8
+        self.state.update(
+            acc=ftol, tol=10.0 * ftol, exact=0, inconsistent=0, reset=0,
+            iter=0, itermax=maxiter, line=0, m=m, meq=0, mode=0, n=n)
+        size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28
+        # multipliers, bounds, workspace and index buffer
+        self.work = (np.zeros(m + 2 * n + 2), np.zeros(n), np.ones(n),
+                     np.zeros(size + (m == 0) * 2 * n * (n + 1)),
+                     np.zeros(m + 2 * n + 2, dtype=np.int32))
+        self.C = np.zeros((max(1, m), n), order="F")
+        self.d = np.zeros(max(1, m))
+        self.fun = self.g = None            # as last handed to the solver
+        self.nfev, self.counted = 0, False  # counted: memo's f is in nfev
+        # last evaluation: (f, g) plus the constraint's (value, jacobian);
+        # None once the start is retired
+        self.memo_x = self.memo = None
+
+    def step(self) -> int:
+        slsqp(self.state, self.fun, self.g, self.C, self.d, self.x,
+              *self.work)
+        return self.state["mode"]
+
+
+def _evaluate_rows(fun, U) -> list:
+    """``fun(U)``, with ``None`` for each row that raises alone.  A row
+    equals its batch of one, so a batch that raises is rerun row by row."""
+    try:
+        return fun(U)
+    except _RETIRING:
+        out = []
+        for u in U:
+            try:
+                out.append(fun(u[None, :])[0])
+            except _RETIRING:
+                out.append(None)
+        return out
+
+
+def _serve(objective, constraint, starts):
+    """Answer every start's pending request; return the starts still live.
+
+    Mode 1 asks for the objective and constraint values, mode -1 for their
+    gradients, and mode 0 (before the first solver call) for both.  Points
+    that differ from a start's last evaluation are evaluated as one batch.
+    """
+    stale = [s for s in starts  # np.array_equal, without its overhead
+             if s.memo_x is None or not (s.x == s.memo_x).all()]
+    if stale:
+        U = np.array([s.x for s in stale])
+        rows = _evaluate_rows(objective, U)
+        cons = [()] * len(U) if constraint is None \
+            else _evaluate_rows(constraint, U)
+        for s, fg, con in zip(stale, rows, cons):
+            s.memo_x, s.counted = s.x.copy(), False
+            s.memo = None if fg is None or con is None else (*fg, *con)
+    live = [s for s in starts if s.memo is not None]
+    for s in live:
+        f, g, *con = s.memo
+        if s.state["mode"] != -1:
+            s.fun = f
+            s.nfev += not s.counted
+            s.counted = True
+            if con:
+                s.d[0] = con[0]
+        if s.state["mode"] != 1:
+            s.g = g
+            if con:
+                s.C[0] = con[1]
+    return live
+
+
+def _slsqp_lockstep(objective, constraint, starts, maxiter: int) -> list:
+    """SLSQP from every start at once, each start with its own solver state.
+
+    Each round advances every live start by one solver call, then serves
+    their requests together.  Each start ends with exactly the ``x``,
+    ``fun``, ``nfev`` and exit mode (``state["mode"]``) that
+    ``minimize(method="SLSQP")`` with the same ``maxiter`` and ``ftol``
+    gives it alone.  Returns one ``_SlsqpStart`` per start, or ``None`` for
+    a retired start.
+    """
+    runs = [_SlsqpStart(u0, 0 if constraint is None else 1, maxiter)
+            for u0 in starts]
+    live = _serve(objective, constraint, runs)
+    while live:
+        live = _serve(objective, constraint,
+                      [s for s in live if abs(s.step()) == 1])
+    return [None if s.memo is None else s for s in runs]
+
+
 def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
                          *, seed: int = 0, warm_configs=None,
                          n_uniform: int = N_UNIFORM_STARTS,
@@ -311,27 +423,25 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     Multi-start constrained local search over the box: each start (the
     warm-start array points plus ``n_uniform`` seeded uniform draws) ascends
     the relaxed surface with SLSQP subject to the smooth constraint
-    relaxation, both the start and its local optimum are snapped, snapped
-    candidates failing the exact semantics are discarded, and the strongest
-    few are polished by feasible single-parameter moves before the highest
-    cooled acquisition wins (first on ties).  Falls back to rejection
-    sampling when no start yields a feasible candidate.
+    relaxation, all starts in lockstep.  Both the start and its local
+    optimum are snapped, snapped candidates failing the exact semantics are
+    discarded, and the strongest few are polished by feasible
+    single-parameter moves before the highest cooled acquisition wins (first
+    on ties).  A retired start contributes its snapped start alone.  Falls
+    back to rejection sampling when no start yields a feasible candidate.
     """
-    objective = _relaxed_objective(ctx)
-    constraints = [_constraint_spec(space, tree)] if tree is not None else []
+    starts = _starts(space, seed, ctx.iteration, warm_configs, n_uniform)
+    runs = _slsqp_lockstep(
+        _relaxed_objective_batch(ctx),
+        _smooth_constraint(space, tree) if tree is not None else None,
+        starts, maxiter)
 
     # snapped candidates as rank rows, first-seen order, duplicates dropped
     found: dict[tuple, None] = {}
-    for u0 in _starts(space, seed, ctx.iteration, warm_configs, n_uniform):
+    for u0, run in zip(starts, runs):
         found.setdefault(_box_ranks(space, u0))
-        try:
-            res = minimize(objective, u0, jac=True, method="SLSQP",
-                           bounds=[(0.0, 1.0)] * space.encoded_dim,
-                           constraints=constraints,
-                           options={"maxiter": maxiter, "ftol": 1e-8})
-        except Exception:
-            continue
-        found.setdefault(_box_ranks(space, res.x))
+        if run is not None:
+            found.setdefault(_box_ranks(space, run.x))
     candidates = feasible_rows(tree, space, np.array(list(found),
                                                      dtype=np.intp))
 
@@ -365,10 +475,11 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     lambda = 1 at iteration 0, which leaves every score exactly EI.
     """
     ctx = AcquisitionContext(model=model, best_feasible=best)
-    objective = _relaxed_objective(ctx)
+    batch = _relaxed_objective_batch(ctx)
     found: dict[tuple, None] = {}
     for u0 in _starts(space, seed, iteration, warm_configs, n_uniform):
-        res = minimize(objective, u0, jac=True, method="L-BFGS-B",
+        res = minimize(lambda u: batch(u[None, :])[0], u0, jac=True,
+                       method="L-BFGS-B",
                        bounds=[(0.0, 1.0)] * space.encoded_dim,
                        options={"maxiter": maxiter})
         found.setdefault(_box_ranks(space, res.x))

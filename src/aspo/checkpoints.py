@@ -276,21 +276,25 @@ class RelaxedCost:
         self.coord_weights = cw
 
     def value_and_gradient(self, u: np.ndarray):
-        if len(self.Q) == 0:
-            return COST_PRIOR, np.zeros(self.space.encoded_dim)
-        diff = u[None, :] - self.Q
-        dists = (diff ** 2) @ self.coord_weights
-        i = int(np.argmin(dists))
-        grad = 2.0 * self.coord_weights * diff[i]
-        return float(dists[i]), grad
+        values, grads = self.values_and_gradients(np.asarray(u)[None, :])
+        return float(values[0]), grads[0]
 
-    def values(self, U: np.ndarray) -> np.ndarray:
-        """The value of ``value_and_gradient`` at every row of ``U``, bit for bit.
+    def values_and_gradients(self, U: np.ndarray):
+        """Values (rows,) and gradients (rows, D) at every row of ``U``.
 
         The stacked product runs one ``(records, D)`` matrix-vector product
-        per row, the same BLAS call ``value_and_gradient`` makes.
+        per row, so each row equals its batch of one bit for bit.
         """
         if len(self.Q) == 0:
-            return np.full(len(U), COST_PRIOR)
+            return (np.full(len(U), COST_PRIOR),
+                    np.zeros((len(U), self.space.encoded_dim)))
         diff = U[:, None, :] - self.Q[None, :, :]
-        return ((diff ** 2) @ self.coord_weights).min(axis=1)
+        dists = (diff ** 2) @ self.coord_weights
+        rows = np.arange(len(U))
+        nearest = np.argmin(dists, axis=1)
+        return (dists[rows, nearest],
+                2.0 * self.coord_weights * diff[rows, nearest])
+
+    def values(self, U: np.ndarray) -> np.ndarray:
+        """The value of ``value_and_gradient`` at every row of ``U``."""
+        return self.values_and_gradients(U)[0]

@@ -100,11 +100,27 @@ def estimated_execution_time(result: EvaluationResult) -> float:
     return result.cycles / (result.fmax_mhz * 1e3)
 
 
+#: top-level keys of a model file (``noise_sd`` is optional)
+MODEL_KEYS = ("base_frequency_mhz", "frequency_sensitivity", "base_luts",
+              "lut_budget", "full_synthesis_minutes", "base_synthesis_minutes",
+              "power_idle_w", "power_per_lut_w", "benchmarks", "match_weights",
+              "parameters")
+
+
 class SyntheticModel:
     """Frozen closed-form stand-in for simulation plus synthesis."""
 
     def __init__(self, data: dict, space: ParameterSpace):
         names = [p.name for p in space.params]
+        coeffs = data.get("parameters", {})
+        missing = [k for k in MODEL_KEYS if k not in data] + [
+            f"{p.name}.{f}" for p in space.params if p.name in coeffs
+            for f in (("lut_factors", "cycle_factors") if p.kind == CATEGORICAL
+                      else ("lut_cost", "cycle_beta"))
+            if f not in coeffs[p.name]]
+        if missing:
+            raise InvalidConfigurationError(
+                f"model file lacks {', '.join(missing)}")
         missing = [n for n in names if n not in data["parameters"]
                    or n not in data["match_weights"]]
         if missing:

@@ -250,16 +250,19 @@ class GpModel:
 
     def predict_with_gradient(self, x):
         """Relaxed posterior and its gradient: (mean, var, dmean, dvar)."""
-        q = np.asarray(x, dtype=float)
-        diff = q[None, :] - self.X
-        k = _matern_terms(self.params.lengthscales,
-                          self.params.signal_variance, diff)[0]
-        mean_std = float(k @ self.alpha)
-        w, info = dpotrs(self.L, k, lower=1)   # the call cho_solve makes
-        if info:
-            raise NumericalError(f"Cholesky solve failed (info {info})")
-        var_std = max(self.params.signal_variance - float(k @ w), 0.0)
+        return self.predict_with_gradient_batch(
+            np.asarray(x, dtype=float)[None, :])[0]
 
+    def predict_with_gradient_batch(self, Q: np.ndarray) -> list[tuple]:
+        """``predict_with_gradient`` at every row of ``Q``, bit for bit.
+
+        One kernel matrix and one gradient tensor serve the batch; the dot
+        products and the Cholesky solve then run row by row, as in
+        ``predict_batch``.
+        """
+        diff = Q[:, None, :] - self.X[None, :, :]
+        K = _matern_terms(self.params.lengthscales,
+                          self.params.signal_variance, diff)[0]
         # d k_i / d x_j, with the Matern radial term's r cancelled.  This r
         # and its exp round differently from the kernel's; sharing those
         # changes trajectories, so it waits for a fixture re-record.
@@ -267,13 +270,21 @@ class GpModel:
         r = np.sqrt(np.sum(diff ** 2 / ell2, axis=-1))
         coef = -(5.0 / 3.0) * self.params.signal_variance \
             * (1 + SQRT5 * r) * np.exp(-SQRT5 * r)
-        dk = coef[:, None] * diff / ell2          # (n, D)
+        dK = coef[..., None] * diff / ell2        # (rows, n, D)
 
-        dmean = dk.T @ self.alpha
-        dvar = -2.0 * (dk.T @ w)
         s = self.target_std
-        return (mean_std * s + self.target_mean, var_std * s * s,
-                dmean * s, dvar * s * s)
+        out = []
+        for k, dk in zip(K, dK):
+            mean_std = float(k @ self.alpha)
+            w, info = dpotrs(self.L, k, lower=1)   # the call cho_solve makes
+            if info:
+                raise NumericalError(f"Cholesky solve failed (info {info})")
+            var_std = max(self.params.signal_variance - float(k @ w), 0.0)
+            dmean = dk.T @ self.alpha
+            dvar = -2.0 * (dk.T @ w)
+            out.append((mean_std * s + self.target_mean, var_std * s * s,
+                        dmean * s, dvar * s * s))
+        return out
 
 
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,

@@ -245,6 +245,14 @@ def _check_point(space: ParameterSpace, point) -> np.ndarray:
     if arr.shape != (space.encoded_dim,):
         raise InvalidPointError(
             f"expected dimension {space.encoded_dim}, got shape {arr.shape}")
+    return _check_rows(space, arr[None, :])[0]
+
+
+def _check_rows(space: ParameterSpace, points) -> np.ndarray:
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != space.encoded_dim:
+        raise InvalidPointError(f"expected rows of dimension "
+                                f"{space.encoded_dim}, got shape {arr.shape}")
     # min and max propagate NaN, which then fails both comparisons
     if arr.size and not (arr.min() >= -_BOX_TOL and arr.max() <= 1.0 + _BOX_TOL):
         if not np.isfinite(arr).all():
@@ -338,14 +346,16 @@ def decode(space: ParameterSpace, point) -> dict:
     return rank_configuration(space, point_ranks(space, point))
 
 
-def relaxed_arrays(space: ParameterSpace, point):
-    """``relaxed_values`` as two arrays over ``space.ordinal_names``.
+def relaxed_arrays(space: ParameterSpace, points):
+    """``relaxed_values`` at every row of ``points``, as two arrays.
 
-    Returns ``(values, slopes)``; the coordinate of entry ``i`` is
-    ``space.ordinal_coords[i]``.
+    Returns ``(values, slopes)``, each with one row per point and one
+    column per entry of ``space.ordinal_names``; the coordinate of column
+    ``i`` is ``space.ordinal_coords[i]``.  The arithmetic is elementwise,
+    so each row equals its batch of one bit for bit.
     """
-    arr = _check_point(space, point)
-    pos = np.clip(arr[space.ordinal_coords], 0.0, 1.0) * space._ord_steps
+    arr = _check_rows(space, points)
+    pos = np.clip(arr[:, space.ordinal_coords], 0.0, 1.0) * space._ord_steps
     i0 = np.minimum(pos.astype(np.intp), space._ord_last)
     frac = pos - i0
     lo = space._ord_table[space._ord_rows, i0]
@@ -362,8 +372,8 @@ def relaxed_values(space: ParameterSpace, point):
     can chain gradients back to the encoded box.  Categorical parameters have
     no numeric view and are omitted.
     """
-    values, slopes = relaxed_arrays(space, point)
+    values, slopes = relaxed_arrays(space, _check_point(space, point)[None, :])
     names = space.ordinal_names
-    return (dict(zip(names, values.tolist())),
+    return (dict(zip(names, values[0].tolist())),
             {n: (c, s) for n, c, s in zip(
-                names, space.ordinal_coords.tolist(), slopes.tolist())})
+                names, space.ordinal_coords.tolist(), slopes[0].tolist())})

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.optimize._optimize import MemoizeJac, _prepare_scalar_function
 from scipy.stats import norm
 
+from aspo import acquisition as acq
 from aspo import assets
 from aspo.acquisition import (
     EXPONENT,
@@ -27,7 +30,11 @@ from aspo.checkpoints import (
     artifact_path,
 )
 from aspo.constraints import exact_configuration, parse_constraints
-from aspo.errors import NoFeasibleCandidateError
+from aspo.errors import (
+    InvalidPointError,
+    NoFeasibleCandidateError,
+    NumericalError,
+)
 from aspo.evaluation import (
     EvalHarness,
     EvaluationResult,
@@ -258,17 +265,38 @@ def reference_alpha_cool(ctx, x):
     return cooled_value(alpha, cost, ctx.lam(), ctx.schedule.mode)
 
 
+def feasible_draws(bundle, rng, n):
+    out = []
+    while len(out) < n:
+        cfg = random_configuration(bundle.space, rng)
+        if exact_configuration(bundle.tree, bundle.space, cfg):
+            out.append(cfg)
+    return out
+
+
+def bundle_context(bundle, rng, mode=PAPER_RATIO):
+    """A cooled context on a bundled processor: a GP fitted to 16 feasible
+    designs, with the first 8 stored as checkpoints."""
+    space = bundle.space
+    train = feasible_draws(bundle, rng, 16)
+    synthetic = SyntheticModel(bundle.model, space)
+    harness = EvalHarness(synthetic, bundle.tree,
+                          ResourceBudget(synthetic.lut_budget))
+    y = [estimated_execution_time(harness.evaluate(c)) for c in train]
+    model = fit(space, [encode(space, c) for c in train], y, seed=0)
+    store = CheckpointStore(space)
+    for cfg in train[:8]:
+        store.insert(CheckpointRecord(
+            config=cfg, encoded=encode(space, cfg), metrics=ok_metrics(),
+            artifact=artifact_path(space, cfg), synthesis_minutes=1.0))
+    return AcquisitionContext(
+        model=model, best_feasible=float(min(y)),
+        cost=RelaxedCost(store, DistanceWeights.ones(space)),
+        schedule=CoolingSchedule(mode=mode), iteration=3)
+
+
 class TestBatchedScores:
     """The polish scorer against the scalar acquisition on single moves."""
-
-    @staticmethod
-    def feasible_draws(bundle, rng, n):
-        out = []
-        while len(out) < n:
-            cfg = random_configuration(bundle.space, rng)
-            if exact_configuration(bundle.tree, bundle.space, cfg):
-                out.append(cfg)
-        return out
 
     @pytest.mark.parametrize("mode", [PAPER_RATIO, EXPONENT])
     @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
@@ -276,23 +304,9 @@ class TestBatchedScores:
         bundle = assets.load_bundle(processor)
         space = bundle.space
         rng = np.random.default_rng(41)
-        train = self.feasible_draws(bundle, rng, 16)
-        synthetic = SyntheticModel(bundle.model, space)
-        harness = EvalHarness(synthetic, bundle.tree,
-                              ResourceBudget(synthetic.lut_budget))
-        y = [estimated_execution_time(harness.evaluate(c)) for c in train]
-        model = fit(space, [encode(space, c) for c in train], y, seed=0)
-        store = CheckpointStore(space)
-        for cfg in train[:8]:
-            store.insert(CheckpointRecord(
-                config=cfg, encoded=encode(space, cfg), metrics=ok_metrics(),
-                artifact=artifact_path(space, cfg), synthesis_minutes=1.0))
-        ctx = AcquisitionContext(
-            model=model, best_feasible=float(min(y)),
-            cost=RelaxedCost(store, DistanceWeights.ones(space)),
-            schedule=CoolingSchedule(mode=mode), iteration=3)
+        ctx = bundle_context(bundle, rng, mode)
         checked = 0
-        for cfg in self.feasible_draws(bundle, rng, 50):
+        for cfg in feasible_draws(bundle, rng, 50):
             ranks = np.array(config_ranks(space, cfg))
             moves = []
             for i, p in enumerate(space.params):
@@ -414,3 +428,174 @@ class TestMaximizeEiUnconstrained:
         model = fit(space, X, y, seed=1)
         cfg = maximize_ei_unconstrained(model, space, float(y.min()), seed=2)
         space.validate(cfg)
+
+
+# --------------------------------------------------------------------------
+# lockstep SLSQP against scipy.optimize.minimize, one start at a time
+
+def minimize_each(objective, constraint, starts, maxiter):
+    """The per-start ``minimize`` loop that the lockstep driver replaced:
+    one result per start, ``None`` where a callback raised."""
+    fun = lambda u: objective(np.asarray(u)[None, :])[0]  # noqa: E731
+    cons = [] if constraint is None else [
+        {"type": "ineq",
+         "fun": lambda u: constraint(np.asarray(u)[None, :])[0][0],
+         "jac": lambda u: constraint(np.asarray(u)[None, :])[0][1]}]
+    out = []
+    for u0 in starts:
+        try:
+            out.append(minimize(fun, u0, jac=True, method="SLSQP",
+                                bounds=[(0.0, 1.0)] * len(u0),
+                                constraints=cons,
+                                options={"maxiter": maxiter, "ftol": 1e-8}))
+        except (NumericalError, InvalidPointError):
+            out.append(None)
+    return out
+
+
+def solver_problem(processor, seed):
+    """Objective, constraint and starts of one acquisition call, with two
+    starts outside the box appended (the solver clips them)."""
+    bundle = assets.load_bundle(processor)
+    space = bundle.space
+    ctx = bundle_context(bundle, np.random.default_rng(seed))
+    rng = np.random.default_rng([seed, 7])
+    starts = acq._starts(space, seed, ctx.iteration, None,
+                         acq.N_UNIFORM_STARTS)
+    starts += list(rng.uniform(-0.4, 1.4, size=(2, space.encoded_dim)))
+    constraint = (acq._smooth_constraint(space, bundle.tree)
+                  if bundle.tree is not None else None)
+    return acq._relaxed_objective_batch(ctx), constraint, starts
+
+
+def assert_same_solves(runs, want):
+    assert len(runs) == len(want)
+    for run, res in zip(runs, want):
+        assert (run is None) == (res is None)
+        if res is not None:
+            assert run.x.tolist() == res.x.tolist()
+            assert run.fun == res.fun
+            assert run.nfev == res.nfev
+            assert run.state["mode"] == res.status
+
+
+class TestLockstepSlsqp:
+    @pytest.mark.parametrize("processor, seed", [
+        ("boom", 0), ("boom", 1), ("rocketchip", 0)])
+    def test_matches_minimize_start_by_start(self, processor, seed):
+        objective, constraint, starts = solver_problem(processor, seed)
+        assert (processor == "boom") == (constraint is not None)
+        assert any((u0 < 0).any() or (u0 > 1).any() for u0 in starts)
+        runs = acq._slsqp_lockstep(objective, constraint, starts, 60)
+        assert_same_solves(runs, minimize_each(objective, constraint,
+                                               starts, 60))
+
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
+    def test_iteration_limit(self, processor):
+        objective, constraint, starts = solver_problem(processor, 2)
+        runs = acq._slsqp_lockstep(objective, constraint, starts, 3)
+        assert 9 in [r.state["mode"] for r in runs]
+        assert_same_solves(runs, minimize_each(objective, constraint,
+                                               starts, 3))
+
+    def test_memo_rules_match_scalar_function(self):
+        # scripted solver requests, including gradients asked for away from
+        # the last f evaluation, against scipy's own memo layers: the same
+        # points are evaluated, and the same values and nfev handed back
+        objective, _, starts = solver_problem("rocketchip", 3)
+        x0, x1, x2, x3 = (np.clip(u, 0.0, 1.0) for u in starts[:4])
+        ours, theirs = [], []
+
+        def counted(U):
+            ours.extend(u.tolist() for u in U)
+            return objective(U)
+
+        def single(u):
+            theirs.append(u.tolist())
+            return objective(u[None, :])[0]
+
+        fun = MemoizeJac(single)
+        sf = _prepare_scalar_function(fun, x0.copy(), jac=fun.derivative,
+                                      bounds=(0.0, 1.0))
+        run = acq._SlsqpStart(x0, 0, 60)
+        assert acq._serve(counted, None, [run]) == [run]
+        assert run.nfev == sf.nfev == 1
+        script = [(1, x1), (-1, x1), (-1, x2), (1, x2), (1, x2), (1, x3),
+                  (-1, x2), (1, x3), (-1, x3), (1, x1), (-1, x1)]
+        for mode, x in script:
+            run.state["mode"], run.x = mode, x.copy()
+            acq._serve(counted, None, [run])
+            if mode == 1:
+                assert run.fun == sf.fun(x.copy())
+            else:
+                assert run.g.tolist() == sf.grad(x.copy()).tolist()
+            assert run.nfev == sf.nfev
+            assert ours == theirs
+        assert len(ours) == 7   # x0, x1, x2, x3, x2, x3, x1
+
+    def test_retired_start_matches_a_loop_that_skips_it(self, monkeypatch):
+        bundle = assets.load_bundle("boom")
+        space, tree = bundle.space, bundle.tree
+        ctx = bundle_context(bundle, np.random.default_rng(5))
+
+        class FailingCost:
+            """Raises for any row past a threshold on one coordinate."""
+
+            def __init__(self, cost):
+                self.cost = cost
+
+            def values_and_gradients(self, U):
+                if (U[:, 0] > 0.9).any():
+                    raise NumericalError("injected failure")
+                return self.cost.values_and_gradients(U)
+
+            def values(self, U):
+                return self.cost.values(U)
+
+        ctx.cost = FailingCost(ctx.cost)
+        objective = acq._relaxed_objective_batch(ctx)
+        constraint = acq._smooth_constraint(space, tree)
+        starts = acq._starts(space, 0, ctx.iteration, None,
+                             acq.N_UNIFORM_STARTS)
+        want = minimize_each(objective, constraint, starts, 60)
+        retired = [u0 for u0, res in zip(starts, want) if res is None]
+        # some starts retire mid-run, after a first evaluation that passed
+        assert retired and len(retired) < len(starts)
+        assert any(u0[0] <= 0.9 for u0 in retired)
+        runs = acq._slsqp_lockstep(objective, constraint, starts, 60)
+        assert_same_solves(runs, want)
+
+        got = maximize_acquisition(ctx, space, tree, seed=0)
+        monkeypatch.setattr(acq, "_slsqp_lockstep", minimize_each)
+        assert got == maximize_acquisition(ctx, space, tree, seed=0)
+
+
+
+class TestBatchOfOne:
+    """Each batched row equals the same point evaluated alone, bit for bit."""
+
+    @pytest.mark.parametrize("processor", assets.PROCESSORS)
+    def test_gradients_on_random_box_points(self, processor):
+        bundle = assets.load_bundle(processor)
+        space = bundle.space
+        ctx = bundle_context(bundle, np.random.default_rng(17))
+        U = np.random.default_rng(18).uniform(size=(2000, space.encoded_dim))
+        posterior = ctx.model.predict_with_gradient_batch(U)
+        costs, dcosts = ctx.cost.values_and_gradients(U)
+        for u, got, c, dc in zip(U, posterior, costs, dcosts):
+            want = ctx.model.predict_with_gradient(u)
+            assert got[:2] == want[:2]
+            assert got[2].tolist() == want[2].tolist()
+            assert got[3].tolist() == want[3].tolist()
+            value, grad = ctx.cost.value_and_gradient(u)
+            assert c == value and dc.tolist() == grad.tolist()
+
+        objective = acq._relaxed_objective_batch(ctx)
+        for u, (f, g) in zip(U[:200], objective(U[:200])):
+            want_f, want_g = objective(u[None, :])[0]
+            assert f == want_f and g.tolist() == want_g.tolist()
+        if bundle.tree is not None:
+            constraint = acq._smooth_constraint(space, bundle.tree)
+            for u, (c, jac) in zip(U, constraint(U)):
+                want_c, want_jac = constraint(u[None, :])[0]
+                assert c == want_c and jac.tolist() == want_jac.tolist()

@@ -375,6 +375,30 @@ class TestCli:
         assert "error: model file lacks coefficients for FetchWidth, " \
             "RobEntry" in result.output
 
+    def test_validate_names_a_missing_top_level_key(self, tmp_path):
+        root = assets.asset_root()
+        model = json.loads((root / "models/boom.json").read_text())
+        del model["benchmarks"]
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(model))
+        result = CliRunner().invoke(cli_main, [
+            "validate", "--space", str(root / "spaces/boom.json"),
+            "--model", str(mfile)])
+        assert result.exit_code == 2
+        assert "error: model file lacks benchmarks\n" in result.output
+
+    def test_validate_names_a_missing_parameter_field(self, tmp_path):
+        root = assets.asset_root()
+        model = json.loads((root / "models/boom.json").read_text())
+        del model["parameters"]["FetchWidth"]["lut_cost"]
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(model))
+        result = CliRunner().invoke(cli_main, [
+            "validate", "--space", str(root / "spaces/boom.json"),
+            "--model", str(mfile)])
+        assert result.exit_code == 2
+        assert "error: model file lacks FetchWidth.lut_cost\n" in result.output
+
     def test_run_writes_reports(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(cli_main, [
