@@ -110,7 +110,6 @@ MODELS = {
         "base_synthesis_minutes": 2.9,
         "power_idle_w": 0.2,
         "power_per_lut_w": 1.2e-05,
-        "noise_sd": 0.0,
         "benchmarks": BENCHMARKS,
         "match_weights": {
             "icache_size": 1.2, "lsu_stbuf_depth": 0.4, "btb_enable": 0.5,
@@ -135,7 +134,6 @@ MODELS = {
         "base_synthesis_minutes": 12.0,
         "power_idle_w": 0.3,
         "power_per_lut_w": 1.2e-05,
-        "noise_sd": 0.0,
         "benchmarks": BENCHMARKS,
         "match_weights": {
             "core_num": 2.0, "icache_nSets": 0.6, "icache_nWays": 0.9,
@@ -166,7 +164,6 @@ MODELS = {
         "base_synthesis_minutes": 20.3,
         "power_idle_w": 0.4,
         "power_per_lut_w": 1.2e-05,
-        "noise_sd": 0.0,
         "benchmarks": BENCHMARKS,
         "match_weights": {
             "core_num": 2.0, "icache_nSets": 0.6, "icache_nWays": 0.9,

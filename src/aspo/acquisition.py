@@ -76,6 +76,9 @@ EXPONENT = "exponent"
 COST_EPS = 1e-6
 
 N_UNIFORM_STARTS = 32
+#: SLSQP (and L-BFGS-B) iteration cap per start; the discrete polish
+#: recovers the accuracy a tighter solve would add
+MAXITER = 30
 
 
 @dataclass
@@ -291,14 +294,14 @@ def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree,
     return current, current_val
 
 
-def _starts(space: ParameterSpace, seed: int, iteration: int, warm_configs,
-            n_uniform: int) -> list[np.ndarray]:
+def _starts(space: ParameterSpace, seed: int, iteration: int,
+            warm_configs) -> list[np.ndarray]:
     """Multi-start points: the warm-start configurations, then seeded draws."""
     if warm_configs is None:
         warm_configs = warm_start_configs(space, None, seed, budget=10)
     rng = np.random.default_rng([seed, iteration, 2])
     return [encode(space, cfg) for cfg in warm_configs] + \
-        list(rng.uniform(size=(n_uniform, space.encoded_dim)))
+        list(rng.uniform(size=(N_UNIFORM_STARTS, space.encoded_dim)))
 
 
 def _box_ranks(space: ParameterSpace, u) -> tuple:
@@ -415,14 +418,12 @@ def _slsqp_lockstep(objective, constraint, starts, maxiter: int) -> list:
 
 
 def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
-                         *, seed: int = 0, warm_configs=None,
-                         n_uniform: int = N_UNIFORM_STARTS,
-                         maxiter: int = 60) -> dict:
+                         *, seed: int = 0, warm_configs=None) -> dict:
     """Best exact-feasible configuration under the cooled acquisition.
 
     Multi-start constrained local search over the box: each start (the
-    warm-start array points plus ``n_uniform`` seeded uniform draws) ascends
-    the relaxed surface with SLSQP subject to the smooth constraint
+    warm-start array points plus ``N_UNIFORM_STARTS`` seeded uniform draws)
+    ascends the relaxed surface with SLSQP subject to the smooth constraint
     relaxation, all starts in lockstep.  Both the start and its local
     optimum are snapped, snapped candidates failing the exact semantics are
     discarded, and the strongest few are polished by feasible
@@ -430,11 +431,11 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     on ties).  A retired start contributes its snapped start alone.  Falls
     back to rejection sampling when no start yields a feasible candidate.
     """
-    starts = _starts(space, seed, ctx.iteration, warm_configs, n_uniform)
+    starts = _starts(space, seed, ctx.iteration, warm_configs)
     runs = _slsqp_lockstep(
         _relaxed_objective_batch(ctx),
         _smooth_constraint(space, tree) if tree is not None else None,
-        starts, maxiter)
+        starts, MAXITER)
 
     # snapped candidates as rank rows, first-seen order, duplicates dropped
     found: dict[tuple, None] = {}
@@ -463,9 +464,7 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
 
 def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
                               best: float, *, seed: int = 0, iteration: int = 0,
-                              warm_configs=None,
-                              n_uniform: int = N_UNIFORM_STARTS,
-                              maxiter: int = 60) -> dict:
+                              warm_configs=None) -> dict:
     """Plain EI maximization: no constraints, no cost, no feasibility filter.
 
     This is the conventional-BO proposal generator used as a baseline; the
@@ -477,11 +476,11 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     ctx = AcquisitionContext(model=model, best_feasible=best)
     batch = _relaxed_objective_batch(ctx)
     found: dict[tuple, None] = {}
-    for u0 in _starts(space, seed, iteration, warm_configs, n_uniform):
+    for u0 in _starts(space, seed, iteration, warm_configs):
         res = minimize(lambda u: batch(u[None, :])[0], u0, jac=True,
                        method="L-BFGS-B",
                        bounds=[(0.0, 1.0)] * space.encoded_dim,
-                       options={"maxiter": maxiter})
+                       options={"maxiter": MAXITER})
         found.setdefault(_box_ranks(space, res.x))
     candidates = np.array(list(found), dtype=np.intp)
     scores = _cooled_scores(ctx, encode_ranks(space, candidates))

@@ -55,29 +55,6 @@ def _verified_text(root: Path, rel: str, manifest: dict) -> str:
     return raw.decode("utf-8")
 
 
-def load_space(processor: str, root=None) -> ParameterSpace:
-    root = Path(root) if root is not None else asset_root()
-    manifest = load_manifest(root)
-    text = _verified_text(root, f"spaces/{processor}.json", manifest)
-    return ParameterSpace.from_json(text)
-
-
-def load_constraint_tree(processor: str, space: ParameterSpace, root=None):
-    """Constraint tree for a processor, or None when none is bundled."""
-    if processor not in CONSTRAINED:
-        return None
-    root = Path(root) if root is not None else asset_root()
-    manifest = load_manifest(root)
-    text = _verified_text(root, f"constraints/{processor}.json", manifest)
-    return parse_constraints(text, space)
-
-
-def load_model_dict(processor: str, root=None) -> dict:
-    root = Path(root) if root is not None else asset_root()
-    manifest = load_manifest(root)
-    return json.loads(_verified_text(root, f"models/{processor}.json", manifest))
-
-
 @dataclass
 class Bundle:
     processor: str
@@ -87,12 +64,20 @@ class Bundle:
 
 
 def load_bundle(processor: str, root=None) -> Bundle:
+    """A processor's space, constraint tree (None when none is bundled)
+    and model dict, checked against one read of the manifest."""
     if processor not in PROCESSORS:
         raise AssetError(f"unknown processor {processor!r}; "
                          f"bundled: {', '.join(PROCESSORS)}")
-    space = load_space(processor, root)
-    tree = load_constraint_tree(processor, space, root)
-    model = load_model_dict(processor, root)
+    root = Path(root) if root is not None else asset_root()
+    manifest = load_manifest(root)
+    space = ParameterSpace.from_json(
+        _verified_text(root, f"spaces/{processor}.json", manifest))
+    tree = parse_constraints(_verified_text(
+        root, f"constraints/{processor}.json", manifest), space) \
+        if processor in CONSTRAINED else None
+    model = json.loads(
+        _verified_text(root, f"models/{processor}.json", manifest))
     try:
         SyntheticModel(model, space)
     except InvalidConfigurationError as exc:

@@ -109,7 +109,6 @@ class CheckpointStore:
 
     def __init__(self, space: ParameterSpace):
         self.space = space
-        self.categorical = space.categorical_mask
         self._index: dict[tuple, int] = {}
         self._records: list[CheckpointRecord] = []
         self._features = np.empty((0, len(space)))
@@ -174,8 +173,8 @@ class CheckpointStore:
 def _distances_to_all(store: CheckpointStore, cfg: dict,
                       weights: DistanceWeights) -> np.ndarray:
     fx = config_features(store.space, cfg)
-    terms = _pairwise_terms(store.categorical, store.feature_matrix(),
-                            fx[None, :])
+    terms = _pairwise_terms(store.space.categorical_mask,
+                            store.feature_matrix(), fx[None, :])
     return terms @ weights.w
 
 
@@ -223,8 +222,8 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn,
     # stays stacked, one (n-1, P) matrix-vector product per block: a flat
     # (n*(n-1), P) product rounds some rows differently and can flip a tie.
     terms = np.stack([
-        _pairwise_terms(store.categorical, np.delete(feats, i, axis=0),
-                        feats[i][None, :])
+        _pairwise_terms(store.space.categorical_mask,
+                        np.delete(feats, i, axis=0), feats[i][None, :])
         for i in range(len(sample))])
     times: dict[tuple[int, int], float] = {}
 

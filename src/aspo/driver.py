@@ -10,10 +10,9 @@ the identical harness and accounting with only the proposal step swapped.
 
 All times are virtual: evaluation minutes come from the synthetic model
 (scaled by the run's time-compression factor) and accumulate on a virtual
-clock, which also drives the stored checkpoints' timestamps.  Optimizer
-wall-clock overhead is measured and reported in memory but kept out of the
-emitted files and out of the stopping rule, so identical run configurations
-produce byte-identical reports.
+clock, which also drives the stored checkpoints' timestamps.  No wall-clock
+time enters the emitted files or the stopping rule, so identical run
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -74,10 +72,6 @@ STAGNATION_RTOL = 1e-3
 #: virtual epoch for deterministic checkpoint timestamps
 _EPOCH = datetime(2000, 1, 1)
 
-#: SLSQP iteration cap inside the driver loop (speed; accuracy is recovered
-#: by the discrete polish step)
-INNER_MAXITER = 30
-
 
 @dataclass
 class RunConfig:
@@ -92,8 +86,6 @@ class RunConfig:
     acquisition_mode: str = PAPER_RATIO
     strategy: str = RETRIEVAL
     max_luts: int | None = None
-    lambda0: float = 1.0
-    cooling_k: float = 0.1
     time_compression: float = 1.0 / 60.0
     # consecutive non-improving iterations before stopping; None disables the
     # rule for fixed-budget comparisons
@@ -133,7 +125,6 @@ class RunReport:
     best_eet_ms: float | None
     idr: float | None
     tdt_minutes: float
-    overhead_minutes: float
     stop_reason: str
     space: ParameterSpace
     error: str | None = None
@@ -239,7 +230,6 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     clock = 0.0
     limit = rc.tdt_limit_minutes * rc.time_compression
     inserts = 0
-    overhead_s = 0.0
     stop_reason = "budget-exhausted"
     error = None
 
@@ -250,8 +240,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         nonlocal clock, inserts, weights
         cost_before = cost_estimate(store, cfg, weights)
         cache_hit = rc.strategy == RETRIEVAL and store.lookup(cfg) is not None
-        result = harness.evaluate(cfg, rc.strategy, db=store,
-                                  weights=weights, seed=rc.seed)
+        result = harness.evaluate(cfg, rc.strategy, db=store, weights=weights)
         clock += result.eval_minutes
         history.append(HistoryEntry(iteration, cfg, result, alpha_value,
                                     cost_before))
@@ -294,8 +283,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
                 return random_configuration(space, rng), None
             model, best = surrogate
             cfg = maximize_ei_unconstrained(model, space, best, seed=rc.seed,
-                                            iteration=t - 1, warm_configs=warm,
-                                            maxiter=INNER_MAXITER)
+                                            iteration=t - 1, warm_configs=warm)
             return cfg, expected_improvement(model, encode(space, cfg), best)
         if surrogate is None:
             draws = feasible_draws(tree, space,
@@ -305,11 +293,10 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         ctx = AcquisitionContext(
             model=model, best_feasible=best, tree=tree,
             cost=RelaxedCost(store, weights),
-            schedule=CoolingSchedule(rc.lambda0, rc.cooling_k,
-                                     rc.acquisition_mode),
+            schedule=CoolingSchedule(mode=rc.acquisition_mode),
             iteration=t - 1)
         cfg = maximize_acquisition(ctx, space, tree, seed=rc.seed,
-                                   warm_configs=warm, maxiter=INNER_MAXITER)
+                                   warm_configs=warm)
         return cfg, alpha_cool(ctx, encode(space, cfg))
 
     _, prev_best = best_valid()
@@ -319,9 +306,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
             if clock >= limit:
                 stop_reason = "tdt-limit"
                 break
-            t0 = time.perf_counter()
             proposal = propose(t)
-            overhead_s += time.perf_counter() - t0
             if proposal is None:
                 stop_reason = "converged"
                 break
@@ -349,7 +334,6 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         best_eet_ms=best_eet,
         idr=(invalid / len(history)) if history else None,
         tdt_minutes=clock,
-        overhead_minutes=overhead_s / 60.0,
         stop_reason=stop_reason,
         space=space,
         error=error,

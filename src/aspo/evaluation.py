@@ -9,8 +9,9 @@ reference is none under ``direct`` (synthesis from scratch), the default
 configuration under ``fixed-checkpoint``, and the nearest stored checkpoint
 under ``retrieval``, where an exact hit returns the cached metrics at lookup
 cost.  A backend has a ``space``, a ``base_frequency`` that failed results
-record, and ``synthesize(cfg, reference_cfg, benchmark, seed)``, which
-returns a valid result in the tool's own minutes or raises ``Rejected``.
+record, and ``synthesize(cfg, reference_cfg, benchmark)``, which returns a
+valid result in the tool's own minutes or raises ``Rejected``.  The answer
+depends on the design and the reference alone.
 
 ``SyntheticModel`` is a deterministic closed form standing in for a real
 simulate-and-synthesize flow.  Cycle counts start from a per-benchmark base
@@ -26,7 +27,6 @@ toolchain over a one-request, one-response JSON line protocol.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import subprocess
 from dataclasses import asdict, dataclass, replace
@@ -100,7 +100,8 @@ def estimated_execution_time(result: EvaluationResult) -> float:
     return result.cycles / (result.fmax_mhz * 1e3)
 
 
-#: top-level keys of a model file (``noise_sd`` is optional)
+#: top-level keys of a model file; any other key but the ``processor``
+#: label is rejected
 MODEL_KEYS = ("base_frequency_mhz", "frequency_sensitivity", "base_luts",
               "lut_budget", "full_synthesis_minutes", "base_synthesis_minutes",
               "power_idle_w", "power_per_lut_w", "benchmarks", "match_weights",
@@ -112,6 +113,10 @@ class SyntheticModel:
 
     def __init__(self, data: dict, space: ParameterSpace):
         names = [p.name for p in space.params]
+        unknown = [k for k in data if k not in MODEL_KEYS + ("processor",)]
+        if unknown:
+            raise InvalidConfigurationError(
+                f"model file has unknown key(s) {', '.join(unknown)}")
         coeffs = data.get("parameters", {})
         missing = [k for k in MODEL_KEYS if k not in data] + [
             f"{p.name}.{f}" for p in space.params if p.name in coeffs
@@ -126,6 +131,14 @@ class SyntheticModel:
         if missing:
             raise InvalidConfigurationError("model file lacks coefficients "
                                             f"for {', '.join(missing)}")
+        uncovered = [
+            f"{p.name}.{f} lacks {', '.join(map(str, gaps))}"
+            for p in space.params if p.kind == CATEGORICAL
+            for f in ("lut_factors", "cycle_factors")
+            if (gaps := [v for v in p.values if v not in coeffs[p.name][f]])]
+        if uncovered:
+            raise InvalidConfigurationError(
+                f"model file: {'; '.join(uncovered)}")
         self.space = space
         self.base_frequency = float(data["base_frequency_mhz"])
         self.gamma = float(data["frequency_sensitivity"])
@@ -135,7 +148,6 @@ class SyntheticModel:
         self.t_base = float(data["base_synthesis_minutes"])
         self.power_idle = float(data["power_idle_w"])
         self.power_per_lut = float(data["power_per_lut_w"])
-        self.noise_sd = float(data.get("noise_sd", 0.0))
         self.benchmarks = dict(data["benchmarks"])
         self.coeffs = data["parameters"]
         self.match_weights = DistanceWeights(
@@ -168,7 +180,7 @@ class SyntheticModel:
     def fmax(self, cfg: dict) -> float:
         return self.base_frequency * (1.0 - self.gamma * self.complexity(cfg))
 
-    def cycles(self, cfg: dict, benchmark: str, seed: int = 0) -> int:
+    def cycles(self, cfg: dict, benchmark: str) -> int:
         try:
             base = self.benchmarks[benchmark]
         except KeyError:
@@ -180,17 +192,7 @@ class SyntheticModel:
                 penalty += c["cycle_factors"][cfg[p.name]]
             else:
                 penalty += c["cycle_beta"] * (1.0 - p.scaled_rank(cfg[p.name])) ** 2
-        value = base * (1.0 + penalty)
-        if self.noise_sd > 0:
-            value *= float(np.exp(self.noise_sd * self._noise_draw(cfg, benchmark, seed)))
-        return int(round(value))
-
-    def _noise_draw(self, cfg: dict, benchmark: str, seed: int) -> float:
-        key = json.dumps([[p.name, cfg[p.name]] for p in self.space.params]) \
-            + benchmark
-        digest = hashlib.sha256(key.encode()).digest()
-        return float(np.random.default_rng(
-            [seed, int.from_bytes(digest[:8], "big")]).standard_normal())
+        return int(round(base * (1.0 + penalty)))
 
     def power(self, luts: int) -> float:
         return self.power_idle + self.power_per_lut * luts
@@ -210,10 +212,10 @@ class SyntheticModel:
                        self.t_base), self.t_full)
 
     def synthesize(self, cfg: dict, reference_cfg: dict | None,
-                   benchmark: str, seed: int) -> EvaluationResult:
+                   benchmark: str) -> EvaluationResult:
         luts = self.luts(cfg)
         return EvaluationResult(
-            cycles=self.cycles(cfg, benchmark, seed), fmax_mhz=self.fmax(cfg),
+            cycles=self.cycles(cfg, benchmark), fmax_mhz=self.fmax(cfg),
             luts=luts, power_w=self.power(luts),
             eval_minutes=self.synthesis_time(cfg, reference_cfg), valid=True)
 
@@ -241,14 +243,13 @@ class EvalHarness:
 
     def evaluate(self, cfg: dict, strategy: str = DIRECT,
                  db: CheckpointStore | None = None,
-                 weights: DistanceWeights | None = None,
-                 seed: int = 0) -> EvaluationResult:
+                 weights: DistanceWeights | None = None) -> EvaluationResult:
         """Constraint stage, lookup or synthesis, resource stage; the charge
         in the tool's minutes is scaled to run minutes here, once."""
-        result = self._stages(cfg, strategy, db, weights, seed)
+        result = self._stages(cfg, strategy, db, weights)
         return replace(result, eval_minutes=result.eval_minutes * self.time_scale)
 
-    def _stages(self, cfg, strategy, db, weights, seed) -> EvaluationResult:
+    def _stages(self, cfg, strategy, db, weights) -> EvaluationResult:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         if not exact_configuration(self.tree, self.space, cfg):
@@ -263,13 +264,13 @@ class EvalHarness:
                 reference = match_config(db, cfg, weights).config \
                     if from_store else None
             try:
-                result = self.backend.synthesize(cfg, reference,
-                                                 self.benchmark, seed)
+                result = self.backend.synthesize(cfg, reference, self.benchmark)
             except Rejected as rejection:
                 stage, minutes = rejection.args
                 return self._failed(stage, 0, minutes)
+        # the tool has already spent the synthesis (or lookup) time
         if result.luts > self.budget.max_luts:
-            return self._failed(STAGE_RESOURCE, result.luts, FAILURE_MINUTES)
+            return self._failed(STAGE_RESOURCE, result.luts, result.eval_minutes)
         return result
 
 
@@ -300,7 +301,7 @@ class ExternalEvaluator:
         self._next_id = 0
 
     def synthesize(self, cfg: dict, reference_cfg: dict | None,
-                   benchmark: str, seed: int) -> EvaluationResult:
+                   benchmark: str) -> EvaluationResult:
         self._next_id += 1
         hint = None if reference_cfg is None \
             else artifact_path(self.space, reference_cfg)

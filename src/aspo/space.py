@@ -136,6 +136,8 @@ class ParameterSpace:
         self._ord_params = idx(ordn)
         self._ord_steps = np.array([self.counts[i] - 1 for i in ordn],
                                    dtype=float)
+        # a single-valued ordinal encodes its rank 0 as 0 / 1
+        self._ord_divisors = np.maximum(self._ord_steps, 1.0)
         self._ord_last = np.maximum(self._ord_steps - 1, 0).astype(np.intp)
         self._ord_rows = np.arange(len(ordn))
         table_width = max([2] + [self.counts[i] for i in ordn])
@@ -143,12 +145,6 @@ class ParameterSpace:
             [list(params[i].values)
              + [params[i].values[-1]] * (table_width - self.counts[i])
              for i in ordn], dtype=float).reshape(len(ordn), table_width)
-        # ordinals with a rank step: snap and encode (a single-valued
-        # ordinal always sits at 0)
-        stepped = self._ord_steps > 0
-        self._step_params = self._ord_params[stepped]
-        self._step_coords = self.ordinal_coords[stepped]
-        self._steps = self._ord_steps[stepped]
 
     def __len__(self) -> int:
         return len(self.params)
@@ -288,7 +284,8 @@ def encode_ranks(space: ParameterSpace, ranks) -> np.ndarray:
     out = np.zeros((len(ranks), space.encoded_dim))
     rows = np.arange(len(ranks))[:, None]
     out[rows, space._cat_offsets + ranks[:, space._cat_params]] = 1.0
-    out[:, space._step_coords] = ranks[:, space._step_params] / space._steps
+    out[:, space.ordinal_coords] = ranks[:, space._ord_params] \
+        / space._ord_divisors
     return out
 
 
@@ -303,9 +300,10 @@ def point_ranks(space: ParameterSpace, point) -> np.ndarray:
     if len(space._cat_params):
         padded = np.append(arr, -np.inf)
         ranks[space._cat_params] = np.argmax(padded[space._cat_blocks], axis=1)
-    # ceil(x - 0.5) rounds half-way cases down
-    ranks[space._step_params] = np.ceil(
-        arr[space._step_coords] * space._steps - 0.5).astype(np.intp)
+    # ceil(x - 0.5) rounds half-way cases down; a single-valued ordinal
+    # (no rank step) lands on ceil(-0.5) = rank 0
+    ranks[space._ord_params] = np.ceil(
+        arr[space.ordinal_coords] * space._ord_steps - 0.5).astype(np.intp)
     return ranks
 
 

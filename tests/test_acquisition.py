@@ -343,8 +343,7 @@ class TestMaximizeAcquisition:
                     optimize=False)
         ctx = AcquisitionContext(model=model, best_feasible=4.0)
         got = maximize_acquisition(ctx, space, None, seed=0,
-                                   warm_configs=[{"c": "a"}, {"c": "b"}],
-                                   n_uniform=8)
+                                   warm_configs=[{"c": "a"}, {"c": "b"}])
         # "b" is the only unvisited configuration, hence the only EI mass
         assert got == {"c": "b"}
 
@@ -391,7 +390,7 @@ class TestMaximizeAcquisition:
             {"all": [{"ineq": {"xa": "depth", "xb": "width", "t": -100}}]}, space)
         ctx, _, _ = fitted_context(space, seed=11)
         with pytest.raises(NoFeasibleCandidateError):
-            maximize_acquisition(ctx, space, tree, seed=0, n_uniform=4)
+            maximize_acquisition(ctx, space, tree, seed=0)
 
     def test_deterministic(self):
         space = small_space()
@@ -460,8 +459,7 @@ def solver_problem(processor, seed):
     space = bundle.space
     ctx = bundle_context(bundle, np.random.default_rng(seed))
     rng = np.random.default_rng([seed, 7])
-    starts = acq._starts(space, seed, ctx.iteration, None,
-                         acq.N_UNIFORM_STARTS)
+    starts = acq._starts(space, seed, ctx.iteration, None)
     starts += list(rng.uniform(-0.4, 1.4, size=(2, space.encoded_dim)))
     constraint = (acq._smooth_constraint(space, bundle.tree)
                   if bundle.tree is not None else None)
@@ -555,8 +553,7 @@ class TestLockstepSlsqp:
         ctx.cost = FailingCost(ctx.cost)
         objective = acq._relaxed_objective_batch(ctx)
         constraint = acq._smooth_constraint(space, tree)
-        starts = acq._starts(space, 0, ctx.iteration, None,
-                             acq.N_UNIFORM_STARTS)
+        starts = acq._starts(space, 0, ctx.iteration, None)
         want = minimize_each(objective, constraint, starts, 60)
         retired = [u0 for u0, res in zip(starts, want) if res is None]
         # some starts retire mid-run, after a first evaluation that passed

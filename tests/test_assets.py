@@ -15,7 +15,7 @@ def test_load_assets_pristine():
 
 
 def test_boom_space_has_ten_parameters():
-    space = assets.load_space("boom")
+    space = assets.load_bundle("boom").space
     assert len(space.params) == 10
 
 
@@ -23,7 +23,7 @@ def test_shared_parameters_present_in_both_cores():
     shared = {"core_num", "icache_nSets", "icache_nWays", "dcache_nSets",
               "dcache_nWays"}
     for proc in ("rocketchip", "boom"):
-        names = {p.name for p in assets.load_space(proc).params}
+        names = {p.name for p in assets.load_bundle(proc).space.params}
         assert shared <= names
 
 
@@ -50,7 +50,7 @@ def test_corrupted_file_raises_named_error(tmp_path):
     raw[20] ^= 0xFF
     target.write_bytes(bytes(raw))
     with pytest.raises(AssetError, match="spaces/boom.json"):
-        assets.load_space("boom", root=root)
+        assets.load_bundle("boom", root=root)
 
 
 def test_unlisted_file_rejected(tmp_path):
@@ -89,7 +89,7 @@ def test_model_files_cover_every_parameter():
 
 
 def test_benchmark_table():
-    model = assets.load_model_dict("boom")
+    model = assets.load_bundle("boom").model
     assert model["benchmarks"] == {
         "coremark": 282995, "dhrystone": 186031, "rsort": 171154,
         "qsort": 123506, "multiply": 42503, "spmv": 34466, "mm": 24744,

@@ -53,7 +53,7 @@ def infeasible_inputs(tmp_path) -> list[str]:
         "processor": "tiny", "base_frequency_mhz": 50.0,
         "frequency_sensitivity": 0.2, "base_luts": 100, "lut_budget": 10000,
         "full_synthesis_minutes": 10.0, "base_synthesis_minutes": 2.0,
-        "power_idle_w": 0.1, "power_per_lut_w": 1e-5, "noise_sd": 0.0,
+        "power_idle_w": 0.1, "power_per_lut_w": 1e-5,
         "benchmarks": {"multiply": 1000},
         "match_weights": {"a": 1.0, "b": 1.0},
         "parameters": {"a": {"cycle_beta": 0.5, "lut_cost": 100},
@@ -126,7 +126,7 @@ class TestRunOptimization:
             "processor": "tiny", "base_frequency_mhz": 50.0,
             "frequency_sensitivity": 0.2, "base_luts": 100, "lut_budget": 10000,
             "full_synthesis_minutes": 10.0, "base_synthesis_minutes": 2.0,
-            "power_idle_w": 0.1, "power_per_lut_w": 1e-5, "noise_sd": 0.0,
+            "power_idle_w": 0.1, "power_per_lut_w": 1e-5,
             "benchmarks": {"multiply": 1000},
             "match_weights": {"a": 1.0, "b": 1.0},
             "parameters": {"a": {"cycle_beta": 0.5, "lut_cost": 100},
@@ -155,8 +155,7 @@ class TestRunOptimization:
         assert a.tdt_minutes == b.tdt_minutes
 
     def test_exponent_mode_runs_feasibly(self):
-        report = run_optimization(boom_rc(seed=4, acquisition_mode="exponent",
-                                          cooling_k=0.3))
+        report = run_optimization(boom_rc(seed=4, acquisition_mode="exponent"))
         assert report.idr == 0.0
         assert report.evaluations == 10
 
@@ -210,7 +209,7 @@ class TestBaselines:
             "processor": "tiny", "base_frequency_mhz": 50.0,
             "frequency_sensitivity": 0.2, "base_luts": 100, "lut_budget": 10000,
             "full_synthesis_minutes": 10.0, "base_synthesis_minutes": 2.0,
-            "power_idle_w": 0.1, "power_per_lut_w": 1e-5, "noise_sd": 0.0,
+            "power_idle_w": 0.1, "power_per_lut_w": 1e-5,
             "benchmarks": {"multiply": 1000},
             "match_weights": {"a": 1.0, "b": 1.0},
             "parameters": {"a": {"cycle_beta": 0.5, "lut_cost": 100},
@@ -257,7 +256,7 @@ class TestResourceStage:
     def test_over_budget_proposals_fail_at_resource(self, monkeypatch):
         from aspo.checkpoints import CheckpointStore
         from aspo.constraints import exact_configuration
-        from aspo.evaluation import FAILURE_MINUTES, SyntheticModel
+        from aspo.evaluation import SyntheticModel
 
         inserted = []
         real_insert = CheckpointStore.insert
@@ -266,7 +265,17 @@ class TestResourceStage:
             inserted.append(record.config)
             return real_insert(store, record)
 
+        # the synthesis minutes of each configuration, in the tool's time
+        synthesized = {}
+        real_synthesize = SyntheticModel.synthesize
+
+        def recording_synthesize(model, cfg, reference_cfg, benchmark):
+            result = real_synthesize(model, cfg, reference_cfg, benchmark)
+            synthesized[tuple(cfg.values())] = result.eval_minutes
+            return result
+
         monkeypatch.setattr(CheckpointStore, "insert", recording_insert)
+        monkeypatch.setattr(SyntheticModel, "synthesize", recording_synthesize)
         # the default needs 116,100 LUTs; widening moves climb past 125,000
         rc = boom_rc(max_luts=125_000, budget_iterations=40,
                      stagnation_limit=None)
@@ -283,7 +292,9 @@ class TestResourceStage:
         for e in rejected:
             assert not e.result.valid
             assert e.result.luts == model.luts(e.config)
-            assert e.result.eval_minutes == FAILURE_MINUTES * rc.time_compression
+            # charged the synthesis the tool has already run
+            assert e.result.eval_minutes == \
+                synthesized[tuple(e.config.values())] * rc.time_compression
             assert e.config not in inserted
         assert len(inserted) == sum(e.result.valid for e in report.history)
 
@@ -307,9 +318,9 @@ class TestEmitReport:
                 (tmp_path / "b" / name).read_bytes()
 
     def test_empty_history_summary_only(self, tmp_path):
-        space = assets.load_space("boom")
+        space = assets.load_bundle("boom").space
         report = RunReport(history=[], best_config=None, best_eet_ms=None,
-                           idr=None, tdt_minutes=0.0, overhead_minutes=0.0,
+                           idr=None, tdt_minutes=0.0,
                            stop_reason="budget-exhausted", space=space)
         emit_report(report, tmp_path)
         rows = (tmp_path / "report.jsonl").read_text().splitlines()
@@ -398,6 +409,41 @@ class TestCli:
             "--model", str(mfile)])
         assert result.exit_code == 2
         assert "error: model file lacks FetchWidth.lut_cost\n" in result.output
+
+    @staticmethod
+    def invoke_with_boom_model(command, tmp_path, edit):
+        """``validate`` or a one-iteration ``run`` on the bundled BOOM files,
+        with the model document changed by ``edit``."""
+        root = assets.asset_root()
+        model = json.loads((root / "models/boom.json").read_text())
+        edit(model)
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(model))
+        args = [command, "--space", str(root / "spaces/boom.json"),
+                "--constraints", str(root / "constraints/boom.json"),
+                "--model", str(mfile)]
+        if command == "run":
+            args += ["--iters", "1", "--warm-start", "4",
+                     "--out", str(tmp_path / "out")]
+        return CliRunner().invoke(cli_main, args)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_uncovered_categorical_value_exits_2(self, tmp_path, command):
+        result = self.invoke_with_boom_model(
+            command, tmp_path,
+            lambda m: m["parameters"]["bpd_config"]["lut_factors"].pop("TAGEL"))
+        assert result.exit_code == 2, result.output
+        assert "error: model file: bpd_config.lut_factors lacks TAGEL\n" \
+            in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_model_key_exits_2(self, tmp_path, command):
+        # a model that still asks for cycle noise must not lose it silently
+        result = self.invoke_with_boom_model(
+            command, tmp_path, lambda m: m.update(noise_sd=0.05))
+        assert result.exit_code == 2, result.output
+        assert "error: model file has unknown key(s) noise_sd\n" \
+            in result.output
 
     def test_run_writes_reports(self, tmp_path):
         runner = CliRunner()

@@ -74,8 +74,8 @@ class TestSyntheticModel:
         bundle, model = boom
         h = harness_for(bundle, model)
         cfg = bundle.space.default_configuration()
-        a = h.evaluate(cfg, DIRECT, seed=3)
-        b = h.evaluate(cfg, DIRECT, seed=3)
+        a = h.evaluate(cfg, DIRECT)
+        b = h.evaluate(cfg, DIRECT)
         assert a == b
 
     def test_default_config_metrics_match_model_formula(self, boom):
@@ -398,7 +398,8 @@ class TestExternalEvaluator:
             bundle.space.default_configuration(), DIRECT)
         assert res.failure_stage == "resource"
         assert res.luts == 41000
-        assert res.eval_minutes == FAILURE_MINUTES
+        # the tool has spent its synthesis minutes before the LUT check
+        assert res.eval_minutes == 17.5
 
     def test_hint_is_the_reference_artifact(self, boom, tmp_path):
         bundle, model = boom
