@@ -50,13 +50,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py wraps it)
 from scipy.optimize._slsqplib import slsqp
 
 from .checkpoints import RelaxedCost
 from .constraints import compile_tree, feasible_draws, feasible_rows
 from .errors import InvalidPointError, NoFeasibleCandidateError, NumericalError
-from .gp import GpModel
+from .gp import GpModel, lbfgsb
 from .space import (
     ParameterSpace,
     encode,
@@ -468,19 +468,17 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     """Plain EI maximization: no constraints, no cost, no feasibility filter.
 
     This is the conventional-BO proposal generator used as a baseline; the
-    relaxed posterior is ascended with L-BFGS-B from each start, and the
-    best distinct snapped optimum by EI wins (first on ties).  EI is the
-    cooled acquisition under a neutral context: no cost, so c = 1, and
-    lambda = 1 at iteration 0, which leaves every score exactly EI.
+    relaxed posterior is ascended from each start by ``gp.lbfgsb``'s
+    L-BFGS-B, and the best distinct snapped optimum by EI wins (first on
+    ties).  EI is the cooled acquisition under a neutral context: no cost,
+    so c = 1, and lambda = 1 at iteration 0, which leaves every score EI.
     """
     ctx = AcquisitionContext(model=model, best_feasible=best)
     batch = _relaxed_objective_batch(ctx)
     found: dict[tuple, None] = {}
+    lo, hi = np.zeros(space.encoded_dim), np.ones(space.encoded_dim)
     for u0 in _starts(space, seed, iteration, warm_configs):
-        res = minimize(lambda u: batch(u[None, :])[0], u0, jac=True,
-                       method="L-BFGS-B",
-                       bounds=[(0.0, 1.0)] * space.encoded_dim,
-                       options={"maxiter": MAXITER})
+        res = lbfgsb(lambda u: batch(u[None, :])[0], u0, lo, hi, MAXITER)
         found.setdefault(_box_ranks(space, res.x))
     candidates = np.array(list(found), dtype=np.intp)
     scores = _cooled_scores(ctx, encode_ranks(space, candidates))

@@ -11,6 +11,11 @@ Targets are standardized to zero mean / unit variance internally; predictions
 are returned in original units.  Duplicate snapped inputs are merged by
 averaging their targets and inflating the merged point's noise by the group
 variance, keeping the Gram matrix well conditioned.
+
+Hyperparameters come from L-BFGS-B restarts run by ``lbfgsb``, which drives
+scipy's ``setulb`` directly and ends where ``minimize`` would.  The
+likelihood calls LAPACK itself and takes every lengthscale gradient from one
+``(n, n, D)`` product, bit for bit as scipy's wrappers and a loop would.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import dpotrs, dtrtrs
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.optimize import OptimizeResult
+from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py wraps it)
+from scipy.optimize._lbfgsb import setulb
 
 from .errors import NumericalError
 from .space import ParameterSpace, snap
@@ -117,7 +124,9 @@ def _nll_and_grad(theta, diff, y, extra_noise, jitter):
 
     theta = log([lengthscales (D), signal_variance, noise_variance]); ``diff``
     holds the input pairs' differences.  Returns a large penalty on Cholesky
-    failure so line searches back off.
+    failure so line searches back off; raises ``NumericalError`` when the
+    kernel or the likelihood is not finite.  The LAPACK calls are those
+    ``cholesky`` and ``cho_solve`` make.
     """
     n, D = len(y), diff.shape[-1]
     ell = np.exp(theta[:D])
@@ -125,24 +134,25 @@ def _nll_and_grad(theta, diff, y, extra_noise, jitter):
     nv = np.exp(theta[D + 1])
 
     K_sig, r, expo, scaled_sq = _matern_terms(ell, sv, diff)
-    K = K_sig + np.diag(nv + extra_noise)
-    try:
-        L = cholesky(K + jitter * np.eye(n), lower=True)
-    except np.linalg.LinAlgError:
+    K = K_sig + np.diag(nv + extra_noise) + jitter * np.eye(n)
+    if not np.isfinite(K).all():
+        raise NumericalError("likelihood kernel is not finite")
+    L, info = dpotrf(K, lower=1, clean=1)
+    if info:
         return 1e25, np.zeros_like(theta)
-
-    alpha = cho_solve((L, True), y)
+    alpha = dpotrs(L, y, lower=1)[0]
     nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2 * np.pi)
+    if not np.isfinite(nll):
+        raise NumericalError("likelihood is not finite")
 
-    Kinv = cho_solve((L, True), np.eye(n))
-    B = np.outer(alpha, alpha) - Kinv
-
-    grad = np.zeros_like(theta)
-    # common factor of the Matern-5/2 radial derivative, with r cancelled
+    B = np.outer(alpha, alpha) - dpotrs(L, np.eye(n), lower=1)[0]
+    # common factor of the Matern-5/2 radial derivative, with r cancelled:
+    # d K / d log ell_j = radial * scaled_sq[..., j].  Each j sums its own
+    # contiguous row, as np.sum over one n x n product would.
     radial = (5.0 / 3.0) * sv * (1 + SQRT5 * r) * expo
-    for j in range(D):
-        dK = radial * scaled_sq[:, :, j]  # d K / d log ell_j
-        grad[j] = -0.5 * np.sum(B * dK)
+    terms = B[..., None] * (radial[..., None] * scaled_sq)
+    grad = np.empty_like(theta)
+    grad[:D] = -0.5 * np.ascontiguousarray(terms.reshape(n * n, D).T).sum(axis=1)
     grad[D] = -0.5 * np.sum(B * K_sig)
     grad[D + 1] = -0.5 * nv * np.trace(B)
     return float(nll), grad
@@ -287,12 +297,56 @@ class GpModel:
         return out
 
 
+def lbfgsb(fun, x0, lo, hi, maxiter: int) -> OptimizeResult:
+    """``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...,
+    options={"maxiter": maxiter})`` over the box of float arrays ``lo`` and
+    ``hi``, without its wrappers: the same ``x``, ``fun``, ``nfev``, ``nit``
+    and ``status``.
+
+    Drives scipy's ``setulb`` in reverse communication as ``minimize`` does:
+    ``x0`` is clipped and evaluated once, a request at an unchanged point is
+    answered from the last evaluation, and ``nit`` counts new iterates.
+    """
+    # minimize's defaults: 10 corrections, factr = ftol / eps at its default
+    # ftol, pgtol 1e-5, 20 line-search steps and 15000 evaluations
+    m, factr, maxfun = 10, 2.2204460492503131e-09 / np.finfo(float).eps, 15000
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    n, memo_x = len(x), x.copy()
+    memo, nfev, nit = fun(memo_x), 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    task, ln_task, lsave, isave, iwa = (np.zeros(k, dtype=np.int32)
+                                        for k in (2, 2, 4, 44, 3 * n))
+    dsave, nbd = np.zeros(29), np.full(n, 2, dtype=np.int32)  # 2: both bounds
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave,
+               isave, dsave, 20, ln_task)
+        if task[0] == 3:                    # f and g wanted at x
+            if not (x == memo_x).all():
+                memo_x = x.copy()
+                memo, nfev = fun(memo_x), nfev + 1
+            f, g = memo
+        elif task[0] == 1:                  # a new iterate
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
+    return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, status=status)
+
+
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,
         *, optimize: bool = True, seed: int = 0) -> GpModel:
     """Fit a model, maximizing marginal likelihood by multi-start L-BFGS-B.
 
     Restart 0 begins at ``init`` (or the defaults), the rest at seeded
     log-uniform draws; ties between restarts resolve to the lowest index.
+    The restarts run one after another, each through ``lbfgsb`` (60
+    iterations at most), which ends where ``minimize`` would.
     With ``optimize=False`` the given hyperparameters are used as-is (this is
     the only mode that accepts a single training point, and the way to pin
     ``noise_variance=0`` for exact interpolation).
@@ -320,7 +374,6 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
 
     lo = np.log([*([LENGTHSCALE_BOUNDS[0]] * D), SIGNAL_BOUNDS[0], NOISE_BOUNDS[0]])
     hi = np.log([*([LENGTHSCALE_BOUNDS[1]] * D), SIGNAL_BOUNDS[1], NOISE_BOUNDS[1]])
-    bounds = list(zip(lo, hi))
 
     def start_point(r: int) -> np.ndarray:
         if r == 0:
@@ -337,11 +390,8 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
     diff = X[:, None, :] - X[None, :, :]
     best = None
     for r in range(FIT_RESTARTS):
-        theta0 = np.clip(start_point(r), lo, hi)
-        res = minimize(_nll_and_grad, theta0,
-                       args=(diff, y, extra, init.jitter),
-                       jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 60})
+        res = lbfgsb(lambda t: _nll_and_grad(t, diff, y, extra, init.jitter),
+                     start_point(r), lo, hi, 60)
         if best is None or res.fun < best.fun:
             best = res
 

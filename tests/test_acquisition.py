@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 from scipy.optimize._optimize import MemoizeJac, _prepare_scalar_function
 from scipy.stats import norm
 
 from aspo import acquisition as acq
 from aspo import assets
+from aspo import gp as gp_mod
 from aspo.acquisition import (
     EXPONENT,
     PAPER_RATIO,
@@ -566,6 +568,93 @@ class TestLockstepSlsqp:
         monkeypatch.setattr(acq, "_slsqp_lockstep", minimize_each)
         assert got == maximize_acquisition(ctx, space, tree, seed=0)
 
+
+
+def record_lbfgsb(monkeypatch, module):
+    """Make ``module.lbfgsb`` also solve each problem with ``minimize``;
+    returns the list that collects (problem, ours, minimize's)."""
+    solves = []
+    driver = gp_mod.lbfgsb
+
+    def both(fun, x0, lo, hi, maxiter):
+        ours = driver(fun, x0, lo, hi, maxiter)
+        solves.append(((fun, x0, lo, hi), ours, lbfgsb_by_minimize(
+            fun, x0, lo, hi, maxiter)))
+        return ours
+
+    monkeypatch.setattr(module, "lbfgsb", both)
+    return solves
+
+
+def lbfgsb_by_minimize(fun, x0, lo, hi, maxiter):
+    return minimize(fun, x0, jac=True, method="L-BFGS-B",
+                    bounds=list(zip(lo, hi)), options={"maxiter": maxiter})
+
+
+def assert_same_lbfgsb(ours, theirs):
+    assert ours.x.tolist() == theirs.x.tolist()
+    assert ours.fun == theirs.fun
+    assert (ours.nfev, ours.nit, ours.status) == \
+        (theirs.nfev, theirs.nit, theirs.status)
+
+
+class TestLbfgsbDriver:
+    """``gp.lbfgsb`` against ``minimize(method="L-BFGS-B")``, solve by solve."""
+
+    def test_setulb_signature(self):
+        assert setulb.__doc__.startswith(
+            "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,"
+            "dsave,maxls,ln_task)")
+
+    @pytest.mark.parametrize("processor, seed", [
+        ("boom", 0), ("boom", 1), ("rocketchip", 0), ("el2_veer", 2)])
+    def test_fit_restarts_match_minimize(self, monkeypatch, processor, seed):
+        solves = record_lbfgsb(monkeypatch, gp_mod)
+        bundle_context(assets.load_bundle(processor),
+                       np.random.default_rng(seed))
+        assert len(solves) == gp_mod.FIT_RESTARTS
+        for _, ours, theirs in solves:
+            assert_same_lbfgsb(ours, theirs)
+
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
+    def test_iteration_limit(self, monkeypatch, processor):
+        solves = record_lbfgsb(monkeypatch, gp_mod)
+        bundle_context(assets.load_bundle(processor), np.random.default_rng(4))
+        monkeypatch.undo()
+        for (fun, x0, lo, hi), _, _ in solves:
+            ours = gp_mod.lbfgsb(fun, x0, lo, hi, 2)
+            assert (ours.nit, ours.status) == (2, 1)
+            assert_same_lbfgsb(ours, lbfgsb_by_minimize(fun, x0, lo, hi, 2))
+
+    @pytest.mark.parametrize("processor, seed", [
+        ("boom", 0), ("rocketchip", 1), ("el2_veer", 3)])
+    def test_vanilla_bo_starts_match_minimize(self, monkeypatch, processor,
+                                              seed):
+        bundle = assets.load_bundle(processor)
+        ctx = bundle_context(bundle, np.random.default_rng(seed))
+        solves = record_lbfgsb(monkeypatch, acq)
+        maximize_ei_unconstrained(ctx.model, bundle.space, ctx.best_feasible,
+                                  seed=seed, iteration=2)
+        assert len(solves) == len(acq._starts(bundle.space, seed, 2, None))
+        for _, ours, theirs in solves:
+            assert_same_lbfgsb(ours, theirs)
+
+    def test_abnormal_line_search(self):
+        # a gradient of the wrong sign: every line search fails
+        fun = lambda x: (float(x @ x), -2 * x)  # noqa: E731
+        x0, lo, hi = np.array([0.5, -0.3, 0.2]), -np.ones(3), np.ones(3)
+        ours = gp_mod.lbfgsb(fun, x0, lo, hi, 30)
+        assert ours.status == 2
+        assert_same_lbfgsb(ours, lbfgsb_by_minimize(fun, x0, lo, hi, 30))
+
+    def test_start_outside_the_box_is_clipped(self):
+        objective, _, starts = solver_problem("rocketchip", 5)
+        fun = lambda u: objective(u[None, :])[0]  # noqa: E731
+        lo, hi = np.zeros(len(starts[0])), np.ones(len(starts[0]))
+        for u0 in starts[-2:]:
+            assert (u0 < 0).any() or (u0 > 1).any()
+            assert_same_lbfgsb(gp_mod.lbfgsb(fun, u0, lo, hi, acq.MAXITER),
+                               lbfgsb_by_minimize(fun, u0, lo, hi, acq.MAXITER))
 
 
 class TestBatchOfOne:

@@ -553,3 +553,22 @@ class TestNumericalFailure:
         # warm-start evaluations are still reported
         assert report.evaluations == 6
         assert report.best_eet_ms is not None
+
+    def test_non_finite_likelihood_exits_4(self, monkeypatch, tmp_path):
+        # a NaN difference reaches the real likelihood inside the real fit:
+        # a surrogate failure (exit 4), not a configuration error (exit 2)
+        import aspo.gp as gp_mod
+        likelihood = gp_mod._nll_and_grad
+
+        def nan_difference(theta, diff, *args):
+            diff = diff.copy()
+            diff[0, 1, 0] = np.nan
+            return likelihood(theta, diff, *args)
+
+        monkeypatch.setattr(gp_mod, "_nll_and_grad", nan_difference)
+        result = CliRunner().invoke(cli_main, [
+            "run", "--processor", "boom", "--iters", "3", "--warm-start", "4",
+            "--out", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "stop: numerical-failure" in result.output
+        assert "likelihood kernel is not finite" in result.output

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
+from scipy.linalg import cho_solve, cholesky
 
 from aspo.errors import NumericalError
 from aspo.gp import (
+    SQRT5,
     KernelParams,
     _cholesky_with_escalation,
+    _matern_terms,
+    _nll_and_grad,
     fit,
     gram_matrix,
     kernel_value,
@@ -109,6 +112,83 @@ class TestLogMarginalLikelihood:
 
             fd = (lml_at(t_hi) - lml_at(t_lo)) / (2 * h)
             assert abs(grad[j] - fd) / max(1.0, abs(fd)) < 1e-4
+
+
+def reference_nll_and_grad(theta, diff, y, extra_noise, jitter):
+    """The likelihood through scipy's Cholesky wrappers and one gradient
+    entry per lengthscale: the oracle for ``_nll_and_grad``."""
+    n, D = len(y), diff.shape[-1]
+    ell = np.exp(theta[:D])
+    sv = np.exp(theta[D])
+    nv = np.exp(theta[D + 1])
+
+    K_sig, r, expo, scaled_sq = _matern_terms(ell, sv, diff)
+    K = K_sig + np.diag(nv + extra_noise)
+    try:
+        L = cholesky(K + jitter * np.eye(n), lower=True)
+    except np.linalg.LinAlgError:
+        return 1e25, np.zeros_like(theta)
+
+    alpha = cho_solve((L, True), y)
+    nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2 * np.pi)
+
+    Kinv = cho_solve((L, True), np.eye(n))
+    B = np.outer(alpha, alpha) - Kinv
+
+    grad = np.zeros_like(theta)
+    radial = (5.0 / 3.0) * sv * (1 + SQRT5 * r) * expo
+    for j in range(D):
+        dK = radial * scaled_sq[:, :, j]  # d K / d log ell_j
+        grad[j] = -0.5 * np.sum(B * dK)
+    grad[D] = -0.5 * np.sum(B * K_sig)
+    grad[D + 1] = -0.5 * nv * np.trace(B)
+    return float(nll), grad
+
+
+class TestNllAndGrad:
+    @pytest.mark.parametrize("n", [2, 7, 10, 40])
+    @pytest.mark.parametrize("D", [3, 8, 12])
+    def test_matches_reference_bit_for_bit(self, n, D):
+        rng = np.random.default_rng([n, D])
+        # rows on a coarse grid, so some pairs share coordinates
+        X = rng.integers(0, 4, size=(n, D)) / 3.0
+        diff = X[:, None, :] - X[None, :, :]
+        y = rng.normal(size=n)
+        extra = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0, 0.1, n), 0.0)
+        for _ in range(20):
+            theta = np.concatenate([rng.uniform(np.log(0.01), np.log(20.0), D),
+                                    [rng.uniform(np.log(0.1), np.log(10.0)),
+                                     rng.uniform(np.log(1e-8), np.log(1.0))]])
+            nll, grad = _nll_and_grad(theta, diff, y, extra, 1e-8)
+            want_nll, want_grad = reference_nll_and_grad(theta, diff, y,
+                                                         extra, 1e-8)
+            assert nll == want_nll
+            assert grad.tolist() == want_grad.tolist()
+
+    def test_cholesky_failure_is_the_penalty(self):
+        diff = np.zeros((2, 2, 3))    # two identical rows, no noise: singular
+        theta = np.log([1.0, 1.0, 1.0, 1.0, 1e-300])
+        args = (theta, diff, np.array([1.0, -1.0]), np.zeros(2), 1e-300)
+        nll, grad = _nll_and_grad(*args)
+        assert nll == reference_nll_and_grad(*args)[0] == 1e25
+        assert grad.tolist() == [0.0] * 5
+
+    def test_nan_difference_raises_numerical_error(self):
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(5, 3))
+        diff = X[:, None, :] - X[None, :, :]
+        diff[0, 1, 2] = np.nan      # one entry, above the diagonal
+        with pytest.raises(NumericalError, match="not finite"):
+            _nll_and_grad(np.zeros(5), diff, rng.normal(size=5),
+                          np.zeros(5), 1e-8)
+
+    def test_nan_target_raises_numerical_error_from_fit(self):
+        space = make_space()
+        X = random_vertices(space, 6, seed=30)
+        y = np.random.default_rng(31).normal(size=6)
+        y[2] = np.nan
+        with pytest.raises(NumericalError):
+            fit(space, X, y, seed=0)
 
 
 class TestFit:
