@@ -23,9 +23,10 @@ SLSQP solver (``_slsqplib.slsqp``, which ``minimize`` drives); a round
 advances every live start by one solver call, then evaluates the round's
 new points as one batch: one kernel matrix and gradient tensor, one stacked
 cost distance and one relaxed view for the constraint tree (compiled once
-per call).  Dot products, Cholesky solves, EI arithmetic and the tree still
-run row by row, so each row equals its batch of one bit for bit and each
-start ends exactly where ``minimize`` takes it alone.  A start whose
+per call).  The posterior and every gradient run over arrays; the scalar
+EI chain (libm's ``erf``, ``exp`` and ``pow``) and the tree run row by row.
+Each row equals its batch of one bit for bit, so each start ends exactly
+where ``minimize`` takes it alone.  A start whose
 objective or constraint raises ``NumericalError`` or ``InvalidPointError``
 is retired: its snapped start stays a candidate, and the others run on.
 
@@ -56,7 +57,7 @@ from scipy.optimize._slsqplib import slsqp
 from .checkpoints import RelaxedCost
 from .constraints import compile_tree, feasible_draws, feasible_rows
 from .errors import InvalidPointError, NoFeasibleCandidateError, NumericalError
-from .gp import GpModel, lbfgsb
+from .gp import GpModel, lbfgsb_lockstep
 from .space import (
     ParameterSpace,
     encode,
@@ -107,34 +108,13 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z * _INV_SQRT2))
-
-
-def _norm_pdf(z: float) -> float:
-    return _INV_SQRT2PI * math.exp(-0.5 * z * z)
-
-
 def ei_value(mean: float, sigma: float, best: float) -> float:
     """Closed-form Expected Improvement below ``best`` (minimization)."""
     if sigma <= 0.0:
         return max(best - mean, 0.0)
     z = (best - mean) / sigma
-    return (best - mean) * _norm_cdf(z) + sigma * _norm_pdf(z)
-
-
-def _ei_with_floor(mean, sigma, best, sigma_floor):
-    """EI treating at-floor sigma as deterministic (no revisit value).
-
-    In the deterministic branch, improvements smaller than the floor itself
-    are interpolation roundoff at an already-evaluated design, not signal;
-    they must be zeroed or the near-zero cost estimate of a stored design
-    would amplify them past every genuine candidate.
-    """
-    if sigma <= sigma_floor:
-        improvement = best - mean
-        return improvement if improvement > sigma_floor else 0.0
-    return ei_value(mean, sigma, best)
+    return (best - mean) * (0.5 * (1.0 + math.erf(z * _INV_SQRT2))) \
+        + sigma * (_INV_SQRT2PI * math.exp(-0.5 * z * z))
 
 
 def cooled_value(alpha: float, cost: float, lam: float,
@@ -177,60 +157,69 @@ def expected_improvement(model: GpModel, x, best: float) -> float:
     return alpha_cool(AcquisitionContext(model=model, best_feasible=best), x)
 
 
-def _cooled_scores(ctx: AcquisitionContext, Q: np.ndarray) -> np.ndarray:
-    """Cooled acquisition at every row of ``Q`` (encoded vertices).
+def _cooled_rows(ctx: AcquisitionContext, mean, var, costs) -> np.ndarray:
+    """The cooled acquisition's scalar chain at every row, in Python floats
+    as ``ei_value`` and ``cooled_value`` take it: libm's ``erf``, ``exp``
+    and ``pow`` round differently from numpy's.  Returns the columns value,
+    EI, the normal cdf and pdf at ``z``, sigma (0.0 at or below the floor,
+    where EI is the improvement above the floor or zero), the clamped cost
+    c, the cooled denominator d (lambda c or c ** lambda) and d ** 2."""
+    best, floor = ctx.best_feasible, ctx.model.duplicate_sigma_floor()
+    lam, ratio = ctx.lam(), ctx.schedule.mode == PAPER_RATIO
+    rows = []
+    for m, v, c in zip(mean.tolist(), var.tolist(), costs.tolist()):
+        sigma, improvement = math.sqrt(max(v, 0.0)), best - m
+        if sigma <= floor:
+            ei, sigma, cdf, pdf = \
+                improvement if improvement > floor else 0.0, 0.0, 0.0, 0.0
+        else:
+            z = improvement / sigma
+            cdf = 0.5 * (1.0 + math.erf(z * _INV_SQRT2))
+            pdf = _INV_SQRT2PI * math.exp(-0.5 * z * z)
+            ei = improvement * cdf + sigma * pdf
+        c = max(c, COST_EPS)
+        d = lam * c if ratio else c ** lam
+        rows.append((ei / d, ei, cdf, pdf, sigma, c, d, d ** 2))
+    return np.array(rows).reshape(-1, 8).T
 
-    One posterior batch (one kernel matrix) and one stacked cost distance.
-    Every row scores bit for bit as it would alone, so a batch ranks its
-    rows exactly as ``alpha_cool`` would.
-    """
-    model = ctx.model
-    floor = model.duplicate_sigma_floor()
+
+def _cooled_scores(ctx: AcquisitionContext, Q: np.ndarray) -> np.ndarray:
+    """Cooled acquisition at every row of ``Q`` (encoded vertices), from one
+    posterior batch and one stacked cost distance.  Every row scores bit
+    for bit as ``alpha_cool`` scores it alone."""
     cost = ctx.cost.values(Q) if ctx.cost is not None else np.ones(len(Q))
-    lam, mode = ctx.lam(), ctx.schedule.mode
-    return np.array([
-        cooled_value(_ei_with_floor(mean, math.sqrt(max(var, 0.0)),
-                                    ctx.best_feasible, floor), c, lam, mode)
-        for (mean, var), c in zip(model.predict_batch(Q), cost.tolist())])
+    return _cooled_rows(ctx, *ctx.model.predict_batch(Q), cost)[0]
 
 
 def _relaxed_objective_batch(ctx: AcquisitionContext):
     """Negated cooled acquisition and gradient at every row of a batch.
 
-    One ``predict_with_gradient_batch`` and one stacked cost distance serve
-    the batch; the EI arithmetic runs row by row, so each row equals its
-    batch of one bit for bit.  Returns a list of ``(value, gradient)``.
+    One ``predict_with_gradient_arrays`` and one stacked cost distance serve
+    the batch, and the gradients are taken over arrays, so each row equals
+    its batch of one bit for bit.  Returns a list of ``(value, gradient)``.
     """
-    model = ctx.model
-    best = ctx.best_feasible
-    floor = model.duplicate_sigma_floor()
     lam = ctx.lam()
-    mode = ctx.schedule.mode
 
     def fun(U):
         if ctx.cost is not None:
             costs, dcosts = ctx.cost.values_and_gradients(U)
         else:
             costs, dcosts = np.ones(len(U)), np.zeros_like(U)
-        out = []
-        for (mean, var, dmean, dvar), c, dc in zip(
-                model.predict_with_gradient_batch(U), costs.tolist(), dcosts):
-            sigma = math.sqrt(max(var, 0.0))
-            ei = _ei_with_floor(mean, sigma, best, floor)
-            if sigma > floor:
-                z = (best - mean) / sigma
-                dsigma = dvar / (2.0 * sigma)
-                dei = -_norm_cdf(z) * dmean + _norm_pdf(z) * dsigma
-            else:   # deterministic: ei is the improvement, or zero
-                dei = -dmean if ei else np.zeros_like(dmean)
-            if c < COST_EPS:
-                c, dc = COST_EPS, np.zeros_like(dc)
-            if mode == PAPER_RATIO:
-                grad = dei / (lam * c) - ei * lam * dc / (lam * c) ** 2
-            else:
-                grad = (dei - ei * lam * dc / c) / c ** lam
-            out.append((-cooled_value(ei, c, lam, mode), -grad))
-        return out
+        mean, var, dmean, dvar = ctx.model.predict_with_gradient_arrays(U)
+        f, ei, cdf, pdf, sigma, c, d, d2 = _cooled_rows(ctx, mean, var, costs)
+        below = sigma == 0.0
+        dei = -cdf[:, None] * dmean + pdf[:, None] \
+            * (dvar / (2.0 * np.where(below, 1.0, sigma))[:, None])
+        if below.any():     # there dei is -dmean where ei is nonzero, else 0
+            dei[below] = np.where((ei[below] != 0.0)[:, None],
+                                  -dmean[below], 0.0)
+        dc = (ei * lam)[:, None] * np.where((costs < COST_EPS)[:, None],
+                                            0.0, dcosts)
+        if ctx.schedule.mode == PAPER_RATIO:
+            grad = dei / d[:, None] - dc / d2[:, None]
+        else:
+            grad = (dei - dc / c[:, None]) / d[:, None]
+        return list(zip((-f).tolist(), -grad))
 
     return fun
 
@@ -239,22 +228,20 @@ def _smooth_constraint(space: ParameterSpace, tree):
     """Value and jacobian of smooth_tree >= 0 at every row of a batch.
 
     The tree is compiled once and the rows are clipped into the box.  One
-    ``relaxed_arrays`` call serves the batch; the tree then runs row by
-    row.  Returns a list of ``(value, jacobian)``.
+    ``relaxed_arrays`` call serves the batch; the tree then runs row by row,
+    filling one jacobian.  Returns a list of ``(value, jacobian)``.
     """
     smooth = compile_tree(tree, space.ordinal_names)
     coords = space.ordinal_coords.tolist()
 
     def at(U):
         values, slopes = relaxed_arrays(space, np.clip(U, 0.0, 1.0))
-        out = []
-        for row, row_slopes in zip(values.tolist(), slopes.tolist()):
-            value, partials = smooth(row)
-            g = np.zeros(space.encoded_dim)
+        out = [smooth(row) for row in values.tolist()]
+        jac = np.zeros((len(U), space.encoded_dim))
+        for g, (_, partials), row_slopes in zip(jac, out, slopes.tolist()):
             for i, dv in partials.items():
                 g[coords[i]] += dv * row_slopes[i]
-            out.append((float(value), g))
-        return out
+        return [(float(value), g) for (value, _), g in zip(out, jac)]
 
     return at
 
@@ -340,8 +327,8 @@ class _SlsqpStart:
         self.d = np.zeros(max(1, m))
         self.fun = self.g = None            # as last handed to the solver
         self.nfev, self.counted = 0, False  # counted: memo's f is in nfev
-        # last evaluation: (f, g) plus the constraint's (value, jacobian);
-        # None once the start is retired
+        # last evaluation, at the point memo_x (a list): f, g and the
+        # constraint's (value, jacobian) or (); None once the start retires
         self.memo_x = self.memo = None
 
     def step(self) -> int:
@@ -372,26 +359,27 @@ def _serve(objective, constraint, starts):
     gradients, and mode 0 (before the first solver call) for both.  Points
     that differ from a start's last evaluation are evaluated as one batch.
     """
-    stale = [s for s in starts  # np.array_equal, without its overhead
-             if s.memo_x is None or not (s.x == s.memo_x).all()]
+    stale = [(s, key) for s, key in zip(starts, [s.x.tolist() for s in starts])
+             if key != s.memo_x]     # np.array_equal, NaN and -0.0 included
     if stale:
-        U = np.array([s.x for s in stale])
+        U = np.array([s.x for s, _ in stale])
         rows = _evaluate_rows(objective, U)
         cons = [()] * len(U) if constraint is None \
             else _evaluate_rows(constraint, U)
-        for s, fg, con in zip(stale, rows, cons):
-            s.memo_x, s.counted = s.x.copy(), False
-            s.memo = None if fg is None or con is None else (*fg, *con)
+        for (s, key), fg, con in zip(stale, rows, cons):
+            s.memo_x, s.counted = key, False
+            s.memo = None if fg is None or con is None else (*fg, con)
     live = [s for s in starts if s.memo is not None]
     for s in live:
-        f, g, *con = s.memo
-        if s.state["mode"] != -1:
+        f, g, con = s.memo
+        mode = s.state["mode"]
+        if mode != -1:
             s.fun = f
             s.nfev += not s.counted
             s.counted = True
             if con:
                 s.d[0] = con[0]
-        if s.state["mode"] != 1:
+        if mode != 1:
             s.g = g
             if con:
                 s.C[0] = con[1]
@@ -468,18 +456,18 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     """Plain EI maximization: no constraints, no cost, no feasibility filter.
 
     This is the conventional-BO proposal generator used as a baseline; the
-    relaxed posterior is ascended from each start by ``gp.lbfgsb``'s
-    L-BFGS-B, and the best distinct snapped optimum by EI wins (first on
-    ties).  EI is the cooled acquisition under a neutral context: no cost,
-    so c = 1, and lambda = 1 at iteration 0, which leaves every score EI.
+    relaxed posterior is ascended from every start by ``gp.lbfgsb``'s
+    L-BFGS-B, all starts in lockstep, and the best distinct snapped optimum
+    by EI wins (first on ties).  EI is the cooled acquisition under a
+    neutral context: no cost, so c = 1, and lambda = 1 at iteration 0,
+    which leaves every score EI.
     """
     ctx = AcquisitionContext(model=model, best_feasible=best)
-    batch = _relaxed_objective_batch(ctx)
-    found: dict[tuple, None] = {}
     lo, hi = np.zeros(space.encoded_dim), np.ones(space.encoded_dim)
-    for u0 in _starts(space, seed, iteration, warm_configs):
-        res = lbfgsb(lambda u: batch(u[None, :])[0], u0, lo, hi, MAXITER)
-        found.setdefault(_box_ranks(space, res.x))
-    candidates = np.array(list(found), dtype=np.intp)
+    runs = lbfgsb_lockstep(_relaxed_objective_batch(ctx),
+                           _starts(space, seed, iteration, warm_configs),
+                           lo, hi, MAXITER)
+    candidates = np.array(list(dict.fromkeys(_box_ranks(space, r.x)
+                                             for r in runs)), dtype=np.intp)
     scores = _cooled_scores(ctx, encode_ranks(space, candidates))
     return rank_configuration(space, candidates[int(np.argmax(scores))])

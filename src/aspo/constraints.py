@@ -32,6 +32,7 @@ the smallest positive value the left-hand side attains on the grid.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -168,18 +169,10 @@ def exact_tree(tree, values):
     Accepts either a configuration mapping or per-parameter numpy arrays;
     returns a bool (or bool array).
     """
-    if isinstance(tree, Conj):
-        parts = [exact_tree(c, values) for c in tree.children]
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.logical_and(out, p)
-        return out
-    if isinstance(tree, Disj):
-        parts = [exact_tree(c, values) for c in tree.children]
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.logical_or(out, p)
-        return out
+    if isinstance(tree, (Conj, Disj)):
+        return functools.reduce(
+            np.logical_and if isinstance(tree, Conj) else np.logical_or,
+            [exact_tree(c, values) for c in tree.children])
     if isinstance(tree, Inequality):
         return smooth_inequality(tree, values) >= 0
     if isinstance(tree, Conditional):

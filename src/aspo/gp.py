@@ -16,6 +16,8 @@ Hyperparameters come from L-BFGS-B restarts run by ``lbfgsb``, which drives
 scipy's ``setulb`` directly and ends where ``minimize`` would.  The
 likelihood calls LAPACK itself and takes every lengthscale gradient from one
 ``(n, n, D)`` product, bit for bit as scipy's wrappers and a loop would.
+Posteriors are batched over query rows with stacked dots; each row equals
+its batch of one bit for bit.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class KernelParams:
 def _matern_terms(ell, sv, diff: np.ndarray):
     """Matern-5/2 at differences ``diff``: (K, r, exp(-sqrt5 r), scaled_sq)."""
     scaled_sq = (diff / ell) ** 2
-    r = np.sqrt(np.sum(scaled_sq, axis=-1))
+    r = np.sqrt(np.add.reduce(scaled_sq, axis=-1))
     expo = np.exp(-SQRT5 * r)
     return sv * (1 + SQRT5 * r + 5 * r * r / 3) * expo, r, expo, scaled_sq
 
@@ -90,9 +92,8 @@ def _matern52(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def kernel_value(space: ParameterSpace, params: KernelParams, x, y) -> float:
     """Snap-composed covariance between two encoded points."""
-    xs = snap(space, x)
-    ys = snap(space, y)
-    return float(_matern52(params, xs[None, :], ys[None, :])[0, 0])
+    return float(_matern52(params, snap(space, x)[None, :],
+                           snap(space, y)[None, :])[0, 0])
 
 
 def gram_matrix(space: ParameterSpace, params: KernelParams, points) -> np.ndarray:
@@ -183,10 +184,8 @@ def _merge_duplicates(X: np.ndarray, y: np.ndarray):
     groups: dict[tuple, list[int]] = {}
     for i, row in enumerate(X):
         groups.setdefault(tuple(np.round(row, 12)), []).append(i)
-    keep = []
-    means = []
-    extras = []
-    for key, idx in groups.items():
+    keep, means, extras = [], [], []
+    for idx in groups.values():
         vals = y[idx]
         keep.append(idx[0])
         means.append(float(vals.mean()))
@@ -224,39 +223,30 @@ class GpModel:
         return float(np.sqrt(self.params.noise_variance + 10 * self.jitter_used)
                      * self.target_std)
 
-    def _posterior(self, k: np.ndarray):
-        """Posterior (mean, variance) in original units from a kernel row."""
-        mean_std = float(k @ self.alpha)
-        # the LAPACK call solve_triangular makes for a lower factor in
-        # Fortran order, as cholesky returns it
-        v, info = dtrtrs(self.L, k, lower=1)
-        if info:
-            raise NumericalError(f"triangular solve failed (info {info})")
-        var_std = self.params.signal_variance - float(v @ v)
-        if var_std < -1e-10:
-            logger.warning("negative posterior variance %.3e clamped", var_std)
-        var_std = max(var_std, 0.0)
-        return (mean_std * self.target_std + self.target_mean,
-                var_std * self.target_std ** 2)
-
     def predict(self, x):
         """Posterior (mean, variance) at one encoded point, original units.
 
         The query is projected onto its vertex first, so any two points with
         the same snap get bitwise-identical predictions.
         """
-        return self.predict_batch(snap(self.space, x)[None, :])[0]
+        mean, var = self.predict_batch(snap(self.space, x)[None, :])
+        return float(mean[0]), float(var[0])
 
-    def predict_batch(self, Q: np.ndarray) -> list[tuple[float, float]]:
-        """Posterior (mean, variance) at every row of ``Q``, taken as given.
-
-        One kernel matrix serves the whole batch.  The mean and the
-        triangular solve then run row by row through the same dot and LAPACK
-        calls, so each row equals its batch of one bit for bit; a
-        matrix-vector product or a multi-right-hand-side solve would sum in
-        another order.
-        """
-        return [self._posterior(k) for k in _matern52(self.params, Q, self.X)]
+    def predict_batch(self, Q: np.ndarray):
+        """Posterior means and variances at the rows of ``Q``, as given.  The
+        triangular solve (``solve_triangular``'s LAPACK call) runs row by
+        row: one multi-right-hand-side ``dtrtrs`` would round differently."""
+        K = _matern52(self.params, Q, self.X)
+        V = np.empty_like(K)
+        for i, k in enumerate(K):
+            V[i], info = dtrtrs(self.L, k, lower=1)
+            if info:
+                raise NumericalError(f"triangular solve failed (info {info})")
+        var_std = self.params.signal_variance - _row_dots(V, V)
+        for v in var_std[var_std < -1e-10].tolist():
+            logger.warning("negative posterior variance %.3e clamped", v)
+        return (_row_dots(K, self.alpha) * self.target_std + self.target_mean,
+                np.where(0.0 > var_std, 0.0, var_std) * self.target_std ** 2)
 
     def predict_with_gradient(self, x):
         """Relaxed posterior and its gradient: (mean, var, dmean, dvar)."""
@@ -264,12 +254,14 @@ class GpModel:
             np.asarray(x, dtype=float)[None, :])[0]
 
     def predict_with_gradient_batch(self, Q: np.ndarray) -> list[tuple]:
-        """``predict_with_gradient`` at every row of ``Q``, bit for bit.
+        """``predict_with_gradient`` at every row of ``Q``."""
+        mean, var, dmean, dvar = self.predict_with_gradient_arrays(Q)
+        return list(zip(mean.tolist(), var.tolist(), dmean, dvar))
 
-        One kernel matrix and one gradient tensor serve the batch; the dot
-        products and the Cholesky solve then run row by row, as in
-        ``predict_batch``.
-        """
+    def predict_with_gradient_arrays(self, Q: np.ndarray):
+        """Relaxed means and variances (rows,) and their gradients (rows, D)
+        at the rows of ``Q``.  One multi-right-hand-side ``dpotrs`` (the
+        call ``cho_solve`` makes) solves each column on its own."""
         diff = Q[:, None, :] - self.X[None, :, :]
         K = _matern_terms(self.params.lengthscales,
                           self.params.signal_variance, diff)[0]
@@ -277,42 +269,41 @@ class GpModel:
         # and its exp round differently from the kernel's; sharing those
         # changes trajectories, so it waits for a fixture re-record.
         ell2 = self.params.lengthscales ** 2
-        r = np.sqrt(np.sum(diff ** 2 / ell2, axis=-1))
+        r = np.sqrt(np.add.reduce(diff ** 2 / ell2, axis=-1))
         coef = -(5.0 / 3.0) * self.params.signal_variance \
             * (1 + SQRT5 * r) * np.exp(-SQRT5 * r)
-        dK = coef[..., None] * diff / ell2        # (rows, n, D)
-
+        dKt = (coef[..., None] * diff / ell2).transpose(0, 2, 1)  # (rows, D, n)
+        W, info = dpotrs(self.L, K.T, lower=1)
+        if info:
+            raise NumericalError(f"Cholesky solve failed (info {info})")
+        W = W.T[:, :, None]
+        var_std = self.params.signal_variance - _row_dots(K, W[..., 0])
         s = self.target_std
-        out = []
-        for k, dk in zip(K, dK):
-            mean_std = float(k @ self.alpha)
-            w, info = dpotrs(self.L, k, lower=1)   # the call cho_solve makes
-            if info:
-                raise NumericalError(f"Cholesky solve failed (info {info})")
-            var_std = max(self.params.signal_variance - float(k @ w), 0.0)
-            dmean = dk.T @ self.alpha
-            dvar = -2.0 * (dk.T @ w)
-            out.append((mean_std * s + self.target_mean, var_std * s * s,
-                        dmean * s, dvar * s * s))
-        return out
+        return (_row_dots(K, self.alpha) * s + self.target_mean,
+                np.where(0.0 > var_std, 0.0, var_std) * s * s,
+                np.matmul(dKt, self.alpha[:, None])[..., 0] * s,
+                -2.0 * np.matmul(dKt, W)[..., 0] * s * s)
 
 
-def lbfgsb(fun, x0, lo, hi, maxiter: int) -> OptimizeResult:
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``a @ b`` per row ``a`` of ``A`` and row (or vector) ``b`` of ``B``:
+    one BLAS dot per row, where a 2-D product would sum batch-dependently."""
+    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
+
+
+def _lbfgsb_steps(x0, lo, hi, maxiter: int):
     """``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...,
-    options={"maxiter": maxiter})`` over the box of float arrays ``lo`` and
-    ``hi``, without its wrappers: the same ``x``, ``fun``, ``nfev``, ``nit``
-    and ``status``.
-
-    Drives scipy's ``setulb`` in reverse communication as ``minimize`` does:
-    ``x0`` is clipped and evaluated once, a request at an unchanged point is
-    answered from the last evaluation, and ``nit`` counts new iterates.
-    """
+    options={"maxiter": maxiter})`` over the box ``lo``, ``hi`` as a
+    generator: it yields each point where ``(f, g)`` is wanted, takes them
+    through ``send`` and returns ``minimize``'s ``x``, ``fun``, ``nfev``,
+    ``nit`` and ``status``.  ``x0`` is clipped and evaluated once, and a
+    request at an unchanged point is answered from the last evaluation."""
     # minimize's defaults: 10 corrections, factr = ftol / eps at its default
     # ftol, pgtol 1e-5, 20 line-search steps and 15000 evaluations
     m, factr, maxfun = 10, 2.2204460492503131e-09 / np.finfo(float).eps, 15000
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     n, memo_x = len(x), x.copy()
-    memo, nfev, nit = fun(memo_x), 1, 0
+    memo, nfev, nit = (yield memo_x), 1, 0
     f, g = np.array(0.0), np.zeros(n)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     task, ln_task, lsave, isave, iwa = (np.zeros(k, dtype=np.int32)
@@ -325,7 +316,7 @@ def lbfgsb(fun, x0, lo, hi, maxiter: int) -> OptimizeResult:
         if task[0] == 3:                    # f and g wanted at x
             if not (x == memo_x).all():
                 memo_x = x.copy()
-                memo, nfev = fun(memo_x), nfev + 1
+                memo, nfev = (yield memo_x), nfev + 1
             f, g = memo
         elif task[0] == 1:                  # a new iterate
             nit += 1
@@ -337,6 +328,34 @@ def lbfgsb(fun, x0, lo, hi, maxiter: int) -> OptimizeResult:
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
     return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, status=status)
+
+
+def lbfgsb(fun, x0, lo, hi, maxiter: int) -> OptimizeResult:
+    """``_lbfgsb_steps`` with ``(f, g) = fun(x)``."""
+    steps = _lbfgsb_steps(x0, lo, hi, maxiter)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fun(x))
+    except StopIteration as done:
+        return done.value
+
+
+def lbfgsb_lockstep(fun, starts, lo, hi, maxiter: int) -> list:
+    """``lbfgsb`` from every start at once: ``fun`` maps the points all live
+    solves want (rows) to a list of ``(f, g)``.  Each start ends where it
+    ends alone when each row of ``fun`` equals its batch of one."""
+    solves = [_lbfgsb_steps(x0, lo, hi, maxiter) for x0 in starts]
+    wanted = {i: next(steps) for i, steps in enumerate(solves)}
+    results = [None] * len(solves)
+    while wanted:
+        for i, fg in zip(list(wanted), fun(np.array(list(wanted.values())))):
+            try:
+                wanted[i] = solves[i].send(fg)
+            except StopIteration as done:
+                results[i] = done.value
+                del wanted[i]
+    return results
 
 
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,

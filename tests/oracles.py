@@ -1,0 +1,146 @@
+"""Row-by-row reference implementations of the batched acquisition.
+
+Each function here is the per-row code that the array code in ``aspo.gp``
+and ``aspo.acquisition`` replaced, kept operation for operation: the 1-D
+BLAS and LAPACK calls, the scalar EI arithmetic through ``math`` and the
+per-row jacobian.  Tests compare the array code against them with ``==``.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg.lapack import dpotrs, dtrtrs
+
+from aspo.acquisition import COST_EPS, PAPER_RATIO, cooled_value, ei_value
+from aspo.constraints import compile_tree
+from aspo.gp import SQRT5
+from aspo.space import relaxed_arrays
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def reference_kernel(model, Q):
+    """Kernel rows between the rows of ``Q`` and the training inputs, and
+    the differences they come from."""
+    diff = Q[:, None, :] - model.X[None, :, :]
+    r = np.sqrt(np.sum((diff / model.params.lengthscales) ** 2, axis=-1))
+    sv = model.params.signal_variance
+    return sv * (1 + SQRT5 * r + 5 * r * r / 3) * np.exp(-SQRT5 * r), diff
+
+
+def reference_posterior(model, Q):
+    """Per row: (mean, variance, unclamped standardized variance), with one
+    dot and one ``dtrtrs`` per row."""
+    out = []
+    for k in reference_kernel(model, Q)[0]:
+        mean_std = float(k @ model.alpha)
+        v, info = dtrtrs(model.L, k, lower=1)
+        assert info == 0
+        raw = model.params.signal_variance - float(v @ v)
+        out.append((mean_std * model.target_std + model.target_mean,
+                    max(raw, 0.0) * model.target_std ** 2, raw))
+    return out
+
+
+def reference_posterior_gradient(model, Q):
+    """Per row: (mean, var, dmean, dvar), with one ``dpotrs`` per row."""
+    K, diff = reference_kernel(model, Q)
+    ell2 = model.params.lengthscales ** 2
+    r = np.sqrt(np.sum(diff ** 2 / ell2, axis=-1))
+    coef = -(5.0 / 3.0) * model.params.signal_variance \
+        * (1 + SQRT5 * r) * np.exp(-SQRT5 * r)
+    dK = coef[..., None] * diff / ell2
+    s = model.target_std
+    out = []
+    for k, dk in zip(K, dK):
+        mean_std = float(k @ model.alpha)
+        w, info = dpotrs(model.L, k, lower=1)
+        assert info == 0
+        var_std = max(model.params.signal_variance - float(k @ w), 0.0)
+        out.append((mean_std * s + model.target_mean, var_std * s * s,
+                    (dk.T @ model.alpha) * s, (-2.0 * (dk.T @ w)) * s * s))
+    return out
+
+
+def _norm_cdf(z):
+    return 0.5 * (1.0 + math.erf(z * _INV_SQRT2))
+
+
+def _norm_pdf(z):
+    return _INV_SQRT2PI * math.exp(-0.5 * z * z)
+
+
+def reference_ei_with_floor(mean, sigma, best, floor):
+    """EI with at-floor sigma deterministic: the improvement above the
+    floor, else zero."""
+    if sigma <= floor:
+        improvement = best - mean
+        return improvement if improvement > floor else 0.0
+    return ei_value(mean, sigma, best)
+
+
+def reference_cooled_scores(ctx, Q):
+    """The cooled acquisition at every row of ``Q``, one row at a time."""
+    model = ctx.model
+    floor = model.duplicate_sigma_floor()
+    cost = ctx.cost.values(Q) if ctx.cost is not None else np.ones(len(Q))
+    return [cooled_value(reference_ei_with_floor(
+                mean, math.sqrt(max(var, 0.0)), ctx.best_feasible, floor),
+                c, ctx.lam(), ctx.schedule.mode)
+            for (mean, var, _), c in zip(reference_posterior(model, Q),
+                                         cost.tolist())]
+
+
+def reference_objective(ctx):
+    """Negated cooled acquisition and its gradient, one row at a time."""
+    model, best, lam = ctx.model, ctx.best_feasible, ctx.lam()
+    floor = model.duplicate_sigma_floor()
+    mode = ctx.schedule.mode
+
+    def fun(U):
+        if ctx.cost is not None:
+            costs, dcosts = ctx.cost.values_and_gradients(U)
+        else:
+            costs, dcosts = np.ones(len(U)), np.zeros_like(U)
+        out = []
+        for (mean, var, dmean, dvar), c, dc in zip(
+                reference_posterior_gradient(model, U), costs.tolist(),
+                dcosts):
+            sigma = math.sqrt(max(var, 0.0))
+            ei = reference_ei_with_floor(mean, sigma, best, floor)
+            if sigma > floor:
+                z = (best - mean) / sigma
+                dsigma = dvar / (2.0 * sigma)
+                dei = -_norm_cdf(z) * dmean + _norm_pdf(z) * dsigma
+            else:
+                dei = -dmean if ei else np.zeros_like(dmean)
+            if c < COST_EPS:
+                c, dc = COST_EPS, np.zeros_like(dc)
+            if mode == PAPER_RATIO:
+                grad = dei / (lam * c) - ei * lam * dc / (lam * c) ** 2
+            else:
+                grad = (dei - ei * lam * dc / c) / c ** lam
+            out.append((-cooled_value(ei, c, lam, mode), -grad))
+        return out
+
+    return fun
+
+
+def reference_smooth_constraint(space, tree):
+    """Value and jacobian of the smooth constraint, one row at a time."""
+    smooth = compile_tree(tree, space.ordinal_names)
+    coords = space.ordinal_coords.tolist()
+
+    def at(U):
+        values, slopes = relaxed_arrays(space, np.clip(U, 0.0, 1.0))
+        out = []
+        for row, row_slopes in zip(values.tolist(), slopes.tolist()):
+            value, partials = smooth(row)
+            g = np.zeros(space.encoded_dim)
+            for i, dv in partials.items():
+                g[coords[i]] += dv * row_slopes[i]
+            out.append((float(value), g))
+        return out
+
+    return at

@@ -54,6 +54,12 @@ from aspo.space import (
     random_configuration,
     snap,
 )
+from oracles import (
+    reference_cooled_scores,
+    reference_objective,
+    reference_posterior,
+    reference_smooth_constraint,
+)
 
 
 def ok_metrics():
@@ -630,14 +636,27 @@ class TestLbfgsbDriver:
         ("boom", 0), ("rocketchip", 1), ("el2_veer", 3)])
     def test_vanilla_bo_starts_match_minimize(self, monkeypatch, processor,
                                               seed):
+        # the starts run in lockstep on the batched objective; each must
+        # still end where minimize takes it alone on the batch of one
         bundle = assets.load_bundle(processor)
         ctx = bundle_context(bundle, np.random.default_rng(seed))
-        solves = record_lbfgsb(monkeypatch, acq)
+        solves = []
+        driver = gp_mod.lbfgsb_lockstep
+
+        def recorded(fun, starts, lo, hi, maxiter):
+            solves.append((fun, starts, lo, hi, maxiter))
+            return driver(fun, starts, lo, hi, maxiter)
+
+        monkeypatch.setattr(acq, "lbfgsb_lockstep", recorded)
         maximize_ei_unconstrained(ctx.model, bundle.space, ctx.best_feasible,
                                   seed=seed, iteration=2)
-        assert len(solves) == len(acq._starts(bundle.space, seed, 2, None))
-        for _, ours, theirs in solves:
-            assert_same_lbfgsb(ours, theirs)
+        (fun, starts, lo, hi, maxiter), = solves
+        assert len(starts) == len(acq._starts(bundle.space, seed, 2, None))
+        one = lambda u: fun(u[None, :])[0]  # noqa: E731
+        for x0, ours in zip(starts, driver(fun, starts, lo, hi, maxiter)):
+            assert_same_lbfgsb(ours, gp_mod.lbfgsb(one, x0, lo, hi, maxiter))
+            assert_same_lbfgsb(ours, lbfgsb_by_minimize(one, x0, lo, hi,
+                                                        maxiter))
 
     def test_abnormal_line_search(self):
         # a gradient of the wrong sign: every line search fails
@@ -685,3 +704,118 @@ class TestBatchOfOne:
             for u, (c, jac) in zip(U, constraint(U)):
                 want_c, want_jac = constraint(u[None, :])[0]
                 assert c == want_c and jac.tolist() == want_jac.tolist()
+
+
+# --------------------------------------------------------------------------
+# the array rows against the per-row oracles, and against other batches
+
+def row_bits(row):
+    """A (value, vector) row or a score as bytes: equal means bit for bit."""
+    if isinstance(row, tuple):
+        return np.float64(row[0]).tobytes(), np.asarray(row[1]).tobytes()
+    return np.float64(row).tobytes()
+
+
+def acquisition_rows(bundle, seed, mode=PAPER_RATIO):
+    """A context, box points and vertices for it.  The points include the
+    training vertices, where sigma sits at the duplicate floor, and the
+    stored checkpoints, whose cost falls below ``COST_EPS``."""
+    ctx = bundle_context(bundle, np.random.default_rng(seed), mode)
+    rng = np.random.default_rng([seed, 1])
+    D = bundle.space.encoded_dim
+    U = np.concatenate([rng.uniform(size=(160, D)), ctx.model.X,
+                        ctx.cost.Q, np.clip(ctx.cost.Q + 1e-5, 0.0, 1.0)])
+    Q = encode_ranks(bundle.space, [config_ranks(bundle.space, cfg)
+                                    for cfg in feasible_draws(bundle, rng, 60)])
+    Q = np.concatenate([Q, ctx.model.X])
+    return ctx, U[rng.permutation(len(U))], Q[rng.permutation(len(Q))]
+
+
+class TestArrayRowsMatchOracles:
+    @pytest.mark.parametrize("mode", [PAPER_RATIO, EXPONENT])
+    @pytest.mark.parametrize("processor", assets.PROCESSORS)
+    def test_objective_scores_and_constraint(self, processor, mode):
+        bundle = assets.load_bundle(processor)
+        ctx, U, Q = acquisition_rows(bundle, 23, mode)
+        floor = ctx.model.duplicate_sigma_floor()
+        # both branches of EI and of the cost floor are exercised
+        sigmas = [np.sqrt(v) for _, v, _ in reference_posterior(ctx.model, U)]
+        assert 0 < sum(s <= floor for s in sigmas) < len(U)
+        assert (ctx.cost.values(U) < acq.COST_EPS).any()
+        for cost in (ctx.cost, None):
+            ctx.cost = cost
+            got = acq._relaxed_objective_batch(ctx)(U)
+            want = reference_objective(ctx)(U)
+            assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
+            assert [row_bits(r) for r in _cooled_scores(ctx, Q)] == \
+                [row_bits(r) for r in reference_cooled_scores(ctx, Q)]
+        if bundle.tree is not None:
+            got = acq._smooth_constraint(bundle.space, bundle.tree)(U)
+            want = reference_smooth_constraint(bundle.space, bundle.tree)(U)
+            assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
+
+
+class StubCost:
+    """A smooth cost made up from the first coordinate, with rows near zero."""
+
+    def values_and_gradients(self, U):
+        return 3.0 * U[:, 0] ** 3, 0.7 * U
+
+    def values(self, U):
+        return self.values_and_gradients(U)[0]
+
+
+class TestArrayRowsOnManyRows:
+    @pytest.mark.parametrize("mode", [PAPER_RATIO, EXPONENT])
+    def test_stub_cost_rows(self, mode):
+        # enough rows that libm's pow, exp and erf would part from numpy's
+        # somewhere; some costs fall below COST_EPS with a nonzero gradient
+        bundle = assets.load_bundle("rocketchip")
+        ctx = bundle_context(bundle, np.random.default_rng(31), mode)
+        ctx.cost = StubCost()
+        rng = np.random.default_rng(32)
+        U = rng.uniform(size=(5000, bundle.space.encoded_dim))
+        U[::50, 0] = rng.uniform(0.0, 0.005, size=100)
+        assert (ctx.cost.values(U) < acq.COST_EPS).sum() >= 50
+        got = acq._relaxed_objective_batch(ctx)(U)
+        want = reference_objective(ctx)(U)
+        assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
+
+    def test_signed_zero_partials(self):
+        # at the middle of both intervals the attaining conditional's
+        # partials are -0.0; the jacobian reads 0.0 there, as 0.0 + -0.0
+        space = ParameterSpace([
+            ParameterDef("a", "ordinal", (1, 2, 3), 1),
+            ParameterDef("b", "ordinal", (1, 2, 3), 1)])
+        tree = parse_constraints(
+            {"all": [{"cond": {"if": {"param": "a", "in": [1, 3]},
+                               "then": {"param": "b", "in": [1, 3]}}}]},
+            space)
+        U = np.array([[0.5, 0.5], [0.25, 0.5], [0.5, 0.75]])
+        got = acq._smooth_constraint(space, tree)(U)
+        want = reference_smooth_constraint(space, tree)(U)
+        assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
+        assert got[0][1].tobytes() == np.zeros(2).tobytes()
+
+
+class TestBatchInvariance:
+    """A row keeps its bits when its batch is shuffled or cut."""
+
+    @pytest.mark.parametrize("processor", assets.PROCESSORS)
+    def test_rows_keep_their_bits(self, processor):
+        bundle = assets.load_bundle(processor)
+        ctx, U, Q = acquisition_rows(bundle, 29, EXPONENT)
+        U, Q = U[:42], Q[:42]
+        batched = [(acq._relaxed_objective_batch(ctx), U),
+                   (lambda V: _cooled_scores(ctx, V), Q)]
+        if bundle.tree is not None:
+            batched.append((acq._smooth_constraint(bundle.space, bundle.tree),
+                            U))
+        rng = np.random.default_rng(30)
+        picks = [rng.permutation(42) for _ in range(3)] + \
+            [rng.choice(42, size=k, replace=False) for k in (1, 2, 5, 17, 41)]
+        for fun, rows in batched:
+            whole = [row_bits(r) for r in fun(rows)]
+            for pick in picks:
+                assert [row_bits(r) for r in fun(rows[pick])] == \
+                    [whole[i] for i in pick]

@@ -1,6 +1,13 @@
+import dataclasses
+import logging
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotrs
 
 from aspo.errors import NumericalError
 from aspo.gp import (
@@ -9,12 +16,14 @@ from aspo.gp import (
     _cholesky_with_escalation,
     _matern_terms,
     _nll_and_grad,
+    _row_dots,
     fit,
     gram_matrix,
     kernel_value,
     log_marginal_likelihood,
 )
 from aspo.space import ParameterDef, ParameterSpace, encode, snap
+from oracles import reference_posterior, reference_posterior_gradient
 
 
 def make_space(n_ordinals=3, levels=5, n_cats=1, cat_values=3):
@@ -370,3 +379,124 @@ class TestRelaxedGradient:
                                                  rel=1e-3, abs=1e-7)
                 assert dvar[j] == pytest.approx((v_hi - v_lo) / (2 * h),
                                                 rel=1e-3, abs=1e-7)
+
+
+# --------------------------------------------------------------------------
+# the BLAS and LAPACK facts behind the batched posterior: a stacked matmul
+# runs the same dot or matrix-vector product per row as a 1-D product, and
+# one multi-right-hand-side dpotrs solves each column as a lone one does
+
+def same_bits(got, want):
+    """Equal bit for bit, NaN where NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return got.shape == want.shape and (np.isnan(got) == nan).all() \
+        and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def blas_problem(n, rows):
+    """A Cholesky factor, a vector, kernel rows and a gradient tensor; one
+    row (the returned index) holds a NaN."""
+    rng = np.random.default_rng([n, rows])
+    A = rng.normal(size=(n, n))
+    L = cholesky(A @ A.T + n * np.eye(n), lower=True)
+    K = rng.normal(size=(rows, n))
+    dK = rng.normal(size=(rows, n, 12))
+    nan_row = rows // 2
+    K[nan_row, n // 2] = np.nan
+    dK[nan_row, n // 2, 5] = np.nan
+    return L, rng.normal(size=n), K, dK, nan_row
+
+
+def assert_rows(got, want, nan_row):
+    """Every row as its per-row value; only ``nan_row`` holds NaN."""
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert same_bits(g, w)
+        assert np.isnan(g).any() == (i == nan_row)
+
+
+@pytest.mark.parametrize("rows", [1, 42, 2000])
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 40, 64])
+class TestBlasRowFacts:
+    def test_multi_rhs_dpotrs_equals_per_column(self, n, rows):
+        L, _, K, _, nan_row = blas_problem(n, rows)
+        W, info = dpotrs(L, K.T, lower=1)
+        assert info == 0
+        assert_rows(W.T, [dpotrs(L, k, lower=1)[0] for k in K],
+                    nan_row if rows > 1 else 0)
+
+    def test_stacked_matmul_equals_per_row_products(self, n, rows):
+        L, alpha, K, dK, nan_row = blas_problem(n, rows)
+        nan_row = nan_row if rows > 1 else 0
+        W = dpotrs(L, K.T, lower=1)[0].T
+        dKt = dK.transpose(0, 2, 1)
+        assert_rows(_row_dots(K, alpha), [k @ alpha for k in K], nan_row)
+        assert_rows(_row_dots(K, W), [k @ w for k, w in zip(K, W)], nan_row)
+        assert_rows(_row_dots(W, W), [w @ w for w in W], nan_row)
+        assert_rows(np.matmul(dKt, alpha[:, None])[..., 0],
+                    [dk.T @ alpha for dk in dK], nan_row)
+        assert_rows(np.matmul(dKt, W[:, :, None])[..., 0],
+                    [dk.T @ w for dk, w in zip(dK, W)], nan_row)
+
+
+def test_blas_row_facts_at_one_blas_thread():
+    # the setting of benchmark runs; the default count is checked in-process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestBlasRowFacts"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert proc.stdout.splitlines()[-1].startswith("36 passed")
+
+
+class TestBatchedPosterior:
+    """The array posterior against its row-by-row oracles, bit for bit."""
+
+    @staticmethod
+    def model_and_queries(seed):
+        space = make_space(n_ordinals=4, levels=6, n_cats=2)
+        X = random_vertices(space, 14, seed=seed)
+        y = np.random.default_rng(seed + 1).normal(size=14)
+        model = fit(space, X, y, seed=seed)
+        rng = np.random.default_rng(seed + 2)
+        # box points, and training vertices whose sigma sits at the floor
+        Q = np.concatenate([rng.uniform(size=(300, space.encoded_dim)),
+                            model.X])
+        return model, Q[rng.permutation(len(Q))]
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_predict_batch_matches_oracle(self, seed):
+        model, Q = self.model_and_queries(seed)
+        mean, var = model.predict_batch(Q)
+        want = reference_posterior(model, Q)
+        assert same_bits(mean, [w[0] for w in want])
+        assert same_bits(var, [w[1] for w in want])
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_gradient_arrays_match_oracle(self, seed):
+        model, Q = self.model_and_queries(seed)
+        got = model.predict_with_gradient_arrays(Q)
+        want = reference_posterior_gradient(model, Q)
+        for j in range(4):
+            assert same_bits(got[j], [w[j] for w in want])
+        rows = model.predict_with_gradient_batch(Q)
+        assert same_bits([r[2] for r in rows], got[2])
+
+    def test_negative_variance_logged_once_per_row_in_order(self, caplog):
+        model, Q = self.model_and_queries(42)
+        # a signal variance the factor was not built with: rows at the
+        # training vertices go negative, rows far from them stay positive
+        model.params = dataclasses.replace(
+            model.params, signal_variance=2 * model.params.signal_variance)
+        raw = [w[2] for w in reference_posterior(model, Q)]
+        want = ["negative posterior variance %.3e clamped" % v
+                for v in raw if v < -1e-10]
+        assert 0 < len(want) < len(Q)
+        caplog.set_level(logging.WARNING, logger="aspo.gp")
+        _, var = model.predict_batch(Q)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "aspo.gp"] == want
+        assert (var >= 0).all()
