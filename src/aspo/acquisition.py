@@ -34,8 +34,8 @@ Discrete work is batched.  Candidates and polish moves are held as rows of
 per-parameter ranks: a batch is checked against the exact semantics with one
 ``feasible_rows`` call, encoded with one index-array encode, and
 scored with one kernel matrix and one stacked cost distance
-(``_cooled_scores``).  ``alpha_cool`` is the batch of one, and every row of
-a batch scores bit for bit as it would alone.
+(``_cooled_scores``), each distinct row once per call; ``alpha_cool`` is
+the batch of one.  Every row of a batch scores bit for bit as it would alone.
 
 Queries whose posterior sigma sits at the duplicate floor (the variance left
 at a point that snaps onto a training input) are treated as deterministic:
@@ -251,15 +251,31 @@ POLISH_TOP_K = 8
 POLISH_MAX_STEPS = 64
 
 
-def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree,
-            ranks: np.ndarray, start_val: float):
+def _rank_scorer(ctx: AcquisitionContext, space: ParameterSpace):
+    """Cooled scores of rank rows; rows not seen before are scored as one
+    ``_cooled_scores`` batch, and each distinct row only once."""
+    seen: dict[bytes, float] = {}
+
+    def score(ranks: np.ndarray) -> np.ndarray:
+        keys = [row.tobytes() for row in ranks]
+        new = {k: i for i, k in enumerate(keys) if k not in seen}
+        if new:
+            rows = encode_ranks(space, ranks[list(new.values())])
+            seen.update(zip(new, _cooled_scores(ctx, rows).tolist()))
+        return np.array([seen[k] for k in keys])
+
+    return score
+
+
+def _polish(score, space: ParameterSpace, tree, ranks: np.ndarray,
+            start_val: float):
     """Best-improvement walk over feasible single-parameter moves.
 
     The continuous ascent climbs the relaxed surface, whose maxima often sit
     between vertices of a one-hot block; this discrete pass re-optimizes the
     snapped configuration under the exact (snapped) acquisition.  Each step
     lists every single-parameter move in (parameter, value) order, keeps the
-    feasible ones and scores them as one batch.  The first best move is
+    feasible ones and scores them with ``score``.  The first best move is
     adopted, and only on a strict gain.  Takes and returns rank rows.
     """
     move_param = np.repeat(np.arange(len(space.params)), space.counts)
@@ -273,7 +289,7 @@ def _polish(ctx: AcquisitionContext, space: ParameterSpace, tree,
                               moves[move_rank != current[move_param]])
         if not len(moves):
             break
-        scores = _cooled_scores(ctx, encode_ranks(space, moves))
+        scores = score(moves)
         best = int(np.argmax(scores))
         if not scores[best] > current_val:
             break
@@ -435,11 +451,12 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
                                                      dtype=np.intp))
 
     if len(candidates):
-        scores = _cooled_scores(ctx, encode_ranks(space, candidates))
+        score = _rank_scorer(ctx, space)
+        scores = score(candidates)
         order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
         best_ranks, best_val = None, -np.inf
         for i in order[:POLISH_TOP_K]:
-            polished, polished_val = _polish(ctx, space, tree, candidates[i],
+            polished, polished_val = _polish(score, space, tree, candidates[i],
                                              float(scores[i]))
             if polished_val > best_val:
                 best_val, best_ranks = polished_val, polished

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -284,13 +285,13 @@ def _compile(tree, pos):
         a, b = pos[tree.xa], pos[tree.xb]
         xa, xb = tree.xa, tree.xb
 
-        def node(values):
+        def node(values):  # Python floats: math.sin here equals np.sin
             va, vb = values[a], values[b]
             if vb == 0:
                 raise DomainError(f"divisibility {xa!r} by {xb!r}: zero divisor")
-            v = -np.sin(np.pi * va / vb) ** 2
-            s = np.sin(2 * np.pi * va / vb)
-            return v, {a: -s * np.pi / vb, b: s * np.pi * va / vb ** 2}
+            v = -math.sin(math.pi * va / vb) ** 2
+            s = math.sin(2 * math.pi * va / vb)
+            return v, {a: -s * math.pi / vb, b: s * math.pi * va / vb ** 2}
         return node
     raise TypeError(f"not a constraint node: {tree!r}")
 

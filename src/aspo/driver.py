@@ -232,18 +232,23 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     inserts = 0
     stop_reason = "budget-exhausted"
     error = None
+    # the best valid entry so far; strict < keeps the first of equal EETs
+    best_entry, best_eet = None, math.inf
 
     def t_syn(cfg, ref_record):
         return harness.backend.synthesis_time(cfg, ref_record.config)
 
     def run_eval(iteration, cfg, alpha_value):
-        nonlocal clock, inserts, weights
+        nonlocal clock, inserts, weights, best_entry, best_eet
         cost_before = cost_estimate(store, cfg, weights)
         cache_hit = rc.strategy == RETRIEVAL and store.lookup(cfg) is not None
         result = harness.evaluate(cfg, rc.strategy, db=store, weights=weights)
         clock += result.eval_minutes
         history.append(HistoryEntry(iteration, cfg, result, alpha_value,
                                     cost_before))
+        eet = history[-1].eet_ms()
+        if eet is not None and eet < best_eet:
+            best_entry, best_eet = history[-1], eet
         if result.valid and not cache_hit:
             _insert(store, cfg, result, clock)
             inserts += 1
@@ -251,11 +256,6 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
                 weights = learn_weights(store, t_syn, seed=rc.seed)
 
     def best_valid():
-        best_entry, best_eet = None, math.inf
-        for entry in history:
-            eet = entry.eet_ms()
-            if eet is not None and eet < best_eet:
-                best_entry, best_eet = entry, eet
         return best_entry, (best_eet if best_entry else None)
 
     warm = warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)

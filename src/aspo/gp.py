@@ -12,12 +12,15 @@ are returned in original units.  Duplicate snapped inputs are merged by
 averaging their targets and inflating the merged point's noise by the group
 variance, keeping the Gram matrix well conditioned.
 
+Pair differences are held feature-major, ``(D, n, n)`` or ``(D, rows, n)``,
+so per-dimension work runs over long contiguous rows, summed in the order
+numpy sums a contiguous last axis: every entry keeps its ``(n, n, D)`` bits.
+
 Hyperparameters come from L-BFGS-B restarts run by ``lbfgsb``, which drives
-scipy's ``setulb`` directly and ends where ``minimize`` would.  The
-likelihood calls LAPACK itself and takes every lengthscale gradient from one
-``(n, n, D)`` product, bit for bit as scipy's wrappers and a loop would.
-Posteriors are batched over query rows with stacked dots; each row equals
-its batch of one bit for bit.
+scipy's ``setulb`` directly and ends where ``minimize`` would.  Each fit
+builds one likelihood closure over its differences and buffers; it calls
+LAPACK as scipy's wrappers would.  Posteriors are batched over query rows
+with stacked dots; each row equals its batch of one bit for bit.
 """
 
 from __future__ import annotations
@@ -76,18 +79,50 @@ class KernelParams:
         return cls(lengthscales=np.full(dim, 0.5))
 
 
-def _matern_terms(ell, sv, diff: np.ndarray):
-    """Matern-5/2 at differences ``diff``: (K, r, exp(-sqrt5 r), scaled_sq)."""
-    scaled_sq = (diff / ell) ** 2
-    r = np.sqrt(np.add.reduce(scaled_sq, axis=-1))
-    expo = np.exp(-SQRT5 * r)
-    return sv * (1 + SQRT5 * r + 5 * r * r / 3) * expo, r, expo, scaled_sq
+def _pairwise_rows(S: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of ``S`` as ``np.add.reduce`` sums a
+    contiguous axis (up to the sign of a zero): term by term below 8 terms,
+    else 8 running sums paired as a tree, then the rest; halves above 128."""
+    m = len(S)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_rows(S[:half]) + _pairwise_rows(S[half:])
+    if m < 8:
+        out, rest = S[0].copy(), S[1:]
+    else:
+        r = S[:8]
+        for i in range(8, m - m % 8, 8):
+            r = r + S[i:i + 8]
+        r = r[0::2] + r[1::2]
+        out, rest = r[0] + r[1] + (r[2] + r[3]), S[m - m % 8:]
+    for row in rest:
+        out += row
+    return out
+
+
+def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C-contiguous feature-major differences: ``A[i] - B[j]`` at [:, i, j]."""
+    return np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
+
+
+def _matern_terms(ell, sv, diff: np.ndarray, scaled_sq=None):
+    """(K, 1 + sqrt5 r, exp(-sqrt5 r), scaled_sq) at feature-major ``diff``
+    (D, a, b), ``scaled_sq`` optionally a buffer like ``diff``.  Each
+    dimension's divide and square runs over one contiguous row.  The radius
+    sum's order sets its last bits: adding row after row differs, from D = 8
+    on, from numpy's pairwise sum over an (a, b, D) layout's last axis, which
+    ``_pairwise_rows`` repeats."""
+    scaled_sq = np.divide(diff, ell[:, None, None], out=scaled_sq)
+    np.multiply(scaled_sq, scaled_sq, out=scaled_sq)        # ** 2
+    r = np.sqrt(_pairwise_rows(scaled_sq))
+    expo, lin = np.exp(-SQRT5 * r), 1 + SQRT5 * r
+    return sv * (lin + 5 * r * r / 3) * expo, lin, expo, scaled_sq
 
 
 def _matern52(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Base kernel matrix between row sets A (n x D) and B (m x D)."""
     return _matern_terms(params.lengthscales, params.signal_variance,
-                         A[:, None, :] - B[None, :, :])[0]
+                         _differences(A, B))[0]
 
 
 def kernel_value(space: ParameterSpace, params: KernelParams, x, y) -> float:
@@ -120,43 +155,49 @@ def _cholesky_with_escalation(K: np.ndarray, jitter: float):
         f"Cholesky failed with jitter escalated to {MAX_JITTER}")
 
 
-def _nll_and_grad(theta, diff, y, extra_noise, jitter):
-    """Negative log marginal likelihood and its gradient in log-space.
+def _likelihood(diff, y, extra_noise, jitter):
+    """Negative log marginal likelihood and its log-space gradient at theta =
+    log([lengthscales (D), signal_variance, noise_variance]), as a closure
+    over the feature-major differences ``diff`` (D, n, n).  It returns a
+    large penalty on Cholesky failure so line searches back off, and raises
+    ``NumericalError`` when the kernel or the likelihood is not finite.  The
+    LAPACK calls are those ``cholesky`` and ``cho_solve`` make; each
+    lengthscale gradient sums its own row of one (D, n*n) product."""
+    n, D = len(y), len(diff)
+    diff = np.ascontiguousarray(diff)
+    eye, K, terms = np.eye(n), np.empty((n, n)), np.empty_like(diff)
+    log_norm = 0.5 * n * np.log(2 * np.pi)
+    diagonal = K.reshape(-1)[::n + 1]      # a view: K's diagonal
 
-    theta = log([lengthscales (D), signal_variance, noise_variance]); ``diff``
-    holds the input pairs' differences.  Returns a large penalty on Cholesky
-    failure so line searches back off; raises ``NumericalError`` when the
-    kernel or the likelihood is not finite.  The LAPACK calls are those
-    ``cholesky`` and ``cho_solve`` make.
-    """
-    n, D = len(y), diff.shape[-1]
-    ell = np.exp(theta[:D])
-    sv = np.exp(theta[D])
-    nv = np.exp(theta[D + 1])
+    def nll_and_grad(theta):
+        ell, sv, nv = np.exp(theta[:D]), np.exp(theta[D]), np.exp(theta[D + 1])
+        K_sig, lin, expo, _ = _matern_terms(ell, sv, diff, terms)
+        np.copyto(K, K_sig)
+        np.add(diagonal, nv + extra_noise, out=diagonal)
+        np.add(diagonal, jitter, out=diagonal)
+        if not np.isfinite(K).all():
+            raise NumericalError("likelihood kernel is not finite")
+        L, info = dpotrf(K, lower=1, clean=1)
+        if info:
+            return 1e25, np.zeros_like(theta)
+        alpha = dpotrs(L, y, lower=1)[0]
+        nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + log_norm
+        if not np.isfinite(nll):
+            raise NumericalError("likelihood is not finite")
 
-    K_sig, r, expo, scaled_sq = _matern_terms(ell, sv, diff)
-    K = K_sig + np.diag(nv + extra_noise) + jitter * np.eye(n)
-    if not np.isfinite(K).all():
-        raise NumericalError("likelihood kernel is not finite")
-    L, info = dpotrf(K, lower=1, clean=1)
-    if info:
-        return 1e25, np.zeros_like(theta)
-    alpha = dpotrs(L, y, lower=1)[0]
-    nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2 * np.pi)
-    if not np.isfinite(nll):
-        raise NumericalError("likelihood is not finite")
+        B = np.outer(alpha, alpha) - dpotrs(L, eye, lower=1)[0]
+        # common factor of the Matern-5/2 radial derivative, with r
+        # cancelled: d K / d log ell_j = radial * scaled_sq[j]
+        radial = (5.0 / 3.0) * sv * lin * expo
+        np.multiply(radial, terms, out=terms)     # terms held scaled_sq
+        np.multiply(terms, B, out=terms)
+        grad = np.empty_like(theta)
+        grad[:D] = -0.5 * terms.reshape(D, n * n).sum(axis=1)
+        grad[D] = -0.5 * np.sum(B * K_sig)
+        grad[D + 1] = -0.5 * nv * np.trace(B)
+        return float(nll), grad
 
-    B = np.outer(alpha, alpha) - dpotrs(L, np.eye(n), lower=1)[0]
-    # common factor of the Matern-5/2 radial derivative, with r cancelled:
-    # d K / d log ell_j = radial * scaled_sq[..., j].  Each j sums its own
-    # contiguous row, as np.sum over one n x n product would.
-    radial = (5.0 / 3.0) * sv * (1 + SQRT5 * r) * expo
-    terms = B[..., None] * (radial[..., None] * scaled_sq)
-    grad = np.empty_like(theta)
-    grad[:D] = -0.5 * np.ascontiguousarray(terms.reshape(n * n, D).T).sum(axis=1)
-    grad[D] = -0.5 * np.sum(B * K_sig)
-    grad[D + 1] = -0.5 * nv * np.trace(B)
-    return float(nll), grad
+    return nll_and_grad
 
 
 def log_marginal_likelihood(space, params: KernelParams, inputs, targets,
@@ -171,8 +212,7 @@ def log_marginal_likelihood(space, params: KernelParams, inputs, targets,
     theta = np.concatenate([np.log(params.lengthscales),
                             [np.log(params.signal_variance),
                              np.log(max(params.noise_variance, 1e-300))]])
-    nll, grad = _nll_and_grad(theta, X[:, None, :] - X[None, :, :], y, extra,
-                              params.jitter)
+    nll, grad = _likelihood(_differences(X, X), y, extra, params.jitter)(theta)
     return -nll, -grad
 
 
@@ -262,17 +302,20 @@ class GpModel:
         """Relaxed means and variances (rows,) and their gradients (rows, D)
         at the rows of ``Q``.  One multi-right-hand-side ``dpotrs`` (the
         call ``cho_solve`` makes) solves each column on its own."""
-        diff = Q[:, None, :] - self.X[None, :, :]
+        diff = _differences(Q, self.X)
         K = _matern_terms(self.params.lengthscales,
                           self.params.signal_variance, diff)[0]
         # d k_i / d x_j, with the Matern radial term's r cancelled.  This r
         # and its exp round differently from the kernel's; sharing those
         # changes trajectories, so it waits for a fixture re-record.
-        ell2 = self.params.lengthscales ** 2
-        r = np.sqrt(np.add.reduce(diff ** 2 / ell2, axis=-1))
+        ell2 = (self.params.lengthscales ** 2)[:, None, None]
+        r = np.sqrt(_pairwise_rows(diff ** 2 / ell2))
         coef = -(5.0 / 3.0) * self.params.signal_variance \
             * (1 + SQRT5 * r) * np.exp(-SQRT5 * r)
-        dKt = (coef[..., None] * diff / ell2).transpose(0, 2, 1)  # (rows, D, n)
+        # (rows, D, n) over (rows, n, D) memory: the stacked matmul below
+        # sums a C-contiguous (rows, D, n) operand in another order
+        dKt = np.ascontiguousarray((coef * diff / ell2).transpose(1, 2, 0)) \
+            .transpose(0, 2, 1)
         W, info = dpotrs(self.L, K.T, lower=1)
         if info:
             raise NumericalError(f"Cholesky solve failed (info {info})")
@@ -406,11 +449,10 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
             [rng.uniform(np.log(0.1), np.log(10.0)),
              rng.uniform(np.log(1e-7), np.log(1e-2))]])
 
-    diff = X[:, None, :] - X[None, :, :]
+    nll_and_grad = _likelihood(_differences(X, X), y, extra, init.jitter)
     best = None
     for r in range(FIT_RESTARTS):
-        res = lbfgsb(lambda t: _nll_and_grad(t, diff, y, extra, init.jitter),
-                     start_point(r), lo, hi, 60)
+        res = lbfgsb(nll_and_grad, start_point(r), lo, hi, 60)
         if best is None or res.fun < best.fun:
             best = res
 

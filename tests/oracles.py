@@ -1,14 +1,17 @@
-"""Row-by-row reference implementations of the batched acquisition.
+"""Row-by-row reference implementations of the batched acquisition and
+the likelihood.
 
 Each function here is the per-row code that the array code in ``aspo.gp``
 and ``aspo.acquisition`` replaced, kept operation for operation: the 1-D
-BLAS and LAPACK calls, the scalar EI arithmetic through ``math`` and the
-per-row jacobian.  Tests compare the array code against them with ``==``.
+BLAS and LAPACK calls, the scalar EI arithmetic through ``math``, the
+per-row jacobian and the ``(n, n, D)`` Matern arithmetic with its
+``axis=-1`` sum.  Tests compare the array code against them with ``==``.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from aspo.acquisition import COST_EPS, PAPER_RATIO, cooled_value, ei_value
@@ -20,13 +23,52 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def reference_matern_terms(ell, sv, diff):
+    """Matern-5/2 at row-major differences ``diff`` (n, m, D): (K, r,
+    exp(-sqrt5 r), scaled_sq), summing the last axis."""
+    scaled_sq = (diff / ell) ** 2
+    r = np.sqrt(np.add.reduce(scaled_sq, axis=-1))
+    expo = np.exp(-SQRT5 * r)
+    return sv * (1 + SQRT5 * r + 5 * r * r / 3) * expo, r, expo, scaled_sq
+
+
+def reference_nll_and_grad(theta, diff, y, extra_noise, jitter):
+    """The likelihood at row-major differences ``diff`` (n, n, D), through
+    scipy's Cholesky wrappers and one gradient entry per lengthscale."""
+    n, D = len(y), diff.shape[-1]
+    ell = np.exp(theta[:D])
+    sv = np.exp(theta[D])
+    nv = np.exp(theta[D + 1])
+
+    K_sig, r, expo, scaled_sq = reference_matern_terms(ell, sv, diff)
+    K = K_sig + np.diag(nv + extra_noise)
+    try:
+        L = cholesky(K + jitter * np.eye(n), lower=True)
+    except np.linalg.LinAlgError:
+        return 1e25, np.zeros_like(theta)
+
+    alpha = cho_solve((L, True), y)
+    nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2 * np.pi)
+
+    Kinv = cho_solve((L, True), np.eye(n))
+    B = np.outer(alpha, alpha) - Kinv
+
+    grad = np.zeros_like(theta)
+    radial = (5.0 / 3.0) * sv * (1 + SQRT5 * r) * expo
+    for j in range(D):
+        dK = radial * scaled_sq[:, :, j]  # d K / d log ell_j
+        grad[j] = -0.5 * np.sum(B * dK)
+    grad[D] = -0.5 * np.sum(B * K_sig)
+    grad[D + 1] = -0.5 * nv * np.trace(B)
+    return float(nll), grad
+
+
 def reference_kernel(model, Q):
     """Kernel rows between the rows of ``Q`` and the training inputs, and
     the differences they come from."""
     diff = Q[:, None, :] - model.X[None, :, :]
-    r = np.sqrt(np.sum((diff / model.params.lengthscales) ** 2, axis=-1))
-    sv = model.params.signal_variance
-    return sv * (1 + SQRT5 * r + 5 * r * r / 3) * np.exp(-SQRT5 * r), diff
+    return reference_matern_terms(model.params.lengthscales,
+                                  model.params.signal_variance, diff)[0], diff
 
 
 def reference_posterior(model, Q):

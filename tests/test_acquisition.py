@@ -819,3 +819,32 @@ class TestBatchInvariance:
             for pick in picks:
                 assert [row_bits(r) for r in fun(rows[pick])] == \
                     [whole[i] for i in pick]
+
+
+class TestRankScorer:
+    """Each distinct rank row is scored once per call, with its own bits."""
+
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
+    def test_remembered_scores_keep_their_bits(self, processor, monkeypatch):
+        bundle = assets.load_bundle(processor)
+        space = bundle.space
+        rng = np.random.default_rng(47)
+        ctx = bundle_context(bundle, rng)
+        ranks = np.array([config_ranks(space, cfg)
+                          for cfg in feasible_draws(bundle, rng, 30)])
+        first, second = ranks[rng.choice(30, 40)], ranks[rng.choice(30, 40)]
+        scored = []
+
+        def counting(ctx, Q):
+            scored.append(len(Q))
+            return _cooled_scores(ctx, Q)
+
+        monkeypatch.setattr(acq, "_cooled_scores", counting)
+        score = acq._rank_scorer(ctx, space)
+        for rows in (first, second):
+            want = _cooled_scores(ctx, encode_ranks(space, rows))
+            assert score(rows).tobytes() == want.tobytes()
+        distinct = len({r.tobytes() for r in first})
+        assert scored == [distinct, len({r.tobytes() for r in
+                                         np.concatenate([first, second])})
+                          - distinct]

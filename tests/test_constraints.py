@@ -465,6 +465,27 @@ class TestCompiledTree:
             values, _ = relaxed_values(bundle.space, u)
             self.check(bundle.tree, values)
 
+    def test_boom_divisibility_leaves_on_many_rows(self):
+        # the compiled leaf works in Python floats through math.sin; the
+        # oracle works in numpy scalars through np.sin
+        bundle = assets.load_bundle("boom")
+        leaves = [c for c in bundle.tree.children if isinstance(c, Divisibility)]
+        assert leaves
+        rng = np.random.default_rng(41)
+        for leaf in leaves:
+            pa, pb = bundle.space.param(leaf.xa), bundle.space.param(leaf.xb)
+            va = rng.uniform(min(pa.values), max(pa.values), 100_000)
+            vb = rng.uniform(min(pb.values), max(pb.values), 100_000)
+            va[::4] = rng.choice(pa.values, len(va[::4]))   # vertices too
+            vb[::4] = rng.choice(pb.values, len(vb[::4]))
+            fn = compile_tree(leaf, [leaf.xa, leaf.xb])
+            for a, b in zip(va.tolist(), vb.tolist()):
+                value, partials = fn([a, b])
+                want, grad = reference_value_and_gradient(
+                    leaf, {leaf.xa: a, leaf.xb: b})
+                assert value == want
+                assert partials == {0: grad[leaf.xa], 1: grad[leaf.xb]}
+
     def test_disjunction(self):
         tree = Conj((
             Disj((Inequality(1.0, "a", 1.0, "b", 0.0),

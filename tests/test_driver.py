@@ -99,6 +99,17 @@ class TestRunOptimization:
         assert all(a >= b for a, b in zip(series, series[1:]))
         assert report.best_eet_ms == best
 
+    def test_first_of_equal_eets_is_the_best(self, monkeypatch):
+        # every valid design ties: the first valid entry stays the best
+        import aspo.driver as driver_mod
+        monkeypatch.setattr(driver_mod, "estimated_execution_time",
+                            lambda result: 2.0)
+        report = run_baseline(boom_rc(budget_iterations=3), "random")
+        valid = [e for e in report.history if e.result.valid]
+        assert len({json.dumps(e.config) for e in valid}) > 1
+        assert report.best_config == valid[0].config
+        assert report.best_eet_ms == 2.0
+
     def test_tdt_is_sum_of_eval_minutes(self):
         report = run_optimization(boom_rc(seed=2))
         assert report.tdt_minutes == sum(
@@ -558,14 +569,14 @@ class TestNumericalFailure:
         # a NaN difference reaches the real likelihood inside the real fit:
         # a surrogate failure (exit 4), not a configuration error (exit 2)
         import aspo.gp as gp_mod
-        likelihood = gp_mod._nll_and_grad
+        likelihood = gp_mod._likelihood
 
-        def nan_difference(theta, diff, *args):
+        def nan_difference(diff, *args):
             diff = diff.copy()
-            diff[0, 1, 0] = np.nan
-            return likelihood(theta, diff, *args)
+            diff[0, 0, 1] = np.nan      # feature-major: (D, n, n)
+            return likelihood(diff, *args)
 
-        monkeypatch.setattr(gp_mod, "_nll_and_grad", nan_difference)
+        monkeypatch.setattr(gp_mod, "_likelihood", nan_difference)
         result = CliRunner().invoke(cli_main, [
             "run", "--processor", "boom", "--iters", "3", "--warm-start", "4",
             "--out", str(tmp_path)])

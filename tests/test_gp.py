@@ -6,16 +6,16 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cholesky
 from scipy.linalg.lapack import dpotrs
 
 from aspo.errors import NumericalError
 from aspo.gp import (
-    SQRT5,
     KernelParams,
     _cholesky_with_escalation,
-    _matern_terms,
-    _nll_and_grad,
+    _differences,
+    _likelihood,
+    _pairwise_rows,
     _row_dots,
     fit,
     gram_matrix,
@@ -23,7 +23,11 @@ from aspo.gp import (
     log_marginal_likelihood,
 )
 from aspo.space import ParameterDef, ParameterSpace, encode, snap
-from oracles import reference_posterior, reference_posterior_gradient
+from oracles import (
+    reference_nll_and_grad,
+    reference_posterior,
+    reference_posterior_gradient,
+)
 
 
 def make_space(n_ordinals=3, levels=5, n_cats=1, cat_values=3):
@@ -123,35 +127,18 @@ class TestLogMarginalLikelihood:
             assert abs(grad[j] - fd) / max(1.0, abs(fd)) < 1e-4
 
 
-def reference_nll_and_grad(theta, diff, y, extra_noise, jitter):
-    """The likelihood through scipy's Cholesky wrappers and one gradient
-    entry per lengthscale: the oracle for ``_nll_and_grad``."""
-    n, D = len(y), diff.shape[-1]
-    ell = np.exp(theta[:D])
-    sv = np.exp(theta[D])
-    nv = np.exp(theta[D + 1])
+class TestPairwiseOrder:
+    """``_pairwise_rows`` sums the leading axis as ``np.add.reduce`` sums a
+    contiguous last axis, on whichever numpy is installed."""
 
-    K_sig, r, expo, scaled_sq = _matern_terms(ell, sv, diff)
-    K = K_sig + np.diag(nv + extra_noise)
-    try:
-        L = cholesky(K + jitter * np.eye(n), lower=True)
-    except np.linalg.LinAlgError:
-        return 1e25, np.zeros_like(theta)
-
-    alpha = cho_solve((L, True), y)
-    nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2 * np.pi)
-
-    Kinv = cho_solve((L, True), np.eye(n))
-    B = np.outer(alpha, alpha) - Kinv
-
-    grad = np.zeros_like(theta)
-    radial = (5.0 / 3.0) * sv * (1 + SQRT5 * r) * expo
-    for j in range(D):
-        dK = radial * scaled_sq[:, :, j]  # d K / d log ell_j
-        grad[j] = -0.5 * np.sum(B * dK)
-    grad[D] = -0.5 * np.sum(B * K_sig)
-    grad[D + 1] = -0.5 * nv * np.trace(B)
-    return float(nll), grad
+    @pytest.mark.parametrize("D", [*range(1, 41), 64, 127, 128, 129, 200, 257])
+    def test_equals_add_reduce_over_last_axis(self, D):
+        rng = np.random.default_rng(D)
+        for a, b in [(1, 1), (1, 64), (64, 1), (2, 3), (7, 9), (8, 8),
+                     (13, 40), (39, 39), (64, 64)]:
+            S = rng.normal(size=(a, b, D)) * rng.uniform(0.0, 10.0, D)
+            got = _pairwise_rows(np.ascontiguousarray(S.transpose(2, 0, 1)))
+            assert got.tobytes() == np.add.reduce(S, axis=-1).tobytes(), (a, b)
 
 
 class TestNllAndGrad:
@@ -164,32 +151,53 @@ class TestNllAndGrad:
         diff = X[:, None, :] - X[None, :, :]
         y = rng.normal(size=n)
         extra = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0, 0.1, n), 0.0)
+        nll_and_grad = _likelihood(_differences(X, X), y, extra, 1e-8)
         for _ in range(20):
             theta = np.concatenate([rng.uniform(np.log(0.01), np.log(20.0), D),
                                     [rng.uniform(np.log(0.1), np.log(10.0)),
                                      rng.uniform(np.log(1e-8), np.log(1.0))]])
-            nll, grad = _nll_and_grad(theta, diff, y, extra, 1e-8)
+            nll, grad = nll_and_grad(theta)
             want_nll, want_grad = reference_nll_and_grad(theta, diff, y,
                                                          extra, 1e-8)
             assert nll == want_nll
             assert grad.tolist() == want_grad.tolist()
 
+    @pytest.mark.parametrize("D", [3, 12])
+    def test_transposed_view_input(self, D):
+        # a (D, n, n) view of (n, n, D) memory must read as its copy does
+        rng = np.random.default_rng(D)
+        X = rng.uniform(size=(9, D))
+        diff = X[:, None, :] - X[None, :, :]
+        y, extra = rng.normal(size=9), np.zeros(9)
+        theta = rng.uniform(-1.0, 1.0, D + 2)
+        got = _likelihood(diff.transpose(2, 0, 1), y, extra, 1e-8)(theta)
+        want = reference_nll_and_grad(theta, diff, y, extra, 1e-8)
+        assert got[0] == want[0]
+        assert got[1].tolist() == want[1].tolist()
+
+    def test_differences_are_feature_major(self):
+        X = np.random.default_rng(1).uniform(size=(5, 3))
+        diff = _differences(X, X[:4])
+        assert diff.shape == (3, 5, 4) and diff.flags.c_contiguous
+        assert diff.tolist() == (X[:, None, :] - X[None, :4, :]) \
+            .transpose(2, 0, 1).tolist()
+
     def test_cholesky_failure_is_the_penalty(self):
         diff = np.zeros((2, 2, 3))    # two identical rows, no noise: singular
         theta = np.log([1.0, 1.0, 1.0, 1.0, 1e-300])
-        args = (theta, diff, np.array([1.0, -1.0]), np.zeros(2), 1e-300)
-        nll, grad = _nll_and_grad(*args)
-        assert nll == reference_nll_and_grad(*args)[0] == 1e25
+        args = (np.array([1.0, -1.0]), np.zeros(2), 1e-300)
+        nll, grad = _likelihood(diff.transpose(2, 0, 1), *args)(theta)
+        assert nll == reference_nll_and_grad(theta, diff, *args)[0] == 1e25
         assert grad.tolist() == [0.0] * 5
 
     def test_nan_difference_raises_numerical_error(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(5, 3))
-        diff = X[:, None, :] - X[None, :, :]
-        diff[0, 1, 2] = np.nan      # one entry, above the diagonal
+        diff = _differences(X, X)
+        diff[2, 0, 1] = np.nan      # one entry, above the diagonal
         with pytest.raises(NumericalError, match="not finite"):
-            _nll_and_grad(np.zeros(5), diff, rng.normal(size=5),
-                          np.zeros(5), 1e-8)
+            _likelihood(diff, rng.normal(size=5), np.zeros(5), 1e-8)(
+                np.zeros(5))
 
     def test_nan_target_raises_numerical_error_from_fit(self):
         space = make_space()
