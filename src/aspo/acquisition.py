@@ -473,9 +473,9 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     """Plain EI maximization: no constraints, no cost, no feasibility filter.
 
     This is the conventional-BO proposal generator used as a baseline; the
-    relaxed posterior is ascended from every start by ``gp.lbfgsb``'s
-    L-BFGS-B, all starts in lockstep, and the best distinct snapped optimum
-    by EI wins (first on ties).  EI is the cooled acquisition under a
+    relaxed posterior is ascended by L-BFGS-B from every start in lockstep
+    (``gp.lbfgsb_lockstep``), and the best distinct snapped optimum by EI
+    wins (first on ties).  EI is the cooled acquisition under a
     neutral context: no cost, so c = 1, and lambda = 1 at iteration 0,
     which leaves every score EI.
     """

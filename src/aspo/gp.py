@@ -16,11 +16,12 @@ Pair differences are held feature-major, ``(D, n, n)`` or ``(D, rows, n)``,
 so per-dimension work runs over long contiguous rows, summed in the order
 numpy sums a contiguous last axis: every entry keeps its ``(n, n, D)`` bits.
 
-Hyperparameters come from L-BFGS-B restarts run by ``lbfgsb``, which drives
-scipy's ``setulb`` directly and ends where ``minimize`` would.  Each fit
-builds one likelihood closure over its differences and buffers; it calls
-LAPACK as scipy's wrappers would.  Posteriors are batched over query rows
-with stacked dots; each row equals its batch of one bit for bit.
+Hyperparameters come from L-BFGS-B restarts run in lockstep by
+``lbfgsb_lockstep``, which drives scipy's ``setulb`` directly and ends each
+restart where ``minimize`` would.  Each fit builds one likelihood closure
+that scores every live restart in one stacked pass, calling LAPACK row by
+row as scipy's wrappers would.  Posteriors are batched over query rows with
+stacked dots.  Each row of a batch equals its batch of one bit for bit.
 """
 
 from __future__ import annotations
@@ -107,12 +108,12 @@ def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _matern_terms(ell, sv, diff: np.ndarray, scaled_sq=None):
     """(K, 1 + sqrt5 r, exp(-sqrt5 r), scaled_sq) at feature-major ``diff``
-    (D, a, b), ``scaled_sq`` optionally a buffer like ``diff``.  Each
-    dimension's divide and square runs over one contiguous row.  The radius
-    sum's order sets its last bits: adding row after row differs, from D = 8
-    on, from numpy's pairwise sum over an (a, b, D) layout's last axis, which
-    ``_pairwise_rows`` repeats."""
-    scaled_sq = np.divide(diff, ell[:, None, None], out=scaled_sq)
+    (D, ...), ``ell`` and ``sv`` broadcasting against it and the radius,
+    ``scaled_sq`` optionally an output buffer.  Each dimension's divide and
+    square runs over one contiguous row.  The radius sum's order sets its
+    last bits: ``_pairwise_rows`` repeats numpy's pairwise sum over an
+    (a, b, D) last axis, which adding row after row misses from D = 8 on."""
+    scaled_sq = np.divide(diff, ell, out=scaled_sq)
     np.multiply(scaled_sq, scaled_sq, out=scaled_sq)        # ** 2
     r = np.sqrt(_pairwise_rows(scaled_sq))
     expo, lin = np.exp(-SQRT5 * r), 1 + SQRT5 * r
@@ -121,8 +122,8 @@ def _matern_terms(ell, sv, diff: np.ndarray, scaled_sq=None):
 
 def _matern52(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Base kernel matrix between row sets A (n x D) and B (m x D)."""
-    return _matern_terms(params.lengthscales, params.signal_variance,
-                         _differences(A, B))[0]
+    return _matern_terms(params.lengthscales[:, None, None],
+                         params.signal_variance, _differences(A, B))[0]
 
 
 def kernel_value(space: ParameterSpace, params: KernelParams, x, y) -> float:
@@ -156,46 +157,63 @@ def _cholesky_with_escalation(K: np.ndarray, jitter: float):
 
 
 def _likelihood(diff, y, extra_noise, jitter):
-    """Negative log marginal likelihood and its log-space gradient at theta =
-    log([lengthscales (D), signal_variance, noise_variance]), as a closure
-    over the feature-major differences ``diff`` (D, n, n).  It returns a
-    large penalty on Cholesky failure so line searches back off, and raises
-    ``NumericalError`` when the kernel or the likelihood is not finite.  The
-    LAPACK calls are those ``cholesky`` and ``cho_solve`` make; each
-    lengthscale gradient sums its own row of one (D, n*n) product."""
+    """Negative log marginal likelihood and its log-space gradient, one
+    ``(nll, grad)`` per row of theta (R, D+2) = log([lengthscales (D),
+    signal_variance, noise_variance]), as a closure over feature-major
+    ``diff`` (D, n, n).  Matern arithmetic and gradient products run once
+    over (D, R, n, n), the LAPACK calls of ``cholesky`` and ``cho_solve`` row
+    by row: each row keeps its bits alone.  A failed Cholesky gives its row a
+    large penalty, so line searches back off.  Rows are checked in order,
+    kernel first: the first not finite raises ``NumericalError``."""
     n, D = len(y), len(diff)
-    diff = np.ascontiguousarray(diff)
-    eye, K, terms = np.eye(n), np.empty((n, n)), np.empty_like(diff)
+    diff = np.ascontiguousarray(diff)[:, None]     # (D, 1, n, n)
+    eye = np.eye(n)
     log_norm = 0.5 * n * np.log(2 * np.pi)
-    diagonal = K.reshape(-1)[::n + 1]      # a view: K's diagonal
+    terms = np.empty((D, 0, n, n))
 
     def nll_and_grad(theta):
-        ell, sv, nv = np.exp(theta[:D]), np.exp(theta[D]), np.exp(theta[D + 1])
-        K_sig, lin, expo, _ = _matern_terms(ell, sv, diff, terms)
-        np.copyto(K, K_sig)
-        np.add(diagonal, nv + extra_noise, out=diagonal)
+        nonlocal terms
+        R = len(theta)
+        if terms.shape[1] < R:          # a buffer for the widest batch yet
+            terms = np.empty((D, R, n, n))
+        e = np.exp(theta)
+        sv, nv = e[:, D, None, None], e[:, D + 1]
+        K_sig, lin, expo, scaled_sq = _matern_terms(
+            e[:, :D].T[:, :, None, None], sv, diff, terms[:, :R])
+        K = K_sig.copy()
+        diagonal = K.reshape(R, n * n)[:, ::n + 1]     # a view: each diagonal
+        np.add(diagonal, nv[:, None] + extra_noise, out=diagonal)
         np.add(diagonal, jitter, out=diagonal)
-        if not np.isfinite(K).all():
-            raise NumericalError("likelihood kernel is not finite")
-        L, info = dpotrf(K, lower=1, clean=1)
-        if info:
-            return 1e25, np.zeros_like(theta)
-        alpha = dpotrs(L, y, lower=1)[0]
-        nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + log_norm
-        if not np.isfinite(nll):
-            raise NumericalError("likelihood is not finite")
+        finite = np.isfinite(K).reshape(R, n * n).all(axis=1)
 
-        B = np.outer(alpha, alpha) - dpotrs(L, eye, lower=1)[0]
+        alpha, L_diag = np.zeros((R, n)), np.ones((R, n))
+        inverse, failed = np.zeros((R, n, n)), np.zeros(R, dtype=bool)
+        for i in range(R if finite.all() else int(np.argmin(finite))):
+            L, info = dpotrf(K[i], lower=1, clean=1)
+            if info:
+                failed[i] = True
+                continue
+            alpha[i], L_diag[i] = dpotrs(L, y, lower=1)[0], L.diagonal()
+            inverse[i] = dpotrs(L, eye, lower=1)[0]
+        nll = 0.5 * _row_dots(alpha, y) + np.log(L_diag).sum(axis=1) + log_norm
+        for i in range(R):
+            if not finite[i]:
+                raise NumericalError("likelihood kernel is not finite")
+            if not (failed[i] or np.isfinite(nll[i])):
+                raise NumericalError("likelihood is not finite")
+
+        B = alpha[:, :, None] * alpha[:, None, :] - inverse
         # common factor of the Matern-5/2 radial derivative, with r
         # cancelled: d K / d log ell_j = radial * scaled_sq[j]
         radial = (5.0 / 3.0) * sv * lin * expo
-        np.multiply(radial, terms, out=terms)     # terms held scaled_sq
-        np.multiply(terms, B, out=terms)
-        grad = np.empty_like(theta)
-        grad[:D] = -0.5 * terms.reshape(D, n * n).sum(axis=1)
-        grad[D] = -0.5 * np.sum(B * K_sig)
-        grad[D + 1] = -0.5 * nv * np.trace(B)
-        return float(nll), grad
+        np.multiply(radial, scaled_sq, out=scaled_sq)
+        np.multiply(scaled_sq, B, out=scaled_sq)
+        grad = np.empty((R, D + 2))
+        grad[:, :D] = (-0.5 * scaled_sq.reshape(D, R, n * n).sum(axis=2)).T
+        grad[:, D] = -0.5 * (B * K_sig).reshape(R, n * n).sum(axis=1)
+        grad[:, D + 1] = -0.5 * nv * np.trace(B, axis1=1, axis2=2)
+        nll[failed], grad[failed] = 1e25, 0.0
+        return list(zip(nll.tolist(), grad))
 
     return nll_and_grad
 
@@ -212,7 +230,8 @@ def log_marginal_likelihood(space, params: KernelParams, inputs, targets,
     theta = np.concatenate([np.log(params.lengthscales),
                             [np.log(params.signal_variance),
                              np.log(max(params.noise_variance, 1e-300))]])
-    nll, grad = _likelihood(_differences(X, X), y, extra, params.jitter)(theta)
+    (nll, grad), = _likelihood(_differences(X, X), y, extra,
+                               params.jitter)(theta[None, :])
     return -nll, -grad
 
 
@@ -303,7 +322,7 @@ class GpModel:
         at the rows of ``Q``.  One multi-right-hand-side ``dpotrs`` (the
         call ``cho_solve`` makes) solves each column on its own."""
         diff = _differences(Q, self.X)
-        K = _matern_terms(self.params.lengthscales,
+        K = _matern_terms(self.params.lengthscales[:, None, None],
                           self.params.signal_variance, diff)[0]
         # d k_i / d x_j, with the Matern radial term's r cancelled.  This r
         # and its exp round differently from the kernel's; sharing those
@@ -373,21 +392,10 @@ def _lbfgsb_steps(x0, lo, hi, maxiter: int):
     return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, status=status)
 
 
-def lbfgsb(fun, x0, lo, hi, maxiter: int) -> OptimizeResult:
-    """``_lbfgsb_steps`` with ``(f, g) = fun(x)``."""
-    steps = _lbfgsb_steps(x0, lo, hi, maxiter)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(fun(x))
-    except StopIteration as done:
-        return done.value
-
-
 def lbfgsb_lockstep(fun, starts, lo, hi, maxiter: int) -> list:
-    """``lbfgsb`` from every start at once: ``fun`` maps the points all live
-    solves want (rows) to a list of ``(f, g)``.  Each start ends where it
-    ends alone when each row of ``fun`` equals its batch of one."""
+    """``_lbfgsb_steps`` from every start at once: ``fun`` maps the points all
+    live solves want (rows) to a list of ``(f, g)``.  Each start ends where
+    ``minimize`` takes it alone if each row of ``fun`` is its batch of one."""
     solves = [_lbfgsb_steps(x0, lo, hi, maxiter) for x0 in starts]
     wanted = {i: next(steps) for i, steps in enumerate(solves)}
     results = [None] * len(solves)
@@ -407,8 +415,9 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
 
     Restart 0 begins at ``init`` (or the defaults), the rest at seeded
     log-uniform draws; ties between restarts resolve to the lowest index.
-    The restarts run one after another, each through ``lbfgsb`` (60
-    iterations at most), which ends where ``minimize`` would.
+    The restarts run in lockstep through ``lbfgsb_lockstep`` (60 iterations
+    at most), one stacked likelihood call per round; each ends where
+    ``minimize`` would take it alone.
     With ``optimize=False`` the given hyperparameters are used as-is (this is
     the only mode that accepts a single training point, and the way to pin
     ``noise_variance=0`` for exact interpolation).
@@ -437,26 +446,17 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
     lo = np.log([*([LENGTHSCALE_BOUNDS[0]] * D), SIGNAL_BOUNDS[0], NOISE_BOUNDS[0]])
     hi = np.log([*([LENGTHSCALE_BOUNDS[1]] * D), SIGNAL_BOUNDS[1], NOISE_BOUNDS[1]])
 
-    def start_point(r: int) -> np.ndarray:
-        if r == 0:
-            return np.concatenate([
-                np.log(init.lengthscales),
-                [np.log(init.signal_variance),
-                 np.log(np.clip(init.noise_variance, NOISE_BOUNDS[0], None))]])
+    starts = [np.log([*init.lengthscales, init.signal_variance,
+                      max(init.noise_variance, NOISE_BOUNDS[0])])]
+    for r in range(1, FIT_RESTARTS):
         rng = np.random.default_rng([seed, r])
-        return np.concatenate([
+        starts.append(np.concatenate([
             rng.uniform(np.log(0.05), np.log(5.0), size=D),
             [rng.uniform(np.log(0.1), np.log(10.0)),
-             rng.uniform(np.log(1e-7), np.log(1e-2))]])
-
+             rng.uniform(np.log(1e-7), np.log(1e-2))]]))
     nll_and_grad = _likelihood(_differences(X, X), y, extra, init.jitter)
-    best = None
-    for r in range(FIT_RESTARTS):
-        res = lbfgsb(nll_and_grad, start_point(r), lo, hi, 60)
-        if best is None or res.fun < best.fun:
-            best = res
-
-    theta = best.x
+    runs = lbfgsb_lockstep(nll_and_grad, starts, lo, hi, 60)
+    theta = min(runs, key=lambda res: res.fun).x    # the first on ties
     params = KernelParams(lengthscales=np.exp(theta[:D]),
                           signal_variance=float(np.exp(theta[D])),
                           noise_variance=float(np.exp(theta[D + 1])),

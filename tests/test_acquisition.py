@@ -56,6 +56,7 @@ from aspo.space import (
 )
 from oracles import (
     reference_cooled_scores,
+    reference_nll_and_grad,
     reference_objective,
     reference_posterior,
     reference_smooth_constraint,
@@ -576,20 +577,31 @@ class TestLockstepSlsqp:
 
 
 
-def record_lbfgsb(monkeypatch, module):
-    """Make ``module.lbfgsb`` also solve each problem with ``minimize``;
-    returns the list that collects (problem, ours, minimize's)."""
-    solves = []
-    driver = gp_mod.lbfgsb
+def record_fit_solves(monkeypatch):
+    """Make ``gp.fit`` record its likelihood's inputs and its
+    ``lbfgsb_lockstep`` call; returns the two lists they go to."""
+    likelihoods, solves = [], []
+    likelihood, driver = gp_mod._likelihood, gp_mod.lbfgsb_lockstep
 
-    def both(fun, x0, lo, hi, maxiter):
-        ours = driver(fun, x0, lo, hi, maxiter)
-        solves.append(((fun, x0, lo, hi), ours, lbfgsb_by_minimize(
-            fun, x0, lo, hi, maxiter)))
-        return ours
+    def recorded_likelihood(*args):
+        likelihoods.append(args)
+        return likelihood(*args)
 
-    monkeypatch.setattr(module, "lbfgsb", both)
-    return solves
+    def recorded_driver(fun, starts, lo, hi, maxiter):
+        runs = driver(fun, starts, lo, hi, maxiter)
+        solves.append(((fun, starts, lo, hi, maxiter), runs))
+        return runs
+
+    monkeypatch.setattr(gp_mod, "_likelihood", recorded_likelihood)
+    monkeypatch.setattr(gp_mod, "lbfgsb_lockstep", recorded_driver)
+    return likelihoods, solves
+
+
+def oracle_likelihood(diff, y, extra_noise, jitter):
+    """``reference_nll_and_grad`` on the (n, n, D) copy of ``diff``."""
+    diff = np.ascontiguousarray(np.transpose(diff, (1, 2, 0)))
+    return lambda theta: reference_nll_and_grad(theta, diff, y, extra_noise,
+                                                jitter)
 
 
 def lbfgsb_by_minimize(fun, x0, lo, hi, maxiter):
@@ -605,7 +617,8 @@ def assert_same_lbfgsb(ours, theirs):
 
 
 class TestLbfgsbDriver:
-    """``gp.lbfgsb`` against ``minimize(method="L-BFGS-B")``, solve by solve."""
+    """``gp.lbfgsb_lockstep`` against ``minimize(method="L-BFGS-B")``, solve
+    by solve."""
 
     def test_setulb_signature(self):
         assert setulb.__doc__.startswith(
@@ -615,22 +628,29 @@ class TestLbfgsbDriver:
     @pytest.mark.parametrize("processor, seed", [
         ("boom", 0), ("boom", 1), ("rocketchip", 0), ("el2_veer", 2)])
     def test_fit_restarts_match_minimize(self, monkeypatch, processor, seed):
-        solves = record_lbfgsb(monkeypatch, gp_mod)
+        # the fit's restarts run in lockstep on the stacked likelihood; each
+        # must end where minimize takes it alone on the oracle likelihood
+        likelihoods, solves = record_fit_solves(monkeypatch)
         bundle_context(assets.load_bundle(processor),
                        np.random.default_rng(seed))
-        assert len(solves) == gp_mod.FIT_RESTARTS
-        for _, ours, theirs in solves:
-            assert_same_lbfgsb(ours, theirs)
+        (args,), (((_, starts, lo, hi, maxiter), runs),) = likelihoods, solves
+        assert len(starts) == len(runs) == gp_mod.FIT_RESTARTS
+        oracle = oracle_likelihood(*args)
+        for x0, ours in zip(starts, runs):
+            assert_same_lbfgsb(ours, lbfgsb_by_minimize(oracle, x0, lo, hi,
+                                                        maxiter))
 
     @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
     def test_iteration_limit(self, monkeypatch, processor):
-        solves = record_lbfgsb(monkeypatch, gp_mod)
+        likelihoods, solves = record_fit_solves(monkeypatch)
         bundle_context(assets.load_bundle(processor), np.random.default_rng(4))
         monkeypatch.undo()
-        for (fun, x0, lo, hi), _, _ in solves:
-            ours = gp_mod.lbfgsb(fun, x0, lo, hi, 2)
+        (args,), (((fun, starts, lo, hi, _), _),) = likelihoods, solves
+        oracle = oracle_likelihood(*args)
+        for x0, ours in zip(starts,
+                            gp_mod.lbfgsb_lockstep(fun, starts, lo, hi, 2)):
             assert (ours.nit, ours.status) == (2, 1)
-            assert_same_lbfgsb(ours, lbfgsb_by_minimize(fun, x0, lo, hi, 2))
+            assert_same_lbfgsb(ours, lbfgsb_by_minimize(oracle, x0, lo, hi, 2))
 
     @pytest.mark.parametrize("processor, seed", [
         ("boom", 0), ("rocketchip", 1), ("el2_veer", 3)])
@@ -654,7 +674,7 @@ class TestLbfgsbDriver:
         assert len(starts) == len(acq._starts(bundle.space, seed, 2, None))
         one = lambda u: fun(u[None, :])[0]  # noqa: E731
         for x0, ours in zip(starts, driver(fun, starts, lo, hi, maxiter)):
-            assert_same_lbfgsb(ours, gp_mod.lbfgsb(one, x0, lo, hi, maxiter))
+            assert_same_lbfgsb(ours, driver(fun, [x0], lo, hi, maxiter)[0])
             assert_same_lbfgsb(ours, lbfgsb_by_minimize(one, x0, lo, hi,
                                                         maxiter))
 
@@ -662,7 +682,8 @@ class TestLbfgsbDriver:
         # a gradient of the wrong sign: every line search fails
         fun = lambda x: (float(x @ x), -2 * x)  # noqa: E731
         x0, lo, hi = np.array([0.5, -0.3, 0.2]), -np.ones(3), np.ones(3)
-        ours = gp_mod.lbfgsb(fun, x0, lo, hi, 30)
+        ours, = gp_mod.lbfgsb_lockstep(lambda X: [fun(x) for x in X], [x0],
+                                       lo, hi, 30)
         assert ours.status == 2
         assert_same_lbfgsb(ours, lbfgsb_by_minimize(fun, x0, lo, hi, 30))
 
@@ -672,8 +693,9 @@ class TestLbfgsbDriver:
         lo, hi = np.zeros(len(starts[0])), np.ones(len(starts[0]))
         for u0 in starts[-2:]:
             assert (u0 < 0).any() or (u0 > 1).any()
-            assert_same_lbfgsb(gp_mod.lbfgsb(fun, u0, lo, hi, acq.MAXITER),
-                               lbfgsb_by_minimize(fun, u0, lo, hi, acq.MAXITER))
+            ours = gp_mod.lbfgsb_lockstep(objective, [u0], lo, hi, acq.MAXITER)
+            assert_same_lbfgsb(ours[0], lbfgsb_by_minimize(fun, u0, lo, hi,
+                                                           acq.MAXITER))
 
 
 class TestBatchOfOne:
