@@ -18,15 +18,14 @@ constant and carries no gradient); snapping happens only when a local optimum
 is emitted as a candidate.  Candidates that fail the exact constraint
 semantics are discarded, so every returned configuration is feasible.
 
-The starts run in lockstep rounds.  Each keeps its own state of scipy's
-SLSQP solver (``_slsqplib.slsqp``, which ``minimize`` drives); a round
-advances every live start by one solver call, then evaluates the round's
-new points as one batch: one kernel matrix and gradient tensor, one stacked
-cost distance and one relaxed view for the constraint tree (compiled once
-per call).  The posterior and every gradient run over arrays; the scalar
-EI chain (libm's ``erf``, ``exp`` and ``pow``) and the tree run row by row.
-Each row equals its batch of one bit for bit, so each start ends exactly
-where ``minimize`` takes it alone.  A start whose
+The starts are ``solvers.slsqp_steps`` solves, each with its own state of
+scipy's SLSQP solver, run together by ``solvers.lockstep``.  Each round's
+new points are evaluated as one batch: one kernel matrix and gradient
+tensor, one stacked cost distance and one relaxed view for the constraint
+tree (compiled once per call).  The posterior and every gradient run over
+arrays; the scalar EI chain (libm's ``erf``, ``exp`` and ``pow``) and the
+tree run row by row.  Each row equals its batch of one bit for bit, so each
+start ends exactly where ``minimize`` takes it alone.  A start whose
 objective or constraint raises ``NumericalError`` or ``InvalidPointError``
 is retired: its snapped start stays a candidate, and the others run on.
 
@@ -52,12 +51,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py wraps it)
-from scipy.optimize._slsqplib import slsqp
 
 from .checkpoints import RelaxedCost
 from .constraints import compile_tree, feasible_draws, feasible_rows
 from .errors import InvalidPointError, NoFeasibleCandidateError, NumericalError
-from .gp import GpModel, lbfgsb_lockstep
+from .gp import GpModel
+from .solvers import lbfgsb_steps, lockstep, slsqp_steps
 from .space import (
     ParameterSpace,
     encode,
@@ -316,43 +315,6 @@ def _box_ranks(space: ParameterSpace, u) -> tuple:
 _RETIRING = (NumericalError, InvalidPointError)
 
 
-class _SlsqpStart:
-    """One start's SLSQP reverse-communication state over the unit box.
-
-    Laid out as ``_minimize_slsqp`` lays it out for ``m`` inequality
-    constraints.  The memo follows its ``ScalarFunction`` rules: ``nfev``
-    counts values handed to the solver at a new point, and a gradient asked
-    for away from the last evaluation is evaluated without counting.
-    """
-
-    def __init__(self, x0, m: int, maxiter: int):
-        n = len(x0)
-        self.x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-        self.state = dict.fromkeys(
-            ("alpha", "f0", "gs", "h1", "h2", "h3", "h4", "t", "t0"), 0.0)
-        ftol = 1e-8
-        self.state.update(
-            acc=ftol, tol=10.0 * ftol, exact=0, inconsistent=0, reset=0,
-            iter=0, itermax=maxiter, line=0, m=m, meq=0, mode=0, n=n)
-        size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28
-        # multipliers, bounds, workspace and index buffer
-        self.work = (np.zeros(m + 2 * n + 2), np.zeros(n), np.ones(n),
-                     np.zeros(size + (m == 0) * 2 * n * (n + 1)),
-                     np.zeros(m + 2 * n + 2, dtype=np.int32))
-        self.C = np.zeros((max(1, m), n), order="F")
-        self.d = np.zeros(max(1, m))
-        self.fun = self.g = None            # as last handed to the solver
-        self.nfev, self.counted = 0, False  # counted: memo's f is in nfev
-        # last evaluation, at the point memo_x (a list): f, g and the
-        # constraint's (value, jacobian) or (); None once the start retires
-        self.memo_x = self.memo = None
-
-    def step(self) -> int:
-        slsqp(self.state, self.fun, self.g, self.C, self.d, self.x,
-              *self.work)
-        return self.state["mode"]
-
-
 def _evaluate_rows(fun, U) -> list:
     """``fun(U)``, with ``None`` for each row that raises alone.  A row
     equals its batch of one, so a batch that raises is rerun row by row."""
@@ -368,57 +330,18 @@ def _evaluate_rows(fun, U) -> list:
         return out
 
 
-def _serve(objective, constraint, starts):
-    """Answer every start's pending request; return the starts still live.
-
-    Mode 1 asks for the objective and constraint values, mode -1 for their
-    gradients, and mode 0 (before the first solver call) for both.  Points
-    that differ from a start's last evaluation are evaluated as one batch.
-    """
-    stale = [(s, key) for s, key in zip(starts, [s.x.tolist() for s in starts])
-             if key != s.memo_x]     # np.array_equal, NaN and -0.0 included
-    if stale:
-        U = np.array([s.x for s, _ in stale])
-        rows = _evaluate_rows(objective, U)
+def _slsqp_rows(objective, constraint):
+    """Answers for ``slsqp_steps`` at every row: ``(f, g, (value,
+    jacobian) or ())``, or ``None`` where the objective or the constraint
+    raises for the row alone, which retires its start."""
+    def rows(U):
+        fgs = _evaluate_rows(objective, U)
         cons = [()] * len(U) if constraint is None \
             else _evaluate_rows(constraint, U)
-        for (s, key), fg, con in zip(stale, rows, cons):
-            s.memo_x, s.counted = key, False
-            s.memo = None if fg is None or con is None else (*fg, con)
-    live = [s for s in starts if s.memo is not None]
-    for s in live:
-        f, g, con = s.memo
-        mode = s.state["mode"]
-        if mode != -1:
-            s.fun = f
-            s.nfev += not s.counted
-            s.counted = True
-            if con:
-                s.d[0] = con[0]
-        if mode != 1:
-            s.g = g
-            if con:
-                s.C[0] = con[1]
-    return live
+        return [None if fg is None or con is None else (*fg, con)
+                for fg, con in zip(fgs, cons)]
 
-
-def _slsqp_lockstep(objective, constraint, starts, maxiter: int) -> list:
-    """SLSQP from every start at once, each start with its own solver state.
-
-    Each round advances every live start by one solver call, then serves
-    their requests together.  Each start ends with exactly the ``x``,
-    ``fun``, ``nfev`` and exit mode (``state["mode"]``) that
-    ``minimize(method="SLSQP")`` with the same ``maxiter`` and ``ftol``
-    gives it alone.  Returns one ``_SlsqpStart`` per start, or ``None`` for
-    a retired start.
-    """
-    runs = [_SlsqpStart(u0, 0 if constraint is None else 1, maxiter)
-            for u0 in starts]
-    live = _serve(objective, constraint, runs)
-    while live:
-        live = _serve(objective, constraint,
-                      [s for s in live if abs(s.step()) == 1])
-    return [None if s.memo is None else s for s in runs]
+    return rows
 
 
 def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
@@ -436,10 +359,10 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     back to rejection sampling when no start yields a feasible candidate.
     """
     starts = _starts(space, seed, ctx.iteration, warm_configs)
-    runs = _slsqp_lockstep(
-        _relaxed_objective_batch(ctx),
-        _smooth_constraint(space, tree) if tree is not None else None,
-        starts, MAXITER)
+    constraint = _smooth_constraint(space, tree) if tree is not None else None
+    runs = lockstep(_slsqp_rows(_relaxed_objective_batch(ctx), constraint),
+                    [slsqp_steps(u0, 0 if tree is None else 1, MAXITER)
+                     for u0 in starts])
 
     # snapped candidates as rank rows, first-seen order, duplicates dropped
     found: dict[tuple, None] = {}
@@ -474,16 +397,17 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
 
     This is the conventional-BO proposal generator used as a baseline; the
     relaxed posterior is ascended by L-BFGS-B from every start in lockstep
-    (``gp.lbfgsb_lockstep``), and the best distinct snapped optimum by EI
+    (``solvers.lbfgsb_steps`` under ``solvers.lockstep``, where an error in
+    the objective propagates), and the best distinct snapped optimum by EI
     wins (first on ties).  EI is the cooled acquisition under a
     neutral context: no cost, so c = 1, and lambda = 1 at iteration 0,
     which leaves every score EI.
     """
     ctx = AcquisitionContext(model=model, best_feasible=best)
     lo, hi = np.zeros(space.encoded_dim), np.ones(space.encoded_dim)
-    runs = lbfgsb_lockstep(_relaxed_objective_batch(ctx),
-                           _starts(space, seed, iteration, warm_configs),
-                           lo, hi, MAXITER)
+    runs = lockstep(_relaxed_objective_batch(ctx),
+                    [lbfgsb_steps(u0, lo, hi, MAXITER)
+                     for u0 in _starts(space, seed, iteration, warm_configs)])
     candidates = np.array(list(dict.fromkeys(_box_ranks(space, r.x)
                                              for r in runs)), dtype=np.intp)
     scores = _cooled_scores(ctx, encode_ranks(space, candidates))

@@ -7,9 +7,9 @@ minimum distance to the database doubles as the evaluation-cost estimate fed
 to the acquisition function, and the per-parameter weights are learned by
 coordinate descent against observed synthesis times.
 
-Concurrency: single writer (the driver), any number of readers.  Persistence
-is an append-friendly JSON-lines file; the artifact handle is an opaque
-relative path derived from the configuration hash.
+Concurrency: single writer (the driver), any number of readers.  The store
+lives in memory; the artifact handle is an opaque relative path derived from
+the configuration hash.
 """
 
 from __future__ import annotations
@@ -17,21 +17,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyDatabaseError, InsufficientRecordsError
-from .space import CATEGORICAL, ParameterSpace, config_ranks, encode
+from .space import CATEGORICAL, ParameterSpace, config_ranks
 
 WEIGHT_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 LEARN_SWEEPS = 3
 LEARN_SUBSET = 20
 #: cost estimate while the database is empty
 COST_PRIOR = 1.0
-
-_EPOCH = "2000-01-01T00:00:00Z"
-
 
 @dataclass(frozen=True)
 class DistanceWeights:
@@ -58,16 +54,6 @@ class CheckpointRecord:
     metrics: object                  # EvaluationResult
     artifact: str
     synthesis_minutes: float
-    inserted_at: str = _EPOCH
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "metrics": self.metrics.to_dict(),
-            "synthesis_minutes": self.synthesis_minutes,
-            "artifact": self.artifact,
-            "inserted_at": self.inserted_at,
-        }
 
 
 def config_features(space: ParameterSpace, cfg: dict) -> np.ndarray:
@@ -142,32 +128,6 @@ class CheckpointStore:
     def feature_matrix(self) -> np.ndarray:
         """Features of every record in insertion order; read, do not modify."""
         return self._features
-
-    def save(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for rec in self._records:
-                fh.write(json.dumps(rec.to_dict()) + "\n")
-
-    @classmethod
-    def load(cls, path, space: ParameterSpace) -> "CheckpointStore":
-        from .evaluation import EvaluationResult
-
-        store = cls(space)
-        for line in Path(path).read_text().splitlines():
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            store.insert(CheckpointRecord(
-                config=data["config"],
-                encoded=encode(space, data["config"]),
-                metrics=EvaluationResult(**data["metrics"]),
-                artifact=data["artifact"],
-                synthesis_minutes=data["synthesis_minutes"],
-                inserted_at=data["inserted_at"],
-            ))
-        return store
 
 
 def _distances_to_all(store: CheckpointStore, cfg: dict,

@@ -10,9 +10,8 @@ the identical harness and accounting with only the proposal step swapped.
 
 All times are virtual: evaluation minutes come from the synthetic model
 (scaled by the run's time-compression factor) and accumulate on a virtual
-clock, which also drives the stored checkpoints' timestamps.  No wall-clock
-time enters the emitted files or the stopping rule, so identical run
-configurations produce byte-identical reports.
+clock.  No wall-clock time enters the emitted files or the stopping rule,
+so identical run configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +66,6 @@ BASELINES = ("random", "vanilla-bo", "hill-climb")
 RELEARN_EVERY = 5
 STAGNATION_LIMIT = 10
 STAGNATION_RTOL = 1e-3
-
-#: virtual epoch for deterministic checkpoint timestamps
-_EPOCH = datetime(2000, 1, 1)
-
 
 @dataclass
 class RunConfig:
@@ -156,19 +150,13 @@ def _setup(rc: RunConfig):
     return space, tree, harness, CheckpointStore(space)
 
 
-def _virtual_timestamp(clock_minutes: float) -> str:
-    stamp = _EPOCH + timedelta(minutes=clock_minutes)
-    return stamp.isoformat(timespec="seconds") + "Z"
-
-
-def _insert(store: CheckpointStore, cfg: dict, result: EvaluationResult,
-            clock: float) -> None:
-    """Store a valid result's checkpoint, stamped with the virtual clock."""
+def _insert(store: CheckpointStore, cfg: dict,
+            result: EvaluationResult) -> None:
+    """Store a valid result's checkpoint."""
     store.insert(CheckpointRecord(
         config=cfg, encoded=encode(store.space, cfg), metrics=result,
         artifact=artifact_path(store.space, cfg),
-        synthesis_minutes=result.eval_minutes,
-        inserted_at=_virtual_timestamp(clock)))
+        synthesis_minutes=result.eval_minutes))
 
 
 def _surrogate(space: ParameterSpace, history, seed: int):
@@ -250,7 +238,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         if eet is not None and eet < best_eet:
             best_entry, best_eet = history[-1], eet
         if result.valid and not cache_hit:
-            _insert(store, cfg, result, clock)
+            _insert(store, cfg, result)
             inserts += 1
             if inserts % RELEARN_EVERY == 0 and len(store) >= 3:
                 weights = learn_weights(store, t_syn, seed=rc.seed)
@@ -451,7 +439,7 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
         res = harness.evaluate(cfg, DIRECT)
         clock += res.eval_minutes
         if res.valid:
-            _insert(store, cfg, res, clock)
+            _insert(store, cfg, res)
 
     out = {"configs": configs, "strategies": {}}
     oracle = harness.backend.match_weights

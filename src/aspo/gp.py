@@ -16,12 +16,12 @@ Pair differences are held feature-major, ``(D, n, n)`` or ``(D, rows, n)``,
 so per-dimension work runs over long contiguous rows, summed in the order
 numpy sums a contiguous last axis: every entry keeps its ``(n, n, D)`` bits.
 
-Hyperparameters come from L-BFGS-B restarts run in lockstep by
-``lbfgsb_lockstep``, which drives scipy's ``setulb`` directly and ends each
-restart where ``minimize`` would.  Each fit builds one likelihood closure
-that scores every live restart in one stacked pass, calling LAPACK row by
-row as scipy's wrappers would.  Posteriors are batched over query rows with
-stacked dots.  Each row of a batch equals its batch of one bit for bit.
+Hyperparameters come from L-BFGS-B restarts run on the multi-start
+scaffold in ``solvers``, which ends each restart where ``minimize`` would.
+Each fit builds one likelihood closure that scores every live restart in
+one stacked pass, calling LAPACK row by row as scipy's wrappers would.
+Posteriors are batched over query rows with stacked dots.  Each row of a
+batch equals its batch of one bit for bit.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.optimize import OptimizeResult
 from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py wraps it)
-from scipy.optimize._lbfgsb import setulb
 
 from .errors import NumericalError
+from .solvers import lbfgsb_steps, lockstep
 from .space import ParameterSpace, snap
 
 logger = logging.getLogger(__name__)
@@ -53,6 +52,8 @@ MAX_JITTER = 1e-2
 
 #: L-BFGS-B restarts per fit: the initial hyperparameters, then seeded draws
 FIT_RESTARTS = 5
+#: L-BFGS-B iteration cap per restart
+FIT_MAXITER = 60
 
 
 @dataclass
@@ -309,13 +310,9 @@ class GpModel:
 
     def predict_with_gradient(self, x):
         """Relaxed posterior and its gradient: (mean, var, dmean, dvar)."""
-        return self.predict_with_gradient_batch(
-            np.asarray(x, dtype=float)[None, :])[0]
-
-    def predict_with_gradient_batch(self, Q: np.ndarray) -> list[tuple]:
-        """``predict_with_gradient`` at every row of ``Q``."""
-        mean, var, dmean, dvar = self.predict_with_gradient_arrays(Q)
-        return list(zip(mean.tolist(), var.tolist(), dmean, dvar))
+        mean, var, dmean, dvar = self.predict_with_gradient_arrays(
+            np.asarray(x, dtype=float)[None, :])
+        return float(mean[0]), float(var[0]), dmean[0], dvar[0]
 
     def predict_with_gradient_arrays(self, Q: np.ndarray):
         """Relaxed means and variances (rows,) and their gradients (rows, D)
@@ -353,71 +350,16 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
 
 
-def _lbfgsb_steps(x0, lo, hi, maxiter: int):
-    """``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...,
-    options={"maxiter": maxiter})`` over the box ``lo``, ``hi`` as a
-    generator: it yields each point where ``(f, g)`` is wanted, takes them
-    through ``send`` and returns ``minimize``'s ``x``, ``fun``, ``nfev``,
-    ``nit`` and ``status``.  ``x0`` is clipped and evaluated once, and a
-    request at an unchanged point is answered from the last evaluation."""
-    # minimize's defaults: 10 corrections, factr = ftol / eps at its default
-    # ftol, pgtol 1e-5, 20 line-search steps and 15000 evaluations
-    m, factr, maxfun = 10, 2.2204460492503131e-09 / np.finfo(float).eps, 15000
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    n, memo_x = len(x), x.copy()
-    memo, nfev, nit = (yield memo_x), 1, 0
-    f, g = np.array(0.0), np.zeros(n)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    task, ln_task, lsave, isave, iwa = (np.zeros(k, dtype=np.int32)
-                                        for k in (2, 2, 4, 44, 3 * n))
-    dsave, nbd = np.zeros(29), np.full(n, 2, dtype=np.int32)  # 2: both bounds
-    while True:
-        g = g.astype(np.float64)
-        setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave,
-               isave, dsave, 20, ln_task)
-        if task[0] == 3:                    # f and g wanted at x
-            if not (x == memo_x).all():
-                memo_x = x.copy()
-                memo, nfev = (yield memo_x), nfev + 1
-            f, g = memo
-        elif task[0] == 1:                  # a new iterate
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
-        else:
-            break
-    status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
-    return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, status=status)
-
-
-def lbfgsb_lockstep(fun, starts, lo, hi, maxiter: int) -> list:
-    """``_lbfgsb_steps`` from every start at once: ``fun`` maps the points all
-    live solves want (rows) to a list of ``(f, g)``.  Each start ends where
-    ``minimize`` takes it alone if each row of ``fun`` is its batch of one."""
-    solves = [_lbfgsb_steps(x0, lo, hi, maxiter) for x0 in starts]
-    wanted = {i: next(steps) for i, steps in enumerate(solves)}
-    results = [None] * len(solves)
-    while wanted:
-        for i, fg in zip(list(wanted), fun(np.array(list(wanted.values())))):
-            try:
-                wanted[i] = solves[i].send(fg)
-            except StopIteration as done:
-                results[i] = done.value
-                del wanted[i]
-    return results
-
-
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,
         *, optimize: bool = True, seed: int = 0) -> GpModel:
     """Fit a model, maximizing marginal likelihood by multi-start L-BFGS-B.
 
     Restart 0 begins at ``init`` (or the defaults), the rest at seeded
     log-uniform draws; ties between restarts resolve to the lowest index.
-    The restarts run in lockstep through ``lbfgsb_lockstep`` (60 iterations
-    at most), one stacked likelihood call per round; each ends where
-    ``minimize`` would take it alone.
+    The restarts are ``solvers.lbfgsb_steps`` solves (``FIT_MAXITER``
+    iterations at most) run by ``solvers.lockstep``, one stacked likelihood
+    call per round; each ends where ``minimize`` would take it alone.  A
+    non-finite likelihood raises ``NumericalError``.
     With ``optimize=False`` the given hyperparameters are used as-is (this is
     the only mode that accepts a single training point, and the way to pin
     ``noise_variance=0`` for exact interpolation).
@@ -455,7 +397,8 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
             [rng.uniform(np.log(0.1), np.log(10.0)),
              rng.uniform(np.log(1e-7), np.log(1e-2))]]))
     nll_and_grad = _likelihood(_differences(X, X), y, extra, init.jitter)
-    runs = lbfgsb_lockstep(nll_and_grad, starts, lo, hi, 60)
+    runs = lockstep(nll_and_grad,
+                    [lbfgsb_steps(x0, lo, hi, FIT_MAXITER) for x0 in starts])
     theta = min(runs, key=lambda res: res.fun).x    # the first on ties
     params = KernelParams(lengthscales=np.exp(theta[:D]),
                           signal_variance=float(np.exp(theta[D])),

@@ -10,6 +10,7 @@ from scipy.stats import norm
 from aspo import acquisition as acq
 from aspo import assets
 from aspo import gp as gp_mod
+from aspo import solvers
 from aspo.acquisition import (
     EXPONENT,
     PAPER_RATIO,
@@ -45,6 +46,7 @@ from aspo.evaluation import (
     estimated_execution_time,
 )
 from aspo.gp import KernelParams, fit
+from aspo.solvers import lbfgsb_steps, lockstep, slsqp_steps
 from aspo.space import (
     ParameterDef,
     ParameterSpace,
@@ -475,6 +477,14 @@ def solver_problem(processor, seed):
     return acq._relaxed_objective_batch(ctx), constraint, starts
 
 
+def slsqp_lockstep(objective, constraint, starts, maxiter):
+    """Every start's ``slsqp_steps`` under ``lockstep``, answered as
+    ``maximize_acquisition`` answers them."""
+    m = 0 if constraint is None else 1
+    return lockstep(acq._slsqp_rows(objective, constraint),
+                    [slsqp_steps(u0, m, maxiter) for u0 in starts])
+
+
 def assert_same_solves(runs, want):
     assert len(runs) == len(want)
     for run, res in zip(runs, want):
@@ -483,7 +493,7 @@ def assert_same_solves(runs, want):
             assert run.x.tolist() == res.x.tolist()
             assert run.fun == res.fun
             assert run.nfev == res.nfev
-            assert run.state["mode"] == res.status
+            assert run.status == res.status
 
 
 class TestLockstepSlsqp:
@@ -493,29 +503,46 @@ class TestLockstepSlsqp:
         objective, constraint, starts = solver_problem(processor, seed)
         assert (processor == "boom") == (constraint is not None)
         assert any((u0 < 0).any() or (u0 > 1).any() for u0 in starts)
-        runs = acq._slsqp_lockstep(objective, constraint, starts, 60)
+        runs = slsqp_lockstep(objective, constraint, starts, 60)
         assert_same_solves(runs, minimize_each(objective, constraint,
                                                starts, 60))
 
     @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
     def test_iteration_limit(self, processor):
         objective, constraint, starts = solver_problem(processor, 2)
-        runs = acq._slsqp_lockstep(objective, constraint, starts, 3)
-        assert 9 in [r.state["mode"] for r in runs]
+        runs = slsqp_lockstep(objective, constraint, starts, 3)
+        assert 9 in [r.status for r in runs]
         assert_same_solves(runs, minimize_each(objective, constraint,
                                                starts, 3))
 
-    def test_memo_rules_match_scalar_function(self):
+    def test_memo_rules_match_scalar_function(self, monkeypatch):
         # scripted solver requests, including gradients asked for away from
         # the last f evaluation, against scipy's own memo layers: the same
         # points are evaluated, and the same values and nfev handed back
         objective, _, starts = solver_problem("rocketchip", 3)
         x0, x1, x2, x3 = (np.clip(u, 0.0, 1.0) for u in starts[:4])
-        ours, theirs = [], []
+        script = [(1, x1), (-1, x1), (-1, x2), (1, x2), (1, x2), (1, x3),
+                  (-1, x2), (1, x3), (-1, x3), (1, x1), (-1, x1)]
 
-        def counted(U):
-            ours.extend(u.tolist() for u in U)
-            return objective(U)
+        def run(requests):
+            """One start under a solver that takes each (mode, x) from
+            ``requests`` and then stops; returns the result, the points
+            evaluated and the (fun, g) handed to each solver call."""
+            points, handed, requests = [], [], iter(requests)
+
+            def scripted(state, fun, g, C, d, x, *work):
+                handed.append((fun, g.tolist()))
+                state["mode"], x[:] = next(requests, (0, x))
+
+            def rows(U):
+                points.extend(u.tolist() for u in U)
+                return [(*fg, ()) for fg in objective(U)]
+
+            monkeypatch.setattr(solvers, "slsqp", scripted)
+            res, = lockstep(rows, [slsqp_steps(x0, 0, 60)])
+            return res, points, handed
+
+        theirs = []
 
         def single(u):
             theirs.append(u.tolist())
@@ -524,20 +551,20 @@ class TestLockstepSlsqp:
         fun = MemoizeJac(single)
         sf = _prepare_scalar_function(fun, x0.copy(), jac=fun.derivative,
                                       bounds=(0.0, 1.0))
-        run = acq._SlsqpStart(x0, 0, 60)
-        assert acq._serve(counted, None, [run]) == [run]
-        assert run.nfev == sf.nfev == 1
-        script = [(1, x1), (-1, x1), (-1, x2), (1, x2), (1, x2), (1, x3),
-                  (-1, x2), (1, x3), (-1, x3), (1, x1), (-1, x1)]
+        nfevs, values = [sf.nfev], []
         for mode, x in script:
-            run.state["mode"], run.x = mode, x.copy()
-            acq._serve(counted, None, [run])
-            if mode == 1:
-                assert run.fun == sf.fun(x.copy())
-            else:
-                assert run.g.tolist() == sf.grad(x.copy()).tolist()
-            assert run.nfev == sf.nfev
-            assert ours == theirs
+            values.append(sf.fun(x.copy()) if mode == 1
+                          else sf.grad(x.copy()).tolist())
+            nfevs.append(sf.nfev)
+        res, ours, handed = run(script)
+        assert len(handed) == len(script) + 1
+        for (mode, _), value, (f, g) in zip(script, values, handed[1:]):
+            assert (f if mode == 1 else g) == value
+        # nfev as it stands after each request: the result of the prefix
+        for k, nfev in enumerate(nfevs):
+            assert run(script[:k])[0].nfev == nfev
+        assert nfevs[0] == 1 and res.nfev == nfevs[-1]
+        assert ours == theirs
         assert len(ours) == 7   # x0, x1, x2, x3, x2, x3, x1
 
     def test_retired_start_matches_a_loop_that_skips_it(self, monkeypatch):
@@ -568,33 +595,56 @@ class TestLockstepSlsqp:
         # some starts retire mid-run, after a first evaluation that passed
         assert retired and len(retired) < len(starts)
         assert any(u0[0] <= 0.9 for u0 in retired)
-        runs = acq._slsqp_lockstep(objective, constraint, starts, 60)
+        runs = slsqp_lockstep(objective, constraint, starts, 60)
         assert_same_solves(runs, want)
 
+        # the per-start loop in place of the lockstep; each solve's first
+        # point is its clipped start
         got = maximize_acquisition(ctx, space, tree, seed=0)
-        monkeypatch.setattr(acq, "_slsqp_lockstep", minimize_each)
+        monkeypatch.setattr(acq, "lockstep", lambda _, solves: minimize_each(
+            objective, constraint, [next(steps) for steps in solves],
+            acq.MAXITER))
         assert got == maximize_acquisition(ctx, space, tree, seed=0)
 
 
 
+def lbfgsb_lockstep(fun, starts, lo, hi, maxiter):
+    """Every start's ``lbfgsb_steps`` under ``lockstep``."""
+    return lockstep(fun, [lbfgsb_steps(x0, lo, hi, maxiter) for x0 in starts])
+
+
+def record_lbfgsb_solves(monkeypatch, module):
+    """Make ``module`` record each of its lockstep L-BFGS-B calls as
+    ``((fun, starts, lo, hi, maxiter), runs)``; returns the list."""
+    made, solves = [], []
+
+    def recorded_steps(x0, lo, hi, maxiter):
+        made.append((x0, lo, hi, maxiter))
+        return lbfgsb_steps(x0, lo, hi, maxiter)
+
+    def recorded_lockstep(fun, steps):
+        runs = lockstep(fun, steps)
+        _, lo, hi, maxiter = made[0]
+        solves.append(((fun, [x0 for x0, *_ in made], lo, hi, maxiter), runs))
+        made.clear()
+        return runs
+
+    monkeypatch.setattr(module, "lbfgsb_steps", recorded_steps)
+    monkeypatch.setattr(module, "lockstep", recorded_lockstep)
+    return solves
+
+
 def record_fit_solves(monkeypatch):
-    """Make ``gp.fit`` record its likelihood's inputs and its
-    ``lbfgsb_lockstep`` call; returns the two lists they go to."""
-    likelihoods, solves = [], []
-    likelihood, driver = gp_mod._likelihood, gp_mod.lbfgsb_lockstep
+    """Make ``gp.fit`` record its likelihood's inputs and its lockstep
+    L-BFGS-B call; returns the two lists they go to."""
+    likelihoods, likelihood = [], gp_mod._likelihood
 
     def recorded_likelihood(*args):
         likelihoods.append(args)
         return likelihood(*args)
 
-    def recorded_driver(fun, starts, lo, hi, maxiter):
-        runs = driver(fun, starts, lo, hi, maxiter)
-        solves.append(((fun, starts, lo, hi, maxiter), runs))
-        return runs
-
     monkeypatch.setattr(gp_mod, "_likelihood", recorded_likelihood)
-    monkeypatch.setattr(gp_mod, "lbfgsb_lockstep", recorded_driver)
-    return likelihoods, solves
+    return likelihoods, record_lbfgsb_solves(monkeypatch, gp_mod)
 
 
 def oracle_likelihood(diff, y, extra_noise, jitter):
@@ -617,8 +667,8 @@ def assert_same_lbfgsb(ours, theirs):
 
 
 class TestLbfgsbDriver:
-    """``gp.lbfgsb_lockstep`` against ``minimize(method="L-BFGS-B")``, solve
-    by solve."""
+    """``solvers.lbfgsb_steps`` under ``solvers.lockstep`` against
+    ``minimize(method="L-BFGS-B")``, solve by solve."""
 
     def test_setulb_signature(self):
         assert setulb.__doc__.startswith(
@@ -647,8 +697,7 @@ class TestLbfgsbDriver:
         monkeypatch.undo()
         (args,), (((fun, starts, lo, hi, _), _),) = likelihoods, solves
         oracle = oracle_likelihood(*args)
-        for x0, ours in zip(starts,
-                            gp_mod.lbfgsb_lockstep(fun, starts, lo, hi, 2)):
+        for x0, ours in zip(starts, lbfgsb_lockstep(fun, starts, lo, hi, 2)):
             assert (ours.nit, ours.status) == (2, 1)
             assert_same_lbfgsb(ours, lbfgsb_by_minimize(oracle, x0, lo, hi, 2))
 
@@ -660,21 +709,15 @@ class TestLbfgsbDriver:
         # still end where minimize takes it alone on the batch of one
         bundle = assets.load_bundle(processor)
         ctx = bundle_context(bundle, np.random.default_rng(seed))
-        solves = []
-        driver = gp_mod.lbfgsb_lockstep
-
-        def recorded(fun, starts, lo, hi, maxiter):
-            solves.append((fun, starts, lo, hi, maxiter))
-            return driver(fun, starts, lo, hi, maxiter)
-
-        monkeypatch.setattr(acq, "lbfgsb_lockstep", recorded)
+        solves = record_lbfgsb_solves(monkeypatch, acq)
         maximize_ei_unconstrained(ctx.model, bundle.space, ctx.best_feasible,
                                   seed=seed, iteration=2)
-        (fun, starts, lo, hi, maxiter), = solves
+        ((fun, starts, lo, hi, maxiter), runs), = solves
         assert len(starts) == len(acq._starts(bundle.space, seed, 2, None))
         one = lambda u: fun(u[None, :])[0]  # noqa: E731
-        for x0, ours in zip(starts, driver(fun, starts, lo, hi, maxiter)):
-            assert_same_lbfgsb(ours, driver(fun, [x0], lo, hi, maxiter)[0])
+        for x0, ours in zip(starts, runs):
+            assert_same_lbfgsb(ours,
+                               lbfgsb_lockstep(fun, [x0], lo, hi, maxiter)[0])
             assert_same_lbfgsb(ours, lbfgsb_by_minimize(one, x0, lo, hi,
                                                         maxiter))
 
@@ -682,8 +725,8 @@ class TestLbfgsbDriver:
         # a gradient of the wrong sign: every line search fails
         fun = lambda x: (float(x @ x), -2 * x)  # noqa: E731
         x0, lo, hi = np.array([0.5, -0.3, 0.2]), -np.ones(3), np.ones(3)
-        ours, = gp_mod.lbfgsb_lockstep(lambda X: [fun(x) for x in X], [x0],
-                                       lo, hi, 30)
+        ours, = lbfgsb_lockstep(lambda X: [fun(x) for x in X], [x0],
+                                lo, hi, 30)
         assert ours.status == 2
         assert_same_lbfgsb(ours, lbfgsb_by_minimize(fun, x0, lo, hi, 30))
 
@@ -693,7 +736,7 @@ class TestLbfgsbDriver:
         lo, hi = np.zeros(len(starts[0])), np.ones(len(starts[0]))
         for u0 in starts[-2:]:
             assert (u0 < 0).any() or (u0 > 1).any()
-            ours = gp_mod.lbfgsb_lockstep(objective, [u0], lo, hi, acq.MAXITER)
+            ours = lbfgsb_lockstep(objective, [u0], lo, hi, acq.MAXITER)
             assert_same_lbfgsb(ours[0], lbfgsb_by_minimize(fun, u0, lo, hi,
                                                            acq.MAXITER))
 
@@ -707,13 +750,14 @@ class TestBatchOfOne:
         space = bundle.space
         ctx = bundle_context(bundle, np.random.default_rng(17))
         U = np.random.default_rng(18).uniform(size=(2000, space.encoded_dim))
-        posterior = ctx.model.predict_with_gradient_batch(U)
+        mean, var, dmean, dvar = ctx.model.predict_with_gradient_arrays(U)
         costs, dcosts = ctx.cost.values_and_gradients(U)
-        for u, got, c, dc in zip(U, posterior, costs, dcosts):
+        for u, m, v, dm, dv, c, dc in zip(U, mean.tolist(), var.tolist(),
+                                          dmean, dvar, costs, dcosts):
             want = ctx.model.predict_with_gradient(u)
-            assert got[:2] == want[:2]
-            assert got[2].tolist() == want[2].tolist()
-            assert got[3].tolist() == want[3].tolist()
+            assert (m, v) == want[:2]
+            assert dm.tolist() == want[2].tolist()
+            assert dv.tolist() == want[3].tolist()
             value, grad = ctx.cost.value_and_gradient(u)
             assert c == value and dc.tolist() == grad.tolist()
 

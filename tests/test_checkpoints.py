@@ -117,30 +117,6 @@ class TestStore:
         assert store.records()[0].config == cfg_a
         assert store.records()[0].metrics.eval_minutes == 9.0
 
-    def test_round_trip_through_disk(self, space, tmp_path):
-        cfgs = [space.default_configuration(),
-                {"size": 8, "depth": 8, "mode": "small"},
-                {"size": 2, "depth": 4, "mode": "fast"}]
-        store = store_with(space, cfgs)
-        path = tmp_path / "checkpoints.jsonl"
-        store.save(path)
-        loaded = CheckpointStore.load(path, space)
-        assert len(loaded) == len(store)
-        for a, b in zip(store.records(), loaded.records()):
-            assert a.config == b.config
-            assert a.metrics == b.metrics
-            assert a.artifact == b.artifact
-            assert a.inserted_at == b.inserted_at
-
-    def test_record_schema_fields(self, space, tmp_path):
-        import json
-        store = store_with(space, [space.default_configuration()])
-        path = tmp_path / "checkpoints.jsonl"
-        store.save(path)
-        row = json.loads(path.read_text().splitlines()[0])
-        assert set(row) == {"config", "metrics", "synthesis_minutes",
-                            "artifact", "inserted_at"}
-
 
 class TestMatchConfig:
     def test_empty_database_error(self, space):
