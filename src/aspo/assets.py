@@ -57,7 +57,6 @@ def _verified_text(root: Path, rel: str, manifest: dict) -> str:
 
 @dataclass
 class Bundle:
-    processor: str
     space: ParameterSpace
     tree: object  # Conj or None
     model: dict
@@ -82,20 +81,5 @@ def load_bundle(processor: str, root=None) -> Bundle:
         SyntheticModel(model, space)
     except InvalidConfigurationError as exc:
         raise AssetError(f"{processor}: {exc}") from None
-    return Bundle(processor, space, tree, model)
-
-
-def load_assets(root=None) -> dict:
-    """Verify and parse every bundled file; returns processor -> Bundle."""
-    root = Path(root) if root is not None else asset_root()
-    manifest = load_manifest(root)
-    for entry in manifest["files"]:
-        _verified_text(root, entry["path"], manifest)
-    listed = {f["path"] for f in manifest["files"]}
-    on_disk = {str(p.relative_to(root)) for p in root.rglob("*.json")
-               if p.name != "manifest.json"}
-    unlisted = on_disk - listed
-    if unlisted:
-        raise AssetError(f"bundled files missing from manifest: {sorted(unlisted)}")
-    return {p: load_bundle(p, root) for p in PROCESSORS}
+    return Bundle(space, tree, model)
 

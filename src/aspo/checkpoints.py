@@ -125,16 +125,12 @@ class CheckpointStore:
         i = self._index.get(self._key(cfg))
         return None if i is None else self._records[i]
 
-    def feature_matrix(self) -> np.ndarray:
-        """Features of every record in insertion order; read, do not modify."""
-        return self._features
-
 
 def _distances_to_all(store: CheckpointStore, cfg: dict,
                       weights: DistanceWeights) -> np.ndarray:
     fx = config_features(store.space, cfg)
     terms = _pairwise_terms(store.space.categorical_mask,
-                            store.feature_matrix(), fx[None, :])
+                            store._features, fx[None, :])
     return terms @ weights.w
 
 
@@ -176,7 +172,7 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn,
     else:
         idx = list(range(len(records)))
     sample = [records[i] for i in idx]
-    feats = store.feature_matrix()[idx]
+    feats = store._features[idx]
 
     # terms[i]: sample i against every other sample, in order.  The product
     # stays stacked, one (n-1, P) matrix-vector product per block: a flat
@@ -234,10 +230,6 @@ class RelaxedCost:
                                                     else 1.0)
         self.coord_weights = cw
 
-    def value_and_gradient(self, u: np.ndarray):
-        values, grads = self.values_and_gradients(np.asarray(u)[None, :])
-        return float(values[0]), grads[0]
-
     def values_and_gradients(self, U: np.ndarray):
         """Values (rows,) and gradients (rows, D) at every row of ``U``.
 
@@ -255,5 +247,5 @@ class RelaxedCost:
                 2.0 * self.coord_weights * diff[rows, nearest])
 
     def values(self, U: np.ndarray) -> np.ndarray:
-        """The value of ``value_and_gradient`` at every row of ``U``."""
+        """The values of ``values_and_gradients`` alone."""
         return self.values_and_gradients(U)[0]

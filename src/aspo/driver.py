@@ -143,8 +143,8 @@ def load_inputs(rc: RunConfig):
 def _setup(rc: RunConfig):
     """Inputs, evaluation harness and an empty checkpoint store for a run."""
     space, tree, model = load_inputs(rc)
-    harness = EvalHarness(model, tree,
-                          ResourceBudget(rc.max_luts or model.lut_budget),
+    luts = model.lut_budget if rc.max_luts is None else rc.max_luts
+    harness = EvalHarness(model, tree, ResourceBudget(luts),
                           benchmark=rc.benchmark,
                           time_scale=rc.time_compression)
     return space, tree, harness, CheckpointStore(space)
@@ -160,7 +160,7 @@ def _insert(store: CheckpointStore, cfg: dict,
 
 
 def _surrogate(space: ParameterSpace, history, seed: int):
-    """GP on every valid result so far, and the best EET among them.
+    """GP on every valid result so far.
 
     None while the valid results snap to fewer than two distinct points.
     """
@@ -168,8 +168,7 @@ def _surrogate(space: ParameterSpace, history, seed: int):
     X = [encode(space, e.config) for e in valid]
     if len({tuple(np.round(x, 12)) for x in X}) < 2:
         return None
-    y = [e.eet_ms() for e in valid]
-    return fit(space, X, y, seed=seed), float(min(y))
+    return fit(space, X, [e.eet_ms() for e in valid], seed=seed)
 
 
 def _hill_climb(space: ParameterSpace, history):
@@ -243,9 +242,6 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
             if inserts % RELEARN_EVERY == 0 and len(store) >= 3:
                 weights = learn_weights(store, t_syn, seed=rc.seed)
 
-    def best_valid():
-        return best_entry, (best_eet if best_entry else None)
-
     warm = warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)
     for cfg in warm:
         if clock >= limit:
@@ -265,21 +261,21 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         if baseline == "hill-climb":
             cfg = next(climber, None)
             return None if cfg is None else (cfg, None)
-        surrogate = _surrogate(space, history, rc.seed)
+        model = _surrogate(space, history, rc.seed)
         if baseline == "vanilla-bo":
-            if surrogate is None:
+            if model is None:
                 return random_configuration(space, rng), None
-            model, best = surrogate
-            cfg = maximize_ei_unconstrained(model, space, best, seed=rc.seed,
-                                            iteration=t - 1, warm_configs=warm)
-            return cfg, expected_improvement(model, encode(space, cfg), best)
-        if surrogate is None:
+            cfg = maximize_ei_unconstrained(model, space, best_eet,
+                                            seed=rc.seed, iteration=t - 1,
+                                            warm_configs=warm)
+            return cfg, expected_improvement(model, encode(space, cfg),
+                                             best_eet)
+        if model is None:
             draws = feasible_draws(tree, space,
                                    np.random.default_rng([rc.seed, t, 11]))
             return next(draws), None
-        model, best = surrogate
         ctx = AcquisitionContext(
-            model=model, best_feasible=best, tree=tree,
+            model=model, best_feasible=best_eet, tree=tree,
             cost=RelaxedCost(store, weights),
             schedule=CoolingSchedule(mode=rc.acquisition_mode),
             iteration=t - 1)
@@ -287,7 +283,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
                                    warm_configs=warm)
         return cfg, alpha_cool(ctx, encode(space, cfg))
 
-    _, prev_best = best_valid()
+    prev_best = best_eet
     stagnant = 0
     try:
         for t in range(1, rc.budget_iterations + 1):
@@ -300,12 +296,11 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
                 break
             run_eval(t, *proposal)
 
-            _, new_best = best_valid()
-            improved = (prev_best is None and new_best is not None) or (
-                prev_best is not None and new_best is not None
-                and prev_best - new_best > STAGNATION_RTOL * prev_best)
+            # the first valid result, or a relative gain on the last best
+            improved = best_eet < prev_best == math.inf or \
+                prev_best - best_eet > STAGNATION_RTOL * prev_best
             stagnant = 0 if improved else stagnant + 1
-            prev_best = new_best
+            prev_best = best_eet
             if rc.stagnation_limit is not None and \
                     stagnant >= rc.stagnation_limit:
                 stop_reason = "stagnation"
@@ -314,12 +309,11 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         stop_reason = "numerical-failure"
         error = str(exc)
 
-    best_entry, best_eet = best_valid()
     invalid = sum(1 for e in history if not e.result.valid)
     return RunReport(
         history=history,
         best_config=best_entry.config if best_entry else None,
-        best_eet_ms=best_eet,
+        best_eet_ms=best_eet if best_entry else None,
         idr=(invalid / len(history)) if history else None,
         tdt_minutes=clock,
         stop_reason=stop_reason,

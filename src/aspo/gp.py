@@ -30,7 +30,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py wraps it)
 
@@ -142,17 +141,17 @@ def gram_matrix(space: ParameterSpace, params: KernelParams, points) -> np.ndarr
 def _cholesky_with_escalation(K: np.ndarray, jitter: float):
     """Lower Cholesky factor of K + jitter*I, escalating jitter tenfold.
 
-    Returns (L, jitter_used); raises NumericalError past the escalation cap.
+    Returns (L, jitter_used); raises NumericalError on a non-finite K or
+    past the escalation cap.
     """
+    if not np.isfinite(K).all():    # jitter cannot help
+        raise NumericalError("Cholesky input is not finite")
     j = jitter
     while j <= MAX_JITTER:
-        try:
-            L = cholesky(K + j * np.eye(K.shape[0]), lower=True)
+        L, info = dpotrf(K + j * np.eye(K.shape[0]), lower=1, clean=1)
+        if not info:
             return L, j
-        except np.linalg.LinAlgError:
-            j *= 10
-        except ValueError as exc:  # non-finite entries: jitter cannot help
-            raise NumericalError(f"Cholesky input is not finite: {exc}") from exc
+        j *= 10
     raise NumericalError(
         f"Cholesky failed with jitter escalated to {MAX_JITTER}")
 
@@ -162,10 +161,10 @@ def _likelihood(diff, y, extra_noise, jitter):
     ``(nll, grad)`` per row of theta (R, D+2) = log([lengthscales (D),
     signal_variance, noise_variance]), as a closure over feature-major
     ``diff`` (D, n, n).  Matern arithmetic and gradient products run once
-    over (D, R, n, n), the LAPACK calls of ``cholesky`` and ``cho_solve`` row
-    by row: each row keeps its bits alone.  A failed Cholesky gives its row a
-    large penalty, so line searches back off.  Rows are checked in order,
-    kernel first: the first not finite raises ``NumericalError``."""
+    over (D, R, n, n), the ``dpotrf`` and ``dpotrs`` calls row by row: each
+    row keeps its bits alone.  A failed Cholesky gives its row a large
+    penalty, so line searches back off.  Rows are checked in order, kernel
+    first: the first not finite raises ``NumericalError``."""
     n, D = len(y), len(diff)
     diff = np.ascontiguousarray(diff)[:, None]     # (D, 1, n, n)
     eye = np.eye(n)
@@ -269,11 +268,7 @@ class GpModel:
         self.y_std = (targets - target_mean) / target_std
         K = _matern52(params, X, X) + np.diag(params.noise_variance + extra_noise)
         self.L, self.jitter_used = _cholesky_with_escalation(K, params.jitter)
-        self.alpha = cho_solve((self.L, True), self.y_std)
-
-    @property
-    def n_train(self) -> int:
-        return len(self.X)
+        self.alpha = dpotrs(self.L, self.y_std, lower=1)[0]
 
     def duplicate_sigma_floor(self) -> float:
         """Posterior sigma at (near-)duplicates of training inputs, original units.
@@ -316,8 +311,8 @@ class GpModel:
 
     def predict_with_gradient_arrays(self, Q: np.ndarray):
         """Relaxed means and variances (rows,) and their gradients (rows, D)
-        at the rows of ``Q``.  One multi-right-hand-side ``dpotrs`` (the
-        call ``cho_solve`` makes) solves each column on its own."""
+        at the rows of ``Q``.  One multi-right-hand-side ``dpotrs`` solves
+        each column on its own."""
         diff = _differences(Q, self.X)
         K = _matern_terms(self.params.lengthscales[:, None, None],
                           self.params.signal_variance, diff)[0]

@@ -82,14 +82,11 @@ class ParameterDef:
         """Number of encoded coordinates this parameter occupies."""
         return self.count if self.kind == CATEGORICAL else 1
 
-    def rank_of(self, value) -> int:
-        return self.values.index(value)
-
     def scaled_rank(self, value) -> float:
         """Rank mapped to [0, 1]; a single-valued parameter sits at 0."""
         if self.count == 1:
             return 0.0
-        return self.rank_of(value) / (self.count - 1)
+        return self.values.index(value) / (self.count - 1)
 
 
 class ParameterSpace:
@@ -158,11 +155,6 @@ class ParameterSpace:
         except KeyError:
             raise InvalidConfigurationError(f"unknown parameter {name!r}") from None
 
-    def block(self, name: str) -> tuple[int, int]:
-        """(offset, width) of a parameter's encoded coordinates."""
-        p = self.param(name)
-        return self._offsets[self.params.index(p)], p.width
-
     def blocks(self):
         """Yield (param, offset) pairs in declaration order."""
         return zip(self.params, self._offsets)
@@ -227,13 +219,6 @@ class ParameterSpace:
     @classmethod
     def load(cls, path) -> "ParameterSpace":
         return cls.from_json(Path(path).read_text())
-
-    def to_dict(self) -> dict:
-        return {"parameters": [
-            {"name": p.name, "kind": p.kind, "values": list(p.values),
-             "default": p.default}
-            for p in self.params
-        ]}
 
 
 def _check_point(space: ParameterSpace, point) -> np.ndarray:

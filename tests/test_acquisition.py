@@ -272,7 +272,8 @@ def reference_alpha_cool(ctx, x):
     """The per-point acquisition that the batched scorer replaced."""
     q = snap(ctx.model.space, x)
     alpha = expected_improvement(ctx.model, q, ctx.best_feasible)
-    cost = ctx.cost.value_and_gradient(q)[0] if ctx.cost is not None else 1.0
+    cost = float(ctx.cost.values(q[None, :])[0]) if ctx.cost is not None \
+        else 1.0
     return cooled_value(alpha, cost, ctx.lam(), ctx.schedule.mode)
 
 
@@ -758,8 +759,8 @@ class TestBatchOfOne:
             assert (m, v) == want[:2]
             assert dm.tolist() == want[2].tolist()
             assert dv.tolist() == want[3].tolist()
-            value, grad = ctx.cost.value_and_gradient(u)
-            assert c == value and dc.tolist() == grad.tolist()
+            value, grad = ctx.cost.values_and_gradients(u[None, :])
+            assert c == value[0] and dc.tolist() == grad[0].tolist()
 
         objective = acq._relaxed_objective_batch(ctx)
         for u, (f, g) in zip(U[:200], objective(U[:200])):

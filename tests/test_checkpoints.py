@@ -282,9 +282,9 @@ class TestRelaxedCost:
 
     def test_empty_store_prior(self, space):
         relaxed = RelaxedCost(CheckpointStore(space), DistanceWeights.ones(space))
-        v, g = relaxed.value_and_gradient(np.zeros(space.encoded_dim))
-        assert v == 1.0
-        assert np.all(g == 0)
+        v, g = relaxed.values_and_gradients(np.zeros((1, space.encoded_dim)))
+        assert v[0] == 1.0
+        assert np.all(g[0] == 0)
 
     def test_gradient_matches_finite_differences(self, space):
         store = store_with(space, [{"size": 1, "depth": 2, "mode": "fast"},
@@ -294,7 +294,7 @@ class TestRelaxedCost:
         h = 1e-7
         for _ in range(20):
             u = rng.uniform(0.1, 0.9, size=space.encoded_dim)
-            _, grad = relaxed.value_and_gradient(u)
+            grad = relaxed.values_and_gradients(u[None, :])[1][0]
             for j in range(space.encoded_dim):
                 hi, lo = u.copy(), u.copy()
                 hi[j] += h
@@ -391,6 +391,6 @@ def test_config_features_match_reference_loop(processor):
         cfg = random_configuration(space, rng)
         want = np.empty(len(space))
         for i, p in enumerate(space.params):
-            want[i] = p.rank_of(cfg[p.name]) if p.kind == "categorical" \
+            want[i] = p.values.index(cfg[p.name]) if p.kind == "categorical" \
                 else p.scaled_rank(cfg[p.name])
         assert config_features(space, cfg).tobytes() == want.tobytes()

@@ -466,6 +466,14 @@ class TestCli:
         assert (tmp_path / "report.jsonl").exists()
         assert (tmp_path / "report.csv").exists()
 
+    def test_zero_lut_budget_exits_2(self, tmp_path):
+        # 0 is a budget, not "use the model file's"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--processor", "el2_veer", "--max-luts", "0",
+            "--iters", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "error: LUT budget must be positive" in result.output
+
     def test_eval_bench_prints_table(self):
         runner = CliRunner()
         result = runner.invoke(cli_main, [

@@ -173,11 +173,6 @@ class TestSpace:
         assert encode(space, {"fixed": 7})[0] == 0.0
         assert decode(space, [0.0]) == {"fixed": 7}
 
-    def test_json_round_trip(self, boomish_space):
-        import json
-        clone = ParameterSpace.from_json(json.dumps(boomish_space.to_dict()))
-        assert clone.to_dict() == boomish_space.to_dict()
-
     def test_bad_json_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             ParameterSpace.from_json("{not json")
@@ -222,9 +217,9 @@ class TestNonFinitePoints:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", [ORDINAL, CATEGORICAL])
     def test_rejected(self, space, fn, bad, kind):
-        p = next(p for p in space.params if p.kind == kind)
+        off = next(off for p, off in space.blocks() if p.kind == kind)
         point = np.full(space.encoded_dim, 0.5)
-        point[space.block(p.name)[0]] = bad
+        point[off] = bad
         with pytest.raises(InvalidPointError):
             fn(space, point)
 
@@ -250,7 +245,7 @@ def reference_encode(space, cfg):
     out = np.zeros(space.encoded_dim)
     for p, off in space.blocks():
         if p.kind == CATEGORICAL:
-            out[off + p.rank_of(cfg[p.name])] = 1.0
+            out[off + p.values.index(cfg[p.name])] = 1.0
         else:
             out[off] = p.scaled_rank(cfg[p.name])
     return out
