@@ -50,13 +50,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py wraps it)
 
 from .checkpoints import RelaxedCost
 from .constraints import compile_tree, feasible_draws, feasible_rows
 from .errors import InvalidPointError, NoFeasibleCandidateError, NumericalError
 from .gp import GpModel
 from .solvers import lbfgsb_steps, lockstep, slsqp_steps
+from .solvers import minimize  # noqa: F401  (lazy; perfbench/spans.py wraps it)
 from .space import (
     ParameterSpace,
     encode,

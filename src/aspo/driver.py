@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy defers it to first use, in a run)
 
 from .acquisition import (
     EXPONENT,

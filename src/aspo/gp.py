@@ -30,11 +30,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.optimize import minimize  # noqa: F401  (perfbench/spans.py wraps it)
 
 from .errors import NumericalError
-from .solvers import lbfgsb_steps, lockstep
+from .solvers import dpotrf, dpotrs, dtrtrs, lbfgsb_steps, lockstep
+from .solvers import minimize  # noqa: F401  (lazy; perfbench/spans.py wraps it)
 from .space import ParameterSpace, snap
 
 logger = logging.getLogger(__name__)

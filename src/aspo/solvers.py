@@ -8,14 +8,43 @@ it wants an evaluation, takes the answer through ``send`` and returns what
 answering the points every live solve wants with one batched call.  Each
 solve ends exactly where ``minimize`` takes it alone if each row of that
 call equals its batch of one.
+
+Every scipy name aspo uses comes from here, ``gp``'s LAPACK routines too.
+``_compiled`` runs their three compiled modules from their files: the same
+code, without importing ``scipy.linalg`` or ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+from importlib.machinery import PathFinder
+from types import SimpleNamespace
+
 import numpy as np
-from scipy.optimize import OptimizeResult
-from scipy.optimize._lbfgsb import setulb
-from scipy.optimize._slsqplib import slsqp
+
+
+def _compiled(package: str, name: str):
+    """``scipy.<package>.<name>``, run from its file without its package."""
+    full, scipy = f"scipy.{package}.{name}", importlib.util.find_spec("scipy")
+    spec = scipy and PathFinder.find_spec(
+        full, [f"{d}/{package}" for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"no compiled module {full}", name=full)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _compiled("linalg", "_flapack")
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+setulb = _compiled("optimize", "_lbfgsb").setulb
+slsqp = _compiled("optimize", "_slsqplib").slsqp
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def lockstep(fun, solves: list) -> list:
@@ -75,7 +104,7 @@ def lbfgsb_steps(x0, lo, hi, maxiter: int):
         else:
             break
     status = 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
-    return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, status=status)
+    return SimpleNamespace(x=x, fun=f, nfev=nfev, nit=nit, status=status)
 
 
 def slsqp_steps(x0, m: int, maxiter: int):
@@ -112,7 +141,7 @@ def slsqp_steps(x0, m: int, maxiter: int):
         slsqp(state, fun, g, C, d, x, *work)
         mode = state["mode"]
         if abs(mode) != 1:
-            return OptimizeResult(x=x, fun=fun, nfev=nfev, status=mode)
+            return SimpleNamespace(x=x, fun=fun, nfev=nfev, status=mode)
         if x.tolist() != memo_x:    # np.array_equal, NaN and -0.0 included
             memo_x, counted = x.tolist(), False
             memo = yield x.copy()
