@@ -29,12 +29,14 @@ start ends exactly where ``minimize`` takes it alone.  A start whose
 objective or constraint raises ``NumericalError`` or ``InvalidPointError``
 is retired: its snapped start stays a candidate, and the others run on.
 
-Discrete work is batched.  Candidates and polish moves are held as rows of
-per-parameter ranks: a batch is checked against the exact semantics with one
-``feasible_rows`` call, encoded with one index-array encode, and
-scored with one kernel matrix and one stacked cost distance
-(``_cooled_scores``), each distinct row once per call; ``alpha_cool`` is
-the batch of one.  Every row of a batch scores bit for bit as it would alone.
+The relaxed surface's maxima often sit between the vertices of a one-hot
+block, so the strongest snapped candidates are then polished by
+``solvers.walk_steps`` walks under the exact acquisition, also run by
+``lockstep``.  Each round's moves get one ``_rank_scorer`` call: one
+``feasible_rows`` check (an infeasible row scores ``-inf``), one encode, and
+one kernel matrix and stacked cost distance (``_cooled_scores``), each
+distinct rank row once per maximizer call.  Every row of a batch scores bit
+for bit as it would alone; ``alpha_cool`` is the batch of one.
 
 Queries whose posterior sigma sits at the duplicate floor (the variance left
 at a point that snaps onto a training input) are treated as deterministic:
@@ -55,7 +57,7 @@ from .checkpoints import RelaxedCost
 from .constraints import compile_tree, feasible_draws, feasible_rows
 from .errors import InvalidPointError, NoFeasibleCandidateError, NumericalError
 from .gp import GpModel
-from .solvers import lbfgsb_steps, lockstep, slsqp_steps
+from .solvers import lbfgsb_steps, lockstep, slsqp_steps, walk_steps
 from .solvers import minimize  # noqa: F401  (lazy; perfbench/spans.py wraps it)
 from .space import (
     ParameterSpace,
@@ -250,50 +252,25 @@ POLISH_TOP_K = 8
 POLISH_MAX_STEPS = 64
 
 
-def _rank_scorer(ctx: AcquisitionContext, space: ParameterSpace):
-    """Cooled scores of rank rows; rows not seen before are scored as one
-    ``_cooled_scores`` batch, and each distinct row only once."""
+def _rank_scorer(ctx: AcquisitionContext, space: ParameterSpace, tree):
+    """Cooled scores of ``(..., P)`` rank rows, ``-inf`` where a row fails
+    the exact semantics.  Rows not seen before get one ``feasible_rows``
+    call and one ``_cooled_scores`` batch, each distinct row only once."""
     seen: dict[bytes, float] = {}
 
     def score(ranks: np.ndarray) -> np.ndarray:
-        keys = [row.tobytes() for row in ranks]
+        rows = ranks.reshape(-1, ranks.shape[-1])
+        keys = [row.tobytes() for row in rows]
         new = {k: i for i, k in enumerate(keys) if k not in seen}
         if new:
-            rows = encode_ranks(space, ranks[list(new.values())])
-            seen.update(zip(new, _cooled_scores(ctx, rows).tolist()))
-        return np.array([seen[k] for k in keys])
+            seen.update(dict.fromkeys(new, -np.inf))
+            feasible = feasible_rows(tree, space, rows[list(new.values())])
+            values = _cooled_scores(ctx, encode_ranks(space, feasible))
+            seen.update(zip([row.tobytes() for row in feasible],
+                            values.tolist()))
+        return np.array([seen[k] for k in keys]).reshape(ranks.shape[:-1])
 
     return score
-
-
-def _polish(score, space: ParameterSpace, tree, ranks: np.ndarray,
-            start_val: float):
-    """Best-improvement walk over feasible single-parameter moves.
-
-    The continuous ascent climbs the relaxed surface, whose maxima often sit
-    between vertices of a one-hot block; this discrete pass re-optimizes the
-    snapped configuration under the exact (snapped) acquisition.  Each step
-    lists every single-parameter move in (parameter, value) order, keeps the
-    feasible ones and scores them with ``score``.  The first best move is
-    adopted, and only on a strict gain.  Takes and returns rank rows.
-    """
-    move_param = np.repeat(np.arange(len(space.params)), space.counts)
-    move_rank = np.concatenate([np.arange(c) for c in space.counts])
-    move_row = np.arange(len(move_param))
-    current, current_val = ranks, start_val
-    for _ in range(POLISH_MAX_STEPS):
-        moves = np.tile(current, (len(move_param), 1))
-        moves[move_row, move_param] = move_rank
-        moves = feasible_rows(tree, space,
-                              moves[move_rank != current[move_param]])
-        if not len(moves):
-            break
-        scores = score(moves)
-        best = int(np.argmax(scores))
-        if not scores[best] > current_val:
-            break
-        current, current_val = moves[best], float(scores[best])
-    return current, current_val
 
 
 def _starts(space: ParameterSpace, seed: int, iteration: int,
@@ -354,9 +331,10 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     relaxation, all starts in lockstep.  Both the start and its local
     optimum are snapped, snapped candidates failing the exact semantics are
     discarded, and the strongest few are polished by feasible
-    single-parameter moves before the highest cooled acquisition wins (first
-    on ties).  A retired start contributes its snapped start alone.  Falls
-    back to rejection sampling when no start yields a feasible candidate.
+    single-parameter moves, all walks in lockstep, before the highest cooled
+    acquisition wins (first on ties).  A retired start contributes its
+    snapped start alone.  Falls back to rejection sampling when no start
+    yields a feasible candidate.
     """
     starts = _starts(space, seed, ctx.iteration, warm_configs)
     constraint = _smooth_constraint(space, tree) if tree is not None else None
@@ -370,20 +348,18 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
         found.setdefault(_box_ranks(space, u0))
         if run is not None:
             found.setdefault(_box_ranks(space, run.x))
-    candidates = feasible_rows(tree, space, np.array(list(found),
-                                                     dtype=np.intp))
-
-    if len(candidates):
-        score = _rank_scorer(ctx, space)
-        scores = score(candidates)
-        order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
-        best_ranks, best_val = None, -np.inf
-        for i in order[:POLISH_TOP_K]:
-            polished, polished_val = _polish(score, space, tree, candidates[i],
-                                             float(scores[i]))
-            if polished_val > best_val:
-                best_val, best_ranks = polished_val, polished
-        return rank_configuration(space, best_ranks)
+    candidates = np.array(list(found), dtype=np.intp)
+    score = _rank_scorer(ctx, space, tree)
+    scores = score(candidates)
+    # the feasible candidates, strongest first, then first found on ties
+    order = sorted((i for i in range(len(candidates)) if scores[i] != -np.inf),
+                   key=lambda i: (-scores[i], i))
+    if order:
+        walks = lockstep(score, [
+            walk_steps(space.counts, candidates[i], float(scores[i]),
+                       POLISH_MAX_STEPS) for i in order[:POLISH_TOP_K]])
+        # the first walk to reach the highest score wins
+        return rank_configuration(space, max(walks, key=lambda w: w[1])[0])
 
     return next(feasible_draws(
         tree, space, np.random.default_rng([seed, ctx.iteration, 3]),

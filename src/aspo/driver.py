@@ -58,7 +58,14 @@ from .evaluation import (
     estimated_execution_time,
 )
 from .gp import fit
-from .space import ParameterSpace, encode, random_configuration
+from .solvers import walk_steps
+from .space import (
+    ParameterSpace,
+    config_ranks,
+    encode,
+    random_configuration,
+    rank_configuration,
+)
 from .warmstart import warm_start_configs
 
 BASELINES = ("random", "vanilla-bo", "hill-climb")
@@ -173,41 +180,34 @@ def _surrogate(space: ParameterSpace, history, seed: int):
 
 
 def _hill_climb(space: ParameterSpace, history):
-    """Best-improvement ascent over single-parameter moves from the default.
+    """Best-improvement ascent from the default: a ``walk_steps`` walk on
+    the negated EET, ``-inf`` where invalid.  Yields the default (unless the
+    warm start holds it), then each move the walk scores that is not yet
+    evaluated, in order; the driver answers each with one history entry.  A
+    strict-gain walk never revisits a configuration, so its ``space.size()``
+    step cap never ends the climb."""
+    def score(entry):
+        return -entry.eet_ms() if entry.result.valid else -math.inf
 
-    Yields proposals; the driver answers each with one history entry.  Each
-    step moves to the best neighbour, first in (parameter, value) order on
-    ties, and the climb returns once no neighbour is strictly better.
-    """
-    def key(cfg):
-        return tuple(cfg[p.name] for p in space.params)
+    known = {tuple(config_ranks(space, e.config)): score(e) for e in history}
 
-    def neighbors(cfg):
-        return [dict(cfg, **{p.name: v}) for p in space.params
-                for v in p.values if v != cfg[p.name]]
+    def scores(rows):               # proposes the rows not yet evaluated
+        rows = [tuple(row) for row in rows]
+        for row in rows:
+            if row not in known:
+                yield rank_configuration(space, row)
+                known[row] = score(history[-1])
+        return np.array([known[row] for row in rows])
 
-    known: dict[tuple, float] = {}
-
-    def learn(entries):
-        for e in entries:
-            known[key(e.config)] = e.eet_ms() if e.result.valid else math.inf
-
-    current = space.default_configuration()
-    learn(history)                  # the warm start
-    if key(current) not in known:
-        yield current
-        learn(history[-1:])
-    current_eet = known[key(current)]
-    while True:
-        for cfg in neighbors(current):
-            if key(cfg) not in known:
-                yield cfg
-                learn(history[-1:])
-        best = min(neighbors(current), key=lambda c: known[key(c)],
-                   default=current)
-        if not known[key(best)] < current_eet:
-            return
-        current, current_eet = best, known[key(best)]
+    start = config_ranks(space, space.default_configuration())
+    value, = yield from scores([start])
+    walk = walk_steps(space.counts, np.array(start), value, space.size())
+    try:
+        moves = next(walk)
+        while True:
+            moves = walk.send((yield from scores(moves.tolist())))
+    except StopIteration:
+        return
 
 
 def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
@@ -276,7 +276,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
                                    np.random.default_rng([rc.seed, t, 11]))
             return next(draws), None
         ctx = AcquisitionContext(
-            model=model, best_feasible=best_eet, tree=tree,
+            model=model, best_feasible=best_eet,
             cost=RelaxedCost(store, weights),
             schedule=CoolingSchedule(mode=rc.acquisition_mode),
             iteration=t - 1)
@@ -427,12 +427,10 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
 
     prepop = [space.default_configuration()] + \
         warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)
-    clock = 0.0
     for cfg in prepop:
         if store.lookup(cfg) is not None:
             continue
         res = harness.evaluate(cfg, DIRECT)
-        clock += res.eval_minutes
         if res.valid:
             _insert(store, cfg, res)
 

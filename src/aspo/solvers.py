@@ -1,13 +1,12 @@
-"""The multi-start scaffold: scipy's bounded local solvers run in lockstep.
+"""The multi-start scaffold: local searches run in lockstep.
 
 ``lbfgsb_steps`` and ``slsqp_steps`` run one L-BFGS-B or SLSQP solve as a
 generator over scipy's reverse-communication routines (``setulb`` and
 ``_slsqplib.slsqp``, which ``minimize`` drives): each yields the point where
 it wants an evaluation, takes the answer through ``send`` and returns what
-``minimize`` returns for that solve.  ``lockstep`` runs many solves at once,
-answering the points every live solve wants with one batched call.  Each
-solve ends exactly where ``minimize`` takes it alone if each row of that
-call equals its batch of one.
+``minimize`` returns.  ``walk_steps``, a discrete walk, yields blocks of rank
+rows.  ``lockstep`` answers what every live search wants with one batched
+call; each ends where it ends alone if each row equals its batch of one.
 
 Every scipy name aspo uses comes from here, ``gp``'s LAPACK routines too.
 ``_compiled`` runs their three compiled modules from their files: the same
@@ -48,10 +47,10 @@ def minimize(*args, **kwargs):
 
 
 def lockstep(fun, solves: list) -> list:
-    """Drive step generators together: ``fun`` maps the points that every
-    live solve wants (rows) to one answer each, and a ``None`` answer
-    retires its solve.  Returns the solves' results in order, ``None`` for
-    a retired one; an exception raised by ``fun`` propagates."""
+    """Drive step generators together: ``fun`` maps what every live solve
+    wants (a point, or a block of rows of one shape) to one answer each,
+    and a ``None`` answer retires its solve.  Returns the solves' results
+    in order, ``None`` for a retired one; ``fun``'s exceptions propagate."""
     wanted = {i: next(steps) for i, steps in enumerate(solves)}
     results = [None] * len(solves)
     while wanted:
@@ -154,3 +153,28 @@ def slsqp_steps(x0, m: int, maxiter: int):
             g = grad
             if con:
                 C[0] = con[1]
+
+
+def walk_steps(counts, ranks, value: float, max_steps: int):
+    """Best-improvement walk over single-parameter moves as a generator.
+
+    From ``ranks``, a rank row array scoring ``value``, each step yields every
+    move of one parameter to another of its ``counts`` values, in (parameter,
+    value) order, as one ``(sum(counts) - len(counts), P)`` block, and takes
+    their scores through ``send``.  It adopts the first best move, only on a
+    strict gain, and returns the final row and score within ``max_steps``.
+    """
+    param = np.repeat(np.arange(len(counts)), counts)
+    rank = np.concatenate([np.arange(c) for c in counts])
+    for _ in range(max_steps):
+        moves = np.tile(ranks, (len(param), 1))
+        moves[np.arange(len(param)), param] = rank
+        moves = moves[rank != ranks[param]]
+        scores = yield moves
+        if not len(moves):          # every parameter is single-valued
+            break
+        best = int(np.argmax(scores))
+        if not scores[best] > value:
+            break
+        ranks, value = moves[best], float(scores[best])
+    return ranks, value

@@ -1,11 +1,14 @@
 """Row-by-row reference implementations of the batched acquisition and
-the likelihood.
+the likelihood, and the sequential walks that the lockstep walk replaced.
 
 Each function here is the per-row code that the array code in ``aspo.gp``
 and ``aspo.acquisition`` replaced, kept operation for operation: the 1-D
 BLAS and LAPACK calls, the scalar EI arithmetic through ``math``, the
 per-row jacobian and the ``(n, n, D)`` Matern arithmetic with its
-``axis=-1`` sum.  Tests compare the array code against them with ``==``.
+``axis=-1`` sum.  The discrete polish and the hill climb are kept as they
+were before both became ``aspo.solvers.walk_steps`` walks: one polish walk
+after another, and a climb with its own neighbours and best move.  Tests
+compare the array code and the walks against them with ``==``.
 """
 
 import math
@@ -14,10 +17,13 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
+from aspo import acquisition as acq
 from aspo.acquisition import COST_EPS, PAPER_RATIO, cooled_value, ei_value
-from aspo.constraints import compile_tree
+from aspo.constraints import compile_tree, feasible_draws, feasible_rows
+from aspo.errors import NoFeasibleCandidateError
 from aspo.gp import SQRT5
-from aspo.space import relaxed_arrays
+from aspo.solvers import lockstep, slsqp_steps
+from aspo.space import encode_ranks, rank_configuration, relaxed_arrays
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -186,3 +192,109 @@ def reference_smooth_constraint(space, tree):
         return out
 
     return at
+
+
+def reference_rank_scorer(ctx, space):
+    """Cooled scores of rank rows, each distinct row scored once."""
+    seen = {}
+
+    def score(ranks):
+        keys = [row.tobytes() for row in ranks]
+        new = {k: i for i, k in enumerate(keys) if k not in seen}
+        if new:
+            rows = encode_ranks(space, ranks[list(new.values())])
+            seen.update(zip(new, acq._cooled_scores(ctx, rows).tolist()))
+        return np.array([seen[k] for k in keys])
+
+    return score
+
+
+def reference_polish(score, space, tree, ranks, start_val):
+    """One best-improvement walk over the feasible single-parameter moves,
+    with its own ``feasible_rows`` and ``score`` call at each step."""
+    move_param = np.repeat(np.arange(len(space.params)), space.counts)
+    move_rank = np.concatenate([np.arange(c) for c in space.counts])
+    move_row = np.arange(len(move_param))
+    current, current_val = ranks, start_val
+    for _ in range(acq.POLISH_MAX_STEPS):
+        moves = np.tile(current, (len(move_param), 1))
+        moves[move_row, move_param] = move_rank
+        moves = feasible_rows(tree, space,
+                              moves[move_rank != current[move_param]])
+        if not len(moves):
+            break
+        scores = score(moves)
+        best = int(np.argmax(scores))
+        if not scores[best] > current_val:
+            break
+        current, current_val = moves[best], float(scores[best])
+    return current, current_val
+
+
+def reference_maximize_acquisition(ctx, space, tree, *, seed=0,
+                                   warm_configs=None):
+    """``maximize_acquisition`` with its polish walks run one after another
+    by ``reference_polish``."""
+    starts = acq._starts(space, seed, ctx.iteration, warm_configs)
+    constraint = acq._smooth_constraint(space, tree) \
+        if tree is not None else None
+    runs = lockstep(
+        acq._slsqp_rows(acq._relaxed_objective_batch(ctx), constraint),
+        [slsqp_steps(u0, 0 if tree is None else 1, acq.MAXITER)
+         for u0 in starts])
+    found = {}
+    for u0, run in zip(starts, runs):
+        found.setdefault(acq._box_ranks(space, u0))
+        if run is not None:
+            found.setdefault(acq._box_ranks(space, run.x))
+    candidates = feasible_rows(tree, space, np.array(list(found),
+                                                     dtype=np.intp))
+    if len(candidates):
+        score = reference_rank_scorer(ctx, space)
+        scores = score(candidates)
+        order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
+        best_ranks, best_val = None, -np.inf
+        for i in order[:acq.POLISH_TOP_K]:
+            polished, polished_val = reference_polish(
+                score, space, tree, candidates[i], float(scores[i]))
+            if polished_val > best_val:
+                best_val, best_ranks = polished_val, polished
+        return rank_configuration(space, best_ranks)
+    return next(feasible_draws(
+        tree, space, np.random.default_rng([seed, ctx.iteration, 3]),
+        NoFeasibleCandidateError))
+
+
+def reference_hill_climb(space, history):
+    """The driver's hill climb with its own neighbours and best move: from
+    the default, every unevaluated neighbour in (parameter, value) order,
+    then a move to the first best neighbour on a strict gain."""
+    def key(cfg):
+        return tuple(cfg[p.name] for p in space.params)
+
+    def neighbors(cfg):
+        return [dict(cfg, **{p.name: v}) for p in space.params
+                for v in p.values if v != cfg[p.name]]
+
+    known = {}
+
+    def learn(entries):
+        for e in entries:
+            known[key(e.config)] = e.eet_ms() if e.result.valid else math.inf
+
+    current = space.default_configuration()
+    learn(history)                  # the warm start
+    if key(current) not in known:
+        yield current
+        learn(history[-1:])
+    current_eet = known[key(current)]
+    while True:
+        for cfg in neighbors(current):
+            if key(cfg) not in known:
+                yield cfg
+                learn(history[-1:])
+        best = min(neighbors(current), key=lambda c: known[key(c)],
+                   default=current)
+        if not known[key(best)] < current_eet:
+            return
+        current, current_eet = best, known[key(best)]

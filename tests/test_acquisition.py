@@ -32,7 +32,11 @@ from aspo.checkpoints import (
     RelaxedCost,
     artifact_path,
 )
-from aspo.constraints import exact_configuration, parse_constraints
+from aspo.constraints import (
+    exact_configuration,
+    feasible_rows,
+    parse_constraints,
+)
 from aspo.errors import (
     InvalidPointError,
     NoFeasibleCandidateError,
@@ -54,10 +58,12 @@ from aspo.space import (
     encode,
     encode_ranks,
     random_configuration,
+    rank_configuration,
     snap,
 )
 from oracles import (
     reference_cooled_scores,
+    reference_maximize_acquisition,
     reference_nll_and_grad,
     reference_objective,
     reference_posterior,
@@ -599,12 +605,19 @@ class TestLockstepSlsqp:
         runs = slsqp_lockstep(objective, constraint, starts, 60)
         assert_same_solves(runs, want)
 
-        # the per-start loop in place of the lockstep; each solve's first
-        # point is its clipped start
+        # the per-start loop in place of the lockstep SLSQP solves, while
+        # the polish walks keep theirs; each solve's first point is its
+        # clipped start
         got = maximize_acquisition(ctx, space, tree, seed=0)
-        monkeypatch.setattr(acq, "lockstep", lambda _, solves: minimize_each(
-            objective, constraint, [next(steps) for steps in solves],
-            acq.MAXITER))
+
+        def slsqp_by_minimize(fun, solves):
+            if solves[0].__name__ != "slsqp_steps":
+                return lockstep(fun, solves)
+            return minimize_each(objective, constraint,
+                                 [next(steps) for steps in solves],
+                                 acq.MAXITER)
+
+        monkeypatch.setattr(acq, "lockstep", slsqp_by_minimize)
         assert got == maximize_acquisition(ctx, space, tree, seed=0)
 
 
@@ -907,7 +920,7 @@ class TestRankScorer:
             return _cooled_scores(ctx, Q)
 
         monkeypatch.setattr(acq, "_cooled_scores", counting)
-        score = acq._rank_scorer(ctx, space)
+        score = acq._rank_scorer(ctx, space, bundle.tree)
         for rows in (first, second):
             want = _cooled_scores(ctx, encode_ranks(space, rows))
             assert score(rows).tobytes() == want.tobytes()
@@ -915,3 +928,89 @@ class TestRankScorer:
         assert scored == [distinct, len({r.tobytes() for r in
                                          np.concatenate([first, second])})
                           - distinct]
+
+    def test_infeasible_rows_score_minus_inf_and_are_checked_once(
+            self, monkeypatch):
+        bundle = assets.load_bundle("boom")
+        space, tree = bundle.space, bundle.tree
+        rng = np.random.default_rng(53)
+        ctx = bundle_context(bundle, rng)
+        ranks = np.array([config_ranks(space, random_configuration(space, rng))
+                          for _ in range(30)])
+        feasible = [exact_configuration(tree, space,
+                                        rank_configuration(space, r))
+                    for r in ranks]
+        assert 0 < sum(feasible) < 30
+        checked = []
+
+        def counting(tree, space, rows):
+            checked.append(len(rows))
+            return feasible_rows(tree, space, rows)
+
+        monkeypatch.setattr(acq, "feasible_rows", counting)
+        score = acq._rank_scorer(ctx, space, tree)
+        # a block of walks: (walks, moves, P) rows give (walks, moves) scores
+        picks = rng.choice(30, size=(2, 3, 20))
+        first, second = score(ranks[picks[0]]), score(ranks[picks[1]])
+        for got, pick in ((first, picks[0]), (second, picks[1])):
+            assert got.shape == (3, 20)
+            want = _cooled_scores(ctx, encode_ranks(space, ranks[pick.ravel()]))
+            ok = np.array(feasible)[pick.ravel()]
+            assert got.ravel()[ok].tobytes() == want[ok].tobytes()
+            assert (got.ravel()[~ok] == -np.inf).all()
+        # each distinct row is checked once, in the call that first sees it
+        seen = {r.tobytes() for r in ranks[picks[0].ravel()]}
+        assert checked == [len(seen), len({r.tobytes() for r in
+                                           ranks[picks.ravel()]}) - len(seen)]
+
+
+def record_rounds(monkeypatch):
+    """Make ``acq.lockstep`` record the shape that each round hands to its
+    ``fun``: one list per lockstep run, the SLSQP solves' then the walks'."""
+    rounds = []
+
+    def recorded(fun, solves):
+        rounds.append([])
+        return lockstep(lambda X: rounds[-1].append(X.shape) or fun(X),
+                        solves)
+
+    monkeypatch.setattr(acq, "lockstep", recorded)
+    return rounds
+
+
+class TestLockstepPolish:
+    """The polish walks in lockstep against the walks one after another
+    (``oracles.reference_maximize_acquisition``)."""
+
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
+    def test_matches_sequential_walks(self, processor, monkeypatch):
+        bundle = assets.load_bundle(processor)
+        space = bundle.space
+        ctx = bundle_context(bundle, np.random.default_rng(3))
+        rounds = record_rounds(monkeypatch)
+        moves = sum(space.counts) - len(space.counts)
+        for seed, iteration in ((0, 0), (1, 3), (2, 9)):
+            ctx.iteration = iteration
+            got = maximize_acquisition(ctx, space, bundle.tree, seed=seed)
+            assert got == reference_maximize_acquisition(
+                ctx, space, bundle.tree, seed=seed)
+            # the SLSQP solves, then one scorer call per round of walks
+            polish = rounds[-1]
+            assert polish[0] == (acq.POLISH_TOP_K, moves, len(space))
+            assert all(shape[1:] == (moves, len(space)) for shape in polish)
+        # some walk takes more than one step
+        assert max(len(r) for r in rounds[1::2]) > 2
+
+    def test_single_valued_space_has_no_move(self, monkeypatch):
+        space = ParameterSpace([
+            ParameterDef("a", "ordinal", (4,), 4),
+            ParameterDef("c", "categorical", ("x",), "x")])
+        default = space.default_configuration()
+        model = fit(space, [encode(space, default)] * 2, [1.0, 2.0], seed=0)
+        ctx = AcquisitionContext(model=model, best_feasible=1.0)
+        rounds = record_rounds(monkeypatch)
+        got = maximize_acquisition(ctx, space, None, warm_configs=[default])
+        assert got == default == reference_maximize_acquisition(
+            ctx, space, None, warm_configs=[default])
+        # the one walk asks about an empty block of moves, then stops
+        assert rounds[1] == [(1, 0, 2)]

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from aspo import assets
+from aspo import driver as driver_mod
 from aspo.cli import main as cli_main
 from aspo.constraints import exact_tree, tree_parameters
 from aspo.driver import (
@@ -17,6 +19,7 @@ from aspo.driver import (
 )
 from aspo.errors import InfeasibleSpaceError, NoFeasibleCandidateError
 from aspo.evaluation import LOOKUP_MINUTES
+from oracles import reference_hill_climb
 
 
 def boom_rc(**kw):
@@ -591,3 +594,74 @@ class TestNumericalFailure:
         assert result.exit_code == 4, result.output
         assert "stop: numerical-failure" in result.output
         assert "likelihood kernel is not finite" in result.output
+
+
+def climbs(monkeypatch, rc):
+    """The hill climb's history, and the oracle climb's in its place."""
+    ours = run_baseline(rc, "hill-climb")
+    with monkeypatch.context() as m:
+        m.setattr(driver_mod, "_hill_climb", reference_hill_climb)
+        theirs = run_baseline(rc, "hill-climb")
+    assert ours.stop_reason == theirs.stop_reason == "converged"
+    return ([(e.iteration, e.config) for e in ours.history],
+            [(e.iteration, e.config) for e in theirs.history])
+
+
+def tiny_inputs(tmp_path, parameters, constraints=None) -> dict:
+    """RunConfig file fields for a small ordinal space, its model and an
+    optional constraint file."""
+    space_doc = {"parameters": [
+        {"name": n, "kind": "ordinal", "values": v, "default": d}
+        for n, v, d in parameters]}
+    model_doc = {
+        "processor": "tiny", "base_frequency_mhz": 50.0,
+        "frequency_sensitivity": 0.2, "base_luts": 100, "lut_budget": 10000,
+        "full_synthesis_minutes": 10.0, "base_synthesis_minutes": 2.0,
+        "power_idle_w": 0.1, "power_per_lut_w": 1e-5,
+        "benchmarks": {"multiply": 1000},
+        "match_weights": {n: 1.0 for n, _, _ in parameters},
+        "parameters": {n: {"cycle_beta": 0.1 * (k + 1), "lut_cost": 100}
+                       for k, (n, _, _) in enumerate(parameters)}}
+    files = {}
+    for field, doc in (("space_file", space_doc), ("model_file", model_doc),
+                       ("constraint_file", constraints)):
+        if doc is not None:
+            files[field] = tmp_path / f"{field}.json"
+            files[field].write_text(json.dumps(doc))
+    return {k: str(v) for k, v in files.items()}
+
+
+class TestHillClimbWalk:
+    """The hill climb as a ``walk_steps`` walk against the climb with its
+    own neighbours and best move (``oracles.reference_hill_climb``)."""
+
+    def test_boom_seed0_to_convergence(self, monkeypatch):
+        rc = boom_rc(budget_iterations=10_000, tdt_limit_minutes=math.inf,
+                     stagnation_limit=None)
+        ours, theirs = climbs(monkeypatch, rc)
+        assert ours == theirs and len(ours) > 300
+
+    def test_infeasible_default_and_a_single_valued_parameter(
+            self, monkeypatch, tmp_path):
+        # b - a + 2 >= 0 rules the default a = 8, b = 1 out; c never moves
+        files = tiny_inputs(
+            tmp_path,
+            [("a", [1, 2, 4, 8], 8), ("c", [3], 3), ("b", [1, 2, 4], 1)],
+            {"all": [{"ineq": {"xa": "b", "xb": "a", "t": 2}}]})
+        rc = RunConfig(**files, budget_iterations=50, warm_start_budget=2,
+                       seed=1, stagnation_limit=None)
+        ours, theirs = climbs(monkeypatch, rc)
+        assert ours == theirs
+        # the warm start lacks the default, so it is proposed first
+        assert ours[2] == (1, {"a": 8, "c": 3, "b": 1})
+        history = run_baseline(rc, "hill-climb").history
+        assert not history[2].result.valid and len(history) > 5
+
+    def test_single_valued_space_proposes_only_the_default(
+            self, monkeypatch, tmp_path):
+        files = tiny_inputs(tmp_path, [("a", [2], 2), ("b", [5], 5)])
+        rc = RunConfig(**files, budget_iterations=50, warm_start_budget=1,
+                       seed=0)
+        ours, theirs = climbs(monkeypatch, rc)
+        assert ours == theirs
+        assert [cfg for _, cfg in ours] == [{"a": 2, "b": 5}]
