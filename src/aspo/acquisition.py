@@ -21,10 +21,11 @@ semantics are discarded, so every returned configuration is feasible.
 The starts are ``solvers.slsqp_steps`` solves, each with its own state of
 scipy's SLSQP solver, run together by ``solvers.lockstep``.  Each round's
 new points are evaluated as one batch: one kernel matrix and gradient
-tensor, one stacked cost distance and one relaxed view for the constraint
-tree (compiled once per call).  The posterior and every gradient run over
-arrays; the scalar EI chain (libm's ``erf``, ``exp`` and ``pow``) and the
-tree run row by row.  Each row equals its batch of one bit for bit, so each
+tensor, one stacked cost distance and one ``constraints.smooth_constraint``
+batch, which gives the relaxed constraint's value and jacobian (the tree is
+compiled once per call).  The posterior and every gradient run over arrays;
+the scalar EI chain (libm's ``erf``, ``exp`` and ``pow``) and the tree run
+row by row.  Each row equals its batch of one bit for bit, so each
 start ends exactly where ``minimize`` takes it alone.  A start whose
 objective or constraint raises ``NumericalError`` or ``InvalidPointError``
 is retired: its snapped start stays a candidate, and the others run on.
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoints import RelaxedCost
-from .constraints import compile_tree, feasible_draws, feasible_rows
+from .constraints import feasible_draws, feasible_rows, smooth_constraint
 from .errors import InvalidPointError, NoFeasibleCandidateError, NumericalError
 from .gp import GpModel
 from .solvers import lbfgsb_steps, lockstep, slsqp_steps, walk_steps
@@ -65,7 +66,6 @@ from .space import (
     encode_ranks,
     point_ranks,
     rank_configuration,
-    relaxed_arrays,
     snap,
 )
 from .warmstart import warm_start_configs
@@ -225,28 +225,6 @@ def _relaxed_objective_batch(ctx: AcquisitionContext):
     return fun
 
 
-def _smooth_constraint(space: ParameterSpace, tree):
-    """Value and jacobian of smooth_tree >= 0 at every row of a batch.
-
-    The tree is compiled once and the rows are clipped into the box.  One
-    ``relaxed_arrays`` call serves the batch; the tree then runs row by row,
-    filling one jacobian.  Returns a list of ``(value, jacobian)``.
-    """
-    smooth = compile_tree(tree, space.ordinal_names)
-    coords = space.ordinal_coords.tolist()
-
-    def at(U):
-        values, slopes = relaxed_arrays(space, np.clip(U, 0.0, 1.0))
-        out = [smooth(row) for row in values.tolist()]
-        jac = np.zeros((len(U), space.encoded_dim))
-        for g, (_, partials), row_slopes in zip(jac, out, slopes.tolist()):
-            for i, dv in partials.items():
-                g[coords[i]] += dv * row_slopes[i]
-        return [(float(value), g) for (value, _), g in zip(out, jac)]
-
-    return at
-
-
 #: candidates kept for the discrete polish pass, and its cap on moves
 POLISH_TOP_K = 8
 POLISH_MAX_STEPS = 64
@@ -337,7 +315,7 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     yields a feasible candidate.
     """
     starts = _starts(space, seed, ctx.iteration, warm_configs)
-    constraint = _smooth_constraint(space, tree) if tree is not None else None
+    constraint = smooth_constraint(space, tree) if tree is not None else None
     runs = lockstep(_slsqp_rows(_relaxed_objective_batch(ctx), constraint),
                     [slsqp_steps(u0, 0 if tree is None else 1, MAXITER)
                      for u0 in starts])

@@ -8,8 +8,8 @@ to the acquisition function, and the per-parameter weights are learned by
 coordinate descent against observed synthesis times.
 
 Concurrency: single writer (the driver), any number of readers.  The store
-lives in memory; the artifact handle is an opaque relative path derived from
-the configuration hash.
+lives in memory.  ``artifact_path`` hashes a configuration into an artifact
+handle; a record's ``artifact`` and ``synthesis_minutes`` are optional.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class CheckpointRecord:
     config: dict
     encoded: np.ndarray
     metrics: object                  # EvaluationResult
-    artifact: str
-    synthesis_minutes: float
+    artifact: str | None = None
+    synthesis_minutes: float | None = None
 
 
 def config_features(space: ParameterSpace, cfg: dict) -> np.ndarray:

@@ -8,11 +8,12 @@ tree supports:
 * ``smooth_tree``  -- a differentiable relaxation whose sign agrees with the
   exact semantics at every admissible configuration (non-negative means
   satisfied);
-* ``compile_tree`` -- the relaxation and its subgradient together, as one
-  closure built once per tree.  The constrained acquisition solver calls it
-  at every iterate;
-* ``smooth_gradient`` -- the subgradient of the relaxation as a dict, read
-  off the compiled closure.
+* ``compile_tree`` -- the relaxation and the attaining leaf's two
+  (position, partial) pairs, from one closure built once per tree;
+* ``smooth_constraint`` -- the relaxation and its encoded-coordinate
+  jacobian at every row of a batch of box points, which the constrained
+  acquisition solver asks for at every round of iterates;
+* ``smooth_gradient`` -- the subgradient as a dict, the two pairs summed.
 
 ``exact_tree`` and ``smooth_tree`` accept scalars or numpy arrays for the
 parameter values, so whole grids of configurations can be checked in one
@@ -46,7 +47,8 @@ from .errors import (
     InfeasibleSpaceError,
     UnknownParameterError,
 )
-from .space import ORDINAL, ParameterSpace, ordinal_columns, random_configuration
+from .space import ORDINAL, ParameterSpace, ordinal_columns
+from .space import random_configuration, relaxed_arrays
 
 # |smooth| at or above zero minus this tolerance counts as satisfied; the
 # divisibility relaxation evaluates sin at large multiples of pi, which lands
@@ -130,11 +132,12 @@ def smooth_inequality(c: Inequality, values):
     return c.ka * values[c.xa] - c.kb * values[c.xb] + c.t
 
 
-def _smooth_divisibility(d: Divisibility, values):
+def _divisor(d: Divisibility, values):
+    """The divisor's values; a zero among them raises ``DomainError``."""
     xb = values[d.xb]
     if np.any(np.asarray(xb) == 0):
         raise DomainError(f"divisibility {d.xa!r} by {d.xb!r}: zero divisor")
-    return -np.sin(np.pi * values[d.xa] / xb) ** 2
+    return xb
 
 
 def smooth_tree(tree, values):
@@ -154,14 +157,13 @@ def smooth_tree(tree, values):
         c2 = _interval_value(tree.consequence, values[tree.consequence.param])
         return np.maximum(-c1 - tree.vacuity_margin, np.minimum(c1, c2))
     if isinstance(tree, Divisibility):
-        return _smooth_divisibility(tree, values)
+        return -np.sin(np.pi * values[tree.xa] / _divisor(tree, values)) ** 2
     raise TypeError(f"not a constraint node: {tree!r}")
 
 
 def smooth_satisfied(value):
     """Interpret a smooth constraint value as a Boolean (array)."""
-    return np.asarray(value) >= -SIGN_TOL if isinstance(value, np.ndarray) \
-        else value >= -SIGN_TOL
+    return value >= -SIGN_TOL
 
 
 def exact_tree(tree, values):
@@ -185,10 +187,7 @@ def exact_tree(tree, values):
                                values[cons.param] <= cons.hi)
         return np.logical_or(np.logical_not(inside), holds)
     if isinstance(tree, Divisibility):
-        xb = values[tree.xb]
-        if np.any(np.asarray(xb) == 0):
-            raise DomainError(f"divisibility {tree.xa!r} by {tree.xb!r}: zero divisor")
-        return values[tree.xa] % xb == 0
+        return values[tree.xa] % _divisor(tree, values) == 0
     raise TypeError(f"not a constraint node: {tree!r}")
 
 
@@ -226,15 +225,16 @@ def compile_tree(tree, names):
     """Compile a tree into one value-and-gradient closure.
 
     ``names`` fixes the parameter order: the closure takes a sequence whose
-    entry ``i`` is the value of ``names[i]`` and returns ``(value,
-    partials)``, where ``partials`` maps positions to derivatives for the
-    parameters of the attaining leaf.  Treat ``partials`` as read-only.
+    entry ``i`` is the value of ``names[i]`` and returns ``(value, (i, di),
+    (j, dj))``, the attaining leaf's value and its two (position, partial)
+    pairs.  A leaf that names one parameter twice has ``i == j``, and its
+    derivative there is ``di + dj``.
 
     The closure repeats the arithmetic of ``smooth_tree`` operation for
     operation, so its value equals ``smooth_tree`` (up to the sign of a
-    zero).  Min and max nodes take the attaining child's value and partials,
-    with ties to the lowest index.  The type dispatch happens here, once,
-    instead of on every call.
+    zero).  Min and max nodes take the attaining child's tuple, with ties
+    to the lowest index.  The type dispatch happens here, once, instead of
+    on every call.
     """
     return _compile(tree, {n: i for i, n in enumerate(names)})
 
@@ -255,12 +255,10 @@ def _compile(tree, pos):
     if isinstance(tree, Inequality):
         a, b = pos[tree.xa], pos[tree.xb]
         ka, kb, t = tree.ka, tree.kb, tree.t
-        grad = {a: 0.0, b: 0.0}
-        grad[a] += ka
-        grad[b] += -kb
+        da, db = (a, ka), (b, -kb)
 
         def node(values):
-            return ka * values[a] - kb * values[b] + t, grad
+            return ka * values[a] - kb * values[b] + t, da, db
         return node
     if isinstance(tree, Conditional):
         i, j = pos[tree.condition.param], pos[tree.consequence.param]
@@ -274,12 +272,12 @@ def _compile(tree, pos):
             c2 = -(v2 - lo2) * (v2 - hi2)
             vac = -c1 - margin
             if c1 <= c2:
-                inner, grad = c1, {i: -(2 * v1 - lo1 - hi1), j: 0.0}
+                value, di, dj = c1, -(2 * v1 - lo1 - hi1), 0.0
             else:
-                inner, grad = c2, {i: 0.0, j: -(2 * v2 - lo2 - hi2)}
-            if vac >= inner:  # d(-c1) negates dc1 exactly
-                return vac, {i: 2 * v1 - lo1 - hi1, j: 0.0}
-            return inner, grad
+                value, di, dj = c2, 0.0, -(2 * v2 - lo2 - hi2)
+            if vac >= value:  # d(-c1) negates dc1 exactly
+                value, di, dj = vac, 2 * v1 - lo1 - hi1, 0.0
+            return value, (i, di), (j, dj)
         return node
     if isinstance(tree, Divisibility):
         a, b = pos[tree.xa], pos[tree.xb]
@@ -289,11 +287,38 @@ def _compile(tree, pos):
             va, vb = values[a], values[b]
             if vb == 0:
                 raise DomainError(f"divisibility {xa!r} by {xb!r}: zero divisor")
-            v = -math.sin(math.pi * va / vb) ** 2
             s = math.sin(2 * math.pi * va / vb)
-            return v, {a: -s * math.pi / vb, b: s * math.pi * va / vb ** 2}
+            return (-math.sin(math.pi * va / vb) ** 2,
+                    (a, -s * math.pi / vb), (b, s * math.pi * va / vb ** 2))
         return node
     raise TypeError(f"not a constraint node: {tree!r}")
+
+
+def smooth_constraint(space: ParameterSpace, tree):
+    """Value and jacobian of smooth_tree >= 0 at every row of a batch.
+
+    The tree is compiled once and the rows are clipped into the box.  One
+    ``relaxed_arrays`` call serves the batch; the tree then runs row by row,
+    chaining its two partials through the row's slopes.  Each row equals its
+    batch of one bit for bit.  Returns a list of ``(value, jacobian)``.
+    """
+    smooth = compile_tree(tree, space.ordinal_names)
+    coords = space.ordinal_coords.tolist()
+
+    def at(U):
+        values, slopes = relaxed_arrays(space, np.clip(U, 0.0, 1.0))
+        jac = np.zeros((len(U), space.encoded_dim))
+        out = []
+        for g, row, s in zip(jac, values.tolist(), slopes.tolist()):
+            value, (i, di), (j, dj) = smooth(row)
+            if i == j:  # one parameter twice: its partials sum first
+                di, dj = di + dj, 0.0
+            g[coords[i]] += di * s[i]
+            g[coords[j]] += dj * s[j]
+            out.append((float(value), g))
+        return out
+
+    return at
 
 
 def smooth_gradient(tree, values) -> dict:
@@ -304,25 +329,21 @@ def smooth_gradient(tree, values) -> dict:
     mentioned in the tree (zero entries included).
     """
     names = sorted(tree_parameters(tree))
-    _, partials = compile_tree(tree, names)([values[n] for n in names])
+    _, (i, di), (j, dj) = compile_tree(tree, names)([values[n] for n in names])
     grad = dict.fromkeys(names, 0.0)
-    grad.update((names[i], dv) for i, dv in partials.items())
+    grad[names[i]] += di
+    grad[names[j]] += dj
     return grad
 
 
 def tree_parameters(tree) -> set:
     """All parameter names a tree mentions."""
     if isinstance(tree, (Conj, Disj)):
-        out = set()
-        for c in tree.children:
-            out |= tree_parameters(c)
-        return out
-    if isinstance(tree, Inequality):
+        return set().union(*map(tree_parameters, tree.children))
+    if isinstance(tree, (Inequality, Divisibility)):
         return {tree.xa, tree.xb}
     if isinstance(tree, Conditional):
         return {tree.condition.param, tree.consequence.param}
-    if isinstance(tree, Divisibility):
-        return {tree.xa, tree.xb}
     raise TypeError(f"not a constraint node: {tree!r}")
 
 

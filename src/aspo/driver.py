@@ -41,7 +41,6 @@ from .checkpoints import (
     CheckpointStore,
     DistanceWeights,
     RelaxedCost,
-    artifact_path,
     cost_estimate,
     learn_weights,
 )
@@ -162,9 +161,7 @@ def _insert(store: CheckpointStore, cfg: dict,
             result: EvaluationResult) -> None:
     """Store a valid result's checkpoint."""
     store.insert(CheckpointRecord(
-        config=cfg, encoded=encode(store.space, cfg), metrics=result,
-        artifact=artifact_path(store.space, cfg),
-        synthesis_minutes=result.eval_minutes))
+        config=cfg, encoded=encode(store.space, cfg), metrics=result))
 
 
 def _surrogate(space: ParameterSpace, history, seed: int):

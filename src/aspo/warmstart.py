@@ -97,10 +97,12 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
 
     Array rows, which are rows of parameter ranks, are filtered by the exact
     constraint semantics in array order; if fewer than ``budget`` distinct
-    configurations survive, seeded rejection sampling tops the list up.
+    configurations survive, seeded rejection sampling tops the list up.  A
+    space with fewer configurations than ``budget`` caps it at its size.
     """
     if budget < 1:
         raise ValueError("warm-start budget must be at least 1")
+    budget = min(budget, space.size())
     oa = generate_oa(space.counts, seed)
     # keyed by parameter values; the first of equal configurations is kept
     chosen: dict[tuple, dict] = {}

@@ -19,7 +19,12 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from aspo import acquisition as acq
 from aspo.acquisition import COST_EPS, PAPER_RATIO, cooled_value, ei_value
-from aspo.constraints import compile_tree, feasible_draws, feasible_rows
+from aspo.constraints import (
+    compile_tree,
+    feasible_draws,
+    feasible_rows,
+    smooth_constraint,
+)
 from aspo.errors import NoFeasibleCandidateError
 from aspo.gp import SQRT5
 from aspo.solvers import lockstep, slsqp_steps
@@ -184,10 +189,11 @@ def reference_smooth_constraint(space, tree):
         values, slopes = relaxed_arrays(space, np.clip(U, 0.0, 1.0))
         out = []
         for row, row_slopes in zip(values.tolist(), slopes.tolist()):
-            value, partials = smooth(row)
+            value, (i, di), (j, dj) = smooth(row)
+            partials = {i: di + dj} if i == j else {i: di, j: dj}
             g = np.zeros(space.encoded_dim)
-            for i, dv in partials.items():
-                g[coords[i]] += dv * row_slopes[i]
+            for k, dv in partials.items():
+                g[coords[k]] += dv * row_slopes[k]
             out.append((float(value), g))
         return out
 
@@ -236,8 +242,7 @@ def reference_maximize_acquisition(ctx, space, tree, *, seed=0,
     """``maximize_acquisition`` with its polish walks run one after another
     by ``reference_polish``."""
     starts = acq._starts(space, seed, ctx.iteration, warm_configs)
-    constraint = acq._smooth_constraint(space, tree) \
-        if tree is not None else None
+    constraint = smooth_constraint(space, tree) if tree is not None else None
     runs = lockstep(
         acq._slsqp_rows(acq._relaxed_objective_batch(ctx), constraint),
         [slsqp_steps(u0, 0 if tree is None else 1, acq.MAXITER)

@@ -36,6 +36,7 @@ from aspo.constraints import (
     exact_configuration,
     feasible_rows,
     parse_constraints,
+    smooth_constraint,
 )
 from aspo.errors import (
     InvalidPointError,
@@ -365,6 +366,15 @@ class TestMaximizeAcquisition:
         # "b" is the only unvisited configuration, hence the only EI mass
         assert got == {"c": "b"}
 
+    def test_one_configuration_space_without_warm_configs(self):
+        # the default warm start asks for ten starts and gets the one there is
+        space = ParameterSpace([ParameterDef("w", "ordinal", (4,), 4)])
+        model = fit(space, [encode(space, {"w": 4})], [1.0],
+                    init=KernelParams(np.full(1, 0.5), noise_variance=1e-6),
+                    optimize=False)
+        ctx = AcquisitionContext(model=model, best_feasible=1.0)
+        assert maximize_acquisition(ctx, space, None, seed=0) == {"w": 4}
+
     def test_boom_candidates_always_feasible(self):
         bundle = assets.load_bundle("boom")
         space, tree = bundle.space, bundle.tree
@@ -479,8 +489,8 @@ def solver_problem(processor, seed):
     rng = np.random.default_rng([seed, 7])
     starts = acq._starts(space, seed, ctx.iteration, None)
     starts += list(rng.uniform(-0.4, 1.4, size=(2, space.encoded_dim)))
-    constraint = (acq._smooth_constraint(space, bundle.tree)
-                  if bundle.tree is not None else None)
+    constraint = smooth_constraint(space, bundle.tree) \
+        if bundle.tree is not None else None
     return acq._relaxed_objective_batch(ctx), constraint, starts
 
 
@@ -595,7 +605,7 @@ class TestLockstepSlsqp:
 
         ctx.cost = FailingCost(ctx.cost)
         objective = acq._relaxed_objective_batch(ctx)
-        constraint = acq._smooth_constraint(space, tree)
+        constraint = smooth_constraint(space, tree)
         starts = acq._starts(space, 0, ctx.iteration, None)
         want = minimize_each(objective, constraint, starts, 60)
         retired = [u0 for u0, res in zip(starts, want) if res is None]
@@ -780,7 +790,7 @@ class TestBatchOfOne:
             want_f, want_g = objective(u[None, :])[0]
             assert f == want_f and g.tolist() == want_g.tolist()
         if bundle.tree is not None:
-            constraint = acq._smooth_constraint(space, bundle.tree)
+            constraint = smooth_constraint(space, bundle.tree)
             for u, (c, jac) in zip(U, constraint(U)):
                 want_c, want_jac = constraint(u[None, :])[0]
                 assert c == want_c and jac.tolist() == want_jac.tolist()
@@ -830,7 +840,7 @@ class TestArrayRowsMatchOracles:
             assert [row_bits(r) for r in _cooled_scores(ctx, Q)] == \
                 [row_bits(r) for r in reference_cooled_scores(ctx, Q)]
         if bundle.tree is not None:
-            got = acq._smooth_constraint(bundle.space, bundle.tree)(U)
+            got = smooth_constraint(bundle.space, bundle.tree)(U)
             want = reference_smooth_constraint(bundle.space, bundle.tree)(U)
             assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
 
@@ -872,7 +882,7 @@ class TestArrayRowsOnManyRows:
                                "then": {"param": "b", "in": [1, 3]}}}]},
             space)
         U = np.array([[0.5, 0.5], [0.25, 0.5], [0.5, 0.75]])
-        got = acq._smooth_constraint(space, tree)(U)
+        got = smooth_constraint(space, tree)(U)
         want = reference_smooth_constraint(space, tree)(U)
         assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
         assert got[0][1].tobytes() == np.zeros(2).tobytes()
@@ -889,8 +899,7 @@ class TestBatchInvariance:
         batched = [(acq._relaxed_objective_batch(ctx), U),
                    (lambda V: _cooled_scores(ctx, V), Q)]
         if bundle.tree is not None:
-            batched.append((acq._smooth_constraint(bundle.space, bundle.tree),
-                            U))
+            batched.append((smooth_constraint(bundle.space, bundle.tree), U))
         rng = np.random.default_rng(30)
         picks = [rng.permutation(42) for _ in range(3)] + \
             [rng.choice(42, size=k, replace=False) for k in (1, 2, 5, 17, 41)]

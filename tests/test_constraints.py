@@ -14,6 +14,7 @@ from aspo.constraints import (
     exact_configuration,
     exact_tree,
     parse_constraints,
+    smooth_constraint,
     smooth_gradient,
     smooth_inequality,
     smooth_satisfied,
@@ -27,6 +28,7 @@ from aspo.space import (
     config_ranks,
     ordinal_columns,
     random_configuration,
+    relaxed_arrays,
     relaxed_values,
 )
 
@@ -50,10 +52,7 @@ def reference_value_and_gradient(tree, values):
         return pairs[best_i][0], merged
     if isinstance(tree, Inequality):
         v = smooth_inequality(tree, values)
-        grad = {tree.xa: 0.0, tree.xb: 0.0}
-        grad[tree.xa] += tree.ka
-        grad[tree.xb] += -tree.kb
-        return v, grad
+        return v, summed_partials((tree.xa, tree.ka), (tree.xb, -tree.kb))
     if isinstance(tree, Conditional):
         cond, cons = tree.condition, tree.consequence
         v1, v2 = values[cond.param], values[cons.param]
@@ -63,19 +62,28 @@ def reference_value_and_gradient(tree, values):
         dc2 = -(2 * v2 - cons.lo - cons.hi)
         vac = -c1 - tree.vacuity_margin
         if c1 <= c2:
-            inner, inner_grad = c1, {cond.param: dc1, cons.param: 0.0}
+            inner, d1, d2 = c1, dc1, 0.0
         else:
-            inner, inner_grad = c2, {cond.param: 0.0, cons.param: dc2}
+            inner, d1, d2 = c2, 0.0, dc2
         if vac >= inner:
-            grad = {cond.param: -dc1, cons.param: 0.0}
-            return vac, grad
-        return inner, inner_grad
+            return vac, summed_partials((cond.param, -dc1), (cons.param, 0.0))
+        return inner, summed_partials((cond.param, d1), (cons.param, d2))
     if isinstance(tree, Divisibility):
         v = smooth_tree(tree, values)
         a, b = values[tree.xa], values[tree.xb]
         s = np.sin(2 * np.pi * a / b)
-        return v, {tree.xa: -s * np.pi / b, tree.xb: s * np.pi * a / b ** 2}
+        return v, summed_partials((tree.xa, -s * np.pi / b),
+                                  (tree.xb, s * np.pi * a / b ** 2))
     raise TypeError(f"not a constraint node: {tree!r}")
+
+
+def summed_partials(*pairs):
+    """(name, partial) pairs as a dict; a name that appears twice gets the
+    sum of its partials."""
+    grad = {}
+    for name, d in pairs:
+        grad[name] = grad.get(name, 0.0) + d
+    return grad
 
 
 def reference_gradient(tree, values):
@@ -432,22 +440,83 @@ class TestGradient:
         assert set(grad) == tree_parameters(tree)
 
 
+#: each leaf kind over two parameters and over one
+FD_LEAVES = {
+    "ineq-two": {"ineq": {"ka": 2, "xa": "a", "kb": 3, "xb": "b", "t": 1}},
+    "ineq-one": {"ineq": {"ka": 3, "xa": "a", "kb": 1, "xb": "a", "t": 0.5}},
+    "cond-two": {"cond": {"if": {"param": "a", "in": [2, 6]},
+                          "then": {"param": "b", "in": [2, 4]}}},
+    "cond-one": {"cond": {"if": {"param": "a", "in": [1, 3]},
+                          "then": {"param": "a", "in": [2, 5]}}},
+    "div-two": {"div": {"xa": "a", "xb": "b"}},
+    "div-one": {"div": {"xa": "a", "xb": "a"}},
+}
+
+
+class TestFiniteDifferences:
+    """smooth_gradient and the jacobian of smooth_constraint against central
+    differences of smooth_tree, at relaxed points away from kinks."""
+
+    @pytest.mark.parametrize("leaf", FD_LEAVES.values(), ids=FD_LEAVES)
+    def test_leaf(self, leaf):
+        space = ordspace(a=[1, 2, 3, 4, 6, 8], b=[1, 2, 3, 4, 5])
+        tree = parse_constraints({"all": [leaf]}, space)
+        names, coords = space.ordinal_names, space.ordinal_coords.tolist()
+        rng = np.random.default_rng(47)
+        U = rng.uniform(size=(300, space.encoded_dim))
+        values, slopes = relaxed_arrays(space, U)
+        rows = smooth_constraint(space, tree)(U)
+        h = 1e-6
+        checked = 0
+        for row, row_slopes, (value, jac) in zip(values, slopes, rows):
+            point = dict(zip(names, row.tolist()))
+            center = smooth_tree(tree, point)
+            assert value == center
+            fds = {}
+            for n in names:
+                f_hi = smooth_tree(tree, {**point, n: point[n] + h})
+                f_lo = smooth_tree(tree, {**point, n: point[n] - h})
+                left, right = (center - f_lo) / h, (f_hi - center) / h
+                if abs(left - right) > 1e-3 * (1 + abs(left) + abs(right)):
+                    break   # one-sided slopes disagree: a kink
+                fds[n] = (f_hi - f_lo) / (2 * h)
+            else:
+                grad = smooth_gradient(tree, point)
+                for k, n in enumerate(names):
+                    tol = 1e-5 * max(1.0, abs(fds[n]))
+                    assert abs(grad.get(n, 0.0) - fds[n]) < tol, (point, n)
+                    want = fds[n] * row_slopes[k]
+                    assert abs(jac[coords[k]] - want) \
+                        < 1e-5 * max(1.0, abs(want)), (point, n)
+                checked += 1
+        assert checked >= 250
+
+    def test_one_parameter_conditional(self):
+        # x in [1, 3] -> x in [2, 5]: at x = 2.5 the condition's branch
+        # attains, with derivative -(2x - 4) = -1 and slope 4 per coordinate
+        space = ordspace(x=[1, 2, 3, 4, 5])
+        tree = parse_constraints({"all": [
+            {"cond": {"if": {"param": "x", "in": [1, 3]},
+                      "then": {"param": "x", "in": [2, 5]}}}]}, space)
+        assert smooth_gradient(tree, {"x": 2.5}) == {"x": -1.0}
+        [(value, jac)] = smooth_constraint(space, tree)(np.array([[0.375]]))
+        assert value == 0.75 and jac.tolist() == [-4.0]
+
+
 class TestCompiledTree:
     """compile_tree and smooth_gradient against the recursive oracle, with ==."""
 
     @staticmethod
     def check(tree, values):
         names = sorted(values)
-        value, partials = compile_tree(tree, names)([values[n] for n in names])
+        value, *pairs = compile_tree(tree, names)([values[n] for n in names])
         assert value == smooth_tree(tree, values)
         grad = reference_gradient(tree, values)
         assert smooth_gradient(tree, values) == grad
-        assert {names[i] for i in partials} <= set(grad)
-        for i, name in enumerate(names):
-            if name in grad:
-                assert partials.get(i, 0.0) == grad[name], name
-            else:
-                assert i not in partials
+        partials = summed_partials(*((names[i], d) for i, d in pairs))
+        assert set(partials) <= set(grad)
+        for name in grad:
+            assert partials.get(name, 0.0) == grad[name], name
 
     def test_boom_tree_at_random_box_points(self):
         bundle = assets.load_bundle("boom")
@@ -480,11 +549,11 @@ class TestCompiledTree:
             vb[::4] = rng.choice(pb.values, len(vb[::4]))
             fn = compile_tree(leaf, [leaf.xa, leaf.xb])
             for a, b in zip(va.tolist(), vb.tolist()):
-                value, partials = fn([a, b])
+                value, *pairs = fn([a, b])
                 want, grad = reference_value_and_gradient(
                     leaf, {leaf.xa: a, leaf.xb: b})
                 assert value == want
-                assert partials == {0: grad[leaf.xa], 1: grad[leaf.xb]}
+                assert pairs == [(0, grad[leaf.xa]), (1, grad[leaf.xb])]
 
     def test_disjunction(self):
         tree = Conj((
@@ -503,8 +572,8 @@ class TestCompiledTree:
             tree = node((Inequality(1.0, "a", 0.0, "b", 0.0),
                          Inequality(0.0, "a", -1.0, "b", 0.0)))
             self.check(tree, {"a": 3.0, "b": 3.0})
-            _, partials = compile_tree(tree, ["a", "b"])([3.0, 3.0])
-            assert partials == {0: 1.0, 1: -0.0}
+            _, *pairs = compile_tree(tree, ["a", "b"])([3.0, 3.0])
+            assert pairs == [(0, 1.0), (1, -0.0)]
 
     def test_conditional_kinks(self):
         tree = Conditional(IntervalAtom("a", 0, 4), IntervalAtom("b", 1, 5),

@@ -495,6 +495,19 @@ class TestCli:
             "--out", str(tmp_path / "out")])
         assert result.exit_code == 3
 
+    def test_space_smaller_than_the_warm_start_budget(self, tmp_path):
+        # two configurations against the default budget of ten: the warm
+        # start evaluates both and the run goes on
+        files = tiny_inputs(tmp_path, [("a", [2], 2), ("b", [1, 2], 1)])
+        result = CliRunner().invoke(cli_main, [
+            "run", "--space", files["space_file"],
+            "--model", files["model_file"], "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+        assert [r["config"] for r in rows if r.get("iteration") == 0] == \
+            [{"a": 2, "b": 1}, {"a": 2, "b": 2}]
+
     def test_eval_bench_infeasible_space_exits_3(self, tmp_path):
         # drawing its feasible configurations gives up at the sampler's cap
         result = CliRunner().invoke(cli_main, [
