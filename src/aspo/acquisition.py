@@ -78,9 +78,11 @@ EXPONENT = "exponent"
 COST_EPS = 1e-6
 
 N_UNIFORM_STARTS = 32
-#: SLSQP (and L-BFGS-B) iteration cap per start; the discrete polish
-#: recovers the accuracy a tighter solve would add
+#: ``vanilla-bo``'s L-BFGS-B cap per start, left at 30 so as not to weaken it
 MAXITER = 30
+#: ASPO's SLSQP cap per start: a start's snapped vertex settles early, and
+#: the discrete polish recovers the rest
+SLSQP_MAXITER = 10
 
 
 @dataclass
@@ -317,7 +319,7 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     starts = _starts(space, seed, ctx.iteration, warm_configs)
     constraint = smooth_constraint(space, tree) if tree is not None else None
     runs = lockstep(_slsqp_rows(_relaxed_objective_batch(ctx), constraint),
-                    [slsqp_steps(u0, 0 if tree is None else 1, MAXITER)
+                    [slsqp_steps(u0, 0 if tree is None else 1, SLSQP_MAXITER)
                      for u0 in starts])
 
     # snapped candidates as rank rows, first-seen order, duplicates dropped

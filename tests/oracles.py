@@ -245,7 +245,7 @@ def reference_maximize_acquisition(ctx, space, tree, *, seed=0,
     constraint = smooth_constraint(space, tree) if tree is not None else None
     runs = lockstep(
         acq._slsqp_rows(acq._relaxed_objective_batch(ctx), constraint),
-        [slsqp_steps(u0, 0 if tree is None else 1, acq.MAXITER)
+        [slsqp_steps(u0, 0 if tree is None else 1, acq.SLSQP_MAXITER)
          for u0 in starts])
     found = {}
     for u0, run in zip(starts, runs):

@@ -625,7 +625,7 @@ class TestLockstepSlsqp:
                 return lockstep(fun, solves)
             return minimize_each(objective, constraint,
                                  [next(steps) for steps in solves],
-                                 acq.MAXITER)
+                                 acq.SLSQP_MAXITER)
 
         monkeypatch.setattr(acq, "lockstep", slsqp_by_minimize)
         assert got == maximize_acquisition(ctx, space, tree, seed=0)
@@ -763,6 +763,32 @@ class TestLbfgsbDriver:
             ours = lbfgsb_lockstep(objective, [u0], lo, hi, acq.MAXITER)
             assert_same_lbfgsb(ours[0], lbfgsb_by_minimize(fun, u0, lo, hi,
                                                            acq.MAXITER))
+
+
+class TestIterationCaps:
+    """ASPO's SLSQP ascent has a cap of its own; ``vanilla-bo``'s L-BFGS-B
+    ascent keeps the cap its golden trajectories were recorded under."""
+
+    def test_each_maximizer_hands_over_its_own_cap(self, monkeypatch):
+        assert (acq.SLSQP_MAXITER, acq.MAXITER) == (10, 30)
+        bundle = assets.load_bundle("boom")
+        ctx = bundle_context(bundle, np.random.default_rng(0))
+        caps = {"slsqp_steps": set(), "lbfgsb_steps": set()}
+
+        def capture(steps):
+            def recorded(*args):
+                caps[steps.__name__].add(args[-1])
+                return steps(*args)
+            return recorded
+
+        monkeypatch.setattr(acq, "slsqp_steps", capture(slsqp_steps))
+        monkeypatch.setattr(acq, "lbfgsb_steps", capture(lbfgsb_steps))
+        # moving ASPO's cap must leave the baseline's where it is
+        monkeypatch.setattr(acq, "SLSQP_MAXITER", 3)
+        maximize_acquisition(ctx, bundle.space, bundle.tree, seed=0)
+        maximize_ei_unconstrained(ctx.model, bundle.space, ctx.best_feasible,
+                                  seed=0)
+        assert caps == {"slsqp_steps": {3}, "lbfgsb_steps": {30}}
 
 
 class TestBatchOfOne:

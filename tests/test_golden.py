@@ -4,7 +4,11 @@ The fixture ``golden_trajectories.json`` is the oracle that any refactor or
 speed-up must reproduce.  The ASPO cases were recorded from the optimizer
 before its acquisition hot path was batched; the baseline cases (random,
 conventional BO, hill climbing) and the report hashes were recorded later,
-from code whose ASPO trajectories the fixture already confirmed.
+from code whose ASPO trajectories the fixture already confirmed.  When
+ASPO's SLSQP ascent got a cap of its own (``acquisition.SLSQP_MAXITER``, 10
+in place of 30), ``boom-seed2-it5`` was the one case whose proposals moved
+(its first BO proposal); it was re-recorded from that change, made on
+commit ``5fb95a7``, and every other case and report hash stayed as recorded.
 Configurations must match exactly; floats (best EET, per-entry acquisition
 value and cost estimate) must agree to a relative 1e-9.  The report cases
 pin the sha256 of ``report.jsonl`` and ``report.csv`` byte for byte.
@@ -20,6 +24,8 @@ as it is.
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +62,9 @@ CASES = [Case("boom", s, 5) for s in range(4)] + [
     Case("rocketchip", 0, 10), Case("el2_veer", 0, 10),
     Case("boom", 0, 10, "random"), Case("boom", 0, 10, "vanilla-bo"),
     Case("el2_veer", 0, 10, "vanilla-bo"), HILL_CLIMB]
+#: run at one and at two BLAS threads: before ASPO's SLSQP had a cap of its
+#: own, its first BO proposal depended on the thread count
+THREADS_CASE = "boom-seed2-it5"
 #: cases whose emitted report files are pinned by hash
 REPORT_CASES = [Case("boom", 0, 5), HILL_CLIMB]
 REPORT_FILES = ("report.jsonl", "report.csv")
@@ -108,10 +117,7 @@ def golden():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c.id)
-def test_trajectory_matches_golden(golden, case):
-    want = golden[case.id]
-    got = trajectory(case)
+def assert_matches(got: dict, want: dict):
     assert got["stop_reason"] == want["stop_reason"]
     assert len(got["proposals"]) == len(want["proposals"])
     for i, (g, w) in enumerate(zip(got["proposals"], want["proposals"])):
@@ -120,6 +126,27 @@ def test_trajectory_matches_golden(golden, case):
         assert _close(g["alpha"], w["alpha"]), f"entry {i} alpha"
         assert _close(g["cost"], w["cost"]), f"entry {i} cost"
     assert _close(got["best_eet_ms"], want["best_eet_ms"])
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.id)
+def test_trajectory_matches_golden(golden, case):
+    assert_matches(trajectory(case), golden[case.id])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_proposals_do_not_depend_on_blas_threads(golden, threads):
+    # a child process per thread count: OpenBLAS reads it once, at load
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(FIXTURE.parent), *sys.path]))
+    code = ("import json, sys, test_golden as g; "
+            "case, = [c for c in g.CASES if c.id == sys.argv[1]]; "
+            "print(json.dumps(g.trajectory(case)))")
+    proc = subprocess.run([sys.executable, "-c", code, THREADS_CASE],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert_matches(json.loads(proc.stdout), golden[THREADS_CASE])
 
 
 @pytest.mark.parametrize("case", REPORT_CASES, ids=lambda c: c.id)
