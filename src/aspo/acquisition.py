@@ -23,8 +23,9 @@ scipy's SLSQP solver, run together by ``solvers.lockstep``.  Each round's
 new points are evaluated as one batch: one kernel matrix and gradient
 tensor, one stacked cost distance and one ``constraints.smooth_constraint``
 batch, which gives the relaxed constraint's value and jacobian (the tree is
-compiled once per call).  The posterior and every gradient run over arrays;
-the scalar EI chain (libm's ``erf``, ``exp`` and ``pow``) and the tree run
+compiled once per call).  One ``GpModel.posterior`` call gives the means,
+variances and their gradients, and every gradient runs over arrays; the
+scalar EI chain (libm's ``erf``, ``exp`` and ``pow``) and the tree run
 row by row.  Each row equals its batch of one bit for bit, so each
 start ends exactly where ``minimize`` takes it alone.  A start whose
 objective or constraint raises ``NumericalError`` or ``InvalidPointError``
@@ -191,15 +192,15 @@ def _cooled_scores(ctx: AcquisitionContext, Q: np.ndarray) -> np.ndarray:
     posterior batch and one stacked cost distance.  Every row scores bit
     for bit as ``alpha_cool`` scores it alone."""
     cost = ctx.cost.values(Q) if ctx.cost is not None else np.ones(len(Q))
-    return _cooled_rows(ctx, *ctx.model.predict_batch(Q), cost)[0]
+    return _cooled_rows(ctx, *ctx.model.posterior(Q), cost)[0]
 
 
 def _relaxed_objective_batch(ctx: AcquisitionContext):
     """Negated cooled acquisition and gradient at every row of a batch.
 
-    One ``predict_with_gradient_arrays`` and one stacked cost distance serve
-    the batch, and the gradients are taken over arrays, so each row equals
-    its batch of one bit for bit.  Returns a list of ``(value, gradient)``.
+    One ``GpModel.posterior`` call and one stacked cost distance serve the
+    batch, and the gradients are taken over arrays, so each row equals its
+    batch of one bit for bit.  Returns a list of ``(value, gradient)``.
     """
     lam = ctx.lam()
 
@@ -208,7 +209,7 @@ def _relaxed_objective_batch(ctx: AcquisitionContext):
             costs, dcosts = ctx.cost.values_and_gradients(U)
         else:
             costs, dcosts = np.ones(len(U)), np.zeros_like(U)
-        mean, var, dmean, dvar = ctx.model.predict_with_gradient_arrays(U)
+        mean, var, dmean, dvar = ctx.model.posterior(U, gradient=True)
         f, ei, cdf, pdf, sigma, c, d, d2 = _cooled_rows(ctx, mean, var, costs)
         below = sigma == 0.0
         dei = -cdf[:, None] * dmean + pdf[:, None] \

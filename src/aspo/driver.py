@@ -4,9 +4,10 @@ One run proceeds as: evaluate the orthogonal-array warm-start set, then loop
 (fit the surrogate on all valid results, maximize the constrained cooled
 acquisition, short-circuit database hits, evaluate, insert, periodically
 re-learn the distance weights) until the iteration budget, the virtual-time
-limit, or the stagnation rule (default ten non-improving iterations) stops
-it.  Baseline generators (random, conventional BO, hill climbing) run under
-the identical harness and accounting with only the proposal step swapped.
+limit, the stagnation rule (default ten non-improving iterations) or an
+exhausted space stops it.  Baseline generators (random, conventional BO,
+hill climbing) run under the identical harness and accounting with only
+the proposal step swapped.
 
 All times are virtual: evaluation minutes come from the synthetic model
 (scaled by the run's time-compression factor) and accumulate on a virtual
@@ -219,6 +220,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     error = None
     # the best valid entry so far; strict < keeps the first of equal EETs
     best_entry, best_eet = None, math.inf
+    evaluated: set[tuple] = set()       # distinct configurations, as ranks
 
     def t_syn(cfg, ref_record):
         return harness.backend.synthesis_time(cfg, ref_record.config)
@@ -229,6 +231,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         cache_hit = rc.strategy == RETRIEVAL and store.lookup(cfg) is not None
         result = harness.evaluate(cfg, rc.strategy, db=store, weights=weights)
         clock += result.eval_minutes
+        evaluated.add(tuple(config_ranks(space, cfg)))
         history.append(HistoryEntry(iteration, cfg, result, alpha_value,
                                     cost_before))
         eet = history[-1].eet_ms()
@@ -288,7 +291,8 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
             if clock >= limit:
                 stop_reason = "tdt-limit"
                 break
-            proposal = propose(t)
+            # an exhausted space has nothing left to propose
+            proposal = None if len(evaluated) == space.size() else propose(t)
             if proposal is None:
                 stop_reason = "converged"
                 break

@@ -13,15 +13,17 @@ averaging their targets and inflating the merged point's noise by the group
 variance, keeping the Gram matrix well conditioned.
 
 Pair differences are held feature-major, ``(D, n, n)`` or ``(D, rows, n)``,
-so per-dimension work runs over long contiguous rows, summed in the order
-numpy sums a contiguous last axis: every entry keeps its ``(n, n, D)`` bits.
+so per-dimension work runs over long contiguous rows, and the radius adds
+the dimensions up row after row: an entry's bits do not depend on where it
+sits, except a lone entry (one row, one input), which numpy sums pairwise.
 
 Hyperparameters come from L-BFGS-B restarts run on the multi-start
 scaffold in ``solvers``, which ends each restart where ``minimize`` would.
 Each fit builds one likelihood closure that scores every live restart in
 one stacked pass, calling LAPACK row by row as scipy's wrappers would.
-Posteriors are batched over query rows with stacked dots.  Each row of a
-batch equals its batch of one bit for bit.
+One batched posterior, for the vertex scores and the relaxed gradients,
+takes one kernel matrix, one ``dpotrs`` and per-row sums: from two training
+inputs on, each row of a batch equals its batch of one bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .solvers import dpotrf, dpotrs, dtrtrs, lbfgsb_steps, lockstep
+from .solvers import dpotrf, dpotrs, lbfgsb_steps, lockstep
 from .solvers import minimize  # noqa: F401  (lazy; perfbench/spans.py wraps it)
 from .space import ParameterSpace, snap
 
@@ -79,27 +81,6 @@ class KernelParams:
         return cls(lengthscales=np.full(dim, 0.5))
 
 
-def _pairwise_rows(S: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis of ``S`` as ``np.add.reduce`` sums a
-    contiguous axis (up to the sign of a zero): term by term below 8 terms,
-    else 8 running sums paired as a tree, then the rest; halves above 128."""
-    m = len(S)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _pairwise_rows(S[:half]) + _pairwise_rows(S[half:])
-    if m < 8:
-        out, rest = S[0].copy(), S[1:]
-    else:
-        r = S[:8]
-        for i in range(8, m - m % 8, 8):
-            r = r + S[i:i + 8]
-        r = r[0::2] + r[1::2]
-        out, rest = r[0] + r[1] + (r[2] + r[3]), S[m - m % 8:]
-    for row in rest:
-        out += row
-    return out
-
-
 def _differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """C-contiguous feature-major differences: ``A[i] - B[j]`` at [:, i, j]."""
     return np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
@@ -109,12 +90,11 @@ def _matern_terms(ell, sv, diff: np.ndarray, scaled_sq=None):
     """(K, 1 + sqrt5 r, exp(-sqrt5 r), scaled_sq) at feature-major ``diff``
     (D, ...), ``ell`` and ``sv`` broadcasting against it and the radius,
     ``scaled_sq`` optionally an output buffer.  Each dimension's divide and
-    square runs over one contiguous row.  The radius sum's order sets its
-    last bits: ``_pairwise_rows`` repeats numpy's pairwise sum over an
-    (a, b, D) last axis, which adding row after row misses from D = 8 on."""
+    square runs over one contiguous row, and the radius sums the rows one
+    after another."""
     scaled_sq = np.divide(diff, ell, out=scaled_sq)
     np.multiply(scaled_sq, scaled_sq, out=scaled_sq)        # ** 2
-    r = np.sqrt(_pairwise_rows(scaled_sq))
+    r = np.sqrt(scaled_sq.sum(axis=0))
     expo, lin = np.exp(-SQRT5 * r), 1 + SQRT5 * r
     return sv * (lin + 5 * r * r / 3) * expo, lin, expo, scaled_sq
 
@@ -194,7 +174,7 @@ def _likelihood(diff, y, extra_noise, jitter):
                 continue
             alpha[i], L_diag[i] = dpotrs(L, y, lower=1)[0], L.diagonal()
             inverse[i] = dpotrs(L, eye, lower=1)[0]
-        nll = 0.5 * _row_dots(alpha, y) + np.log(L_diag).sum(axis=1) + log_norm
+        nll = 0.5 * (alpha * y).sum(axis=1) + np.log(L_diag).sum(axis=1) + log_norm
         for i in range(R):
             if not finite[i]:
                 raise NumericalError("likelihood kernel is not finite")
@@ -283,65 +263,39 @@ class GpModel:
         The query is projected onto its vertex first, so any two points with
         the same snap get bitwise-identical predictions.
         """
-        mean, var = self.predict_batch(snap(self.space, x)[None, :])
+        mean, var = self.posterior(snap(self.space, x)[None, :])
         return float(mean[0]), float(var[0])
-
-    def predict_batch(self, Q: np.ndarray):
-        """Posterior means and variances at the rows of ``Q``, as given.  The
-        triangular solve (``solve_triangular``'s LAPACK call) runs row by
-        row: one multi-right-hand-side ``dtrtrs`` would round differently."""
-        K = _matern52(self.params, Q, self.X)
-        V = np.empty_like(K)
-        for i, k in enumerate(K):
-            V[i], info = dtrtrs(self.L, k, lower=1)
-            if info:
-                raise NumericalError(f"triangular solve failed (info {info})")
-        var_std = self.params.signal_variance - _row_dots(V, V)
-        for v in var_std[var_std < -1e-10].tolist():
-            logger.warning("negative posterior variance %.3e clamped", v)
-        return (_row_dots(K, self.alpha) * self.target_std + self.target_mean,
-                np.where(0.0 > var_std, 0.0, var_std) * self.target_std ** 2)
 
     def predict_with_gradient(self, x):
         """Relaxed posterior and its gradient: (mean, var, dmean, dvar)."""
-        mean, var, dmean, dvar = self.predict_with_gradient_arrays(
-            np.asarray(x, dtype=float)[None, :])
+        mean, var, dmean, dvar = self.posterior(
+            np.asarray(x, dtype=float)[None, :], gradient=True)
         return float(mean[0]), float(var[0]), dmean[0], dvar[0]
 
-    def predict_with_gradient_arrays(self, Q: np.ndarray):
-        """Relaxed means and variances (rows,) and their gradients (rows, D)
-        at the rows of ``Q``.  One multi-right-hand-side ``dpotrs`` solves
-        each column on its own."""
+    def posterior(self, Q: np.ndarray, gradient: bool = False):
+        """Posterior means and variances (rows,) at the rows of ``Q``, as
+        given, in original units; with ``gradient``, also their gradients
+        (rows, D).  One multi-right-hand-side ``dpotrs`` gives W = K^-1 k
+        for every row, solving each column on its own."""
+        sv, s = self.params.signal_variance, self.target_std
+        ell = self.params.lengthscales[:, None, None]
         diff = _differences(Q, self.X)
-        K = _matern_terms(self.params.lengthscales[:, None, None],
-                          self.params.signal_variance, diff)[0]
-        # d k_i / d x_j, with the Matern radial term's r cancelled.  This r
-        # and its exp round differently from the kernel's; sharing those
-        # changes trajectories, so it waits for a fixture re-record.
-        ell2 = (self.params.lengthscales ** 2)[:, None, None]
-        r = np.sqrt(_pairwise_rows(diff ** 2 / ell2))
-        coef = -(5.0 / 3.0) * self.params.signal_variance \
-            * (1 + SQRT5 * r) * np.exp(-SQRT5 * r)
-        # (rows, D, n) over (rows, n, D) memory: the stacked matmul below
-        # sums a C-contiguous (rows, D, n) operand in another order
-        dKt = np.ascontiguousarray((coef * diff / ell2).transpose(1, 2, 0)) \
-            .transpose(0, 2, 1)
+        K, lin, expo, dK = _matern_terms(ell, sv, diff)
         W, info = dpotrs(self.L, K.T, lower=1)
         if info:
             raise NumericalError(f"Cholesky solve failed (info {info})")
-        W = W.T[:, :, None]
-        var_std = self.params.signal_variance - _row_dots(K, W[..., 0])
-        s = self.target_std
-        return (_row_dots(K, self.alpha) * s + self.target_mean,
-                np.where(0.0 > var_std, 0.0, var_std) * s * s,
-                np.matmul(dKt, self.alpha[:, None])[..., 0] * s,
-                -2.0 * np.matmul(dKt, W)[..., 0] * s * s)
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``a @ b`` per row ``a`` of ``A`` and row (or vector) ``b`` of ``B``:
-    one BLAS dot per row, where a 2-D product would sum batch-dependently."""
-    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
+        var_std = sv - (K * W.T).sum(axis=1)
+        for v in var_std[var_std < -1e-10].tolist():
+            logger.warning("negative posterior variance %.3e clamped", v)
+        mean = (K * self.alpha).sum(axis=1) * s + self.target_mean
+        var = np.where(0.0 > var_std, 0.0, var_std) * s * s
+        if not gradient:
+            return mean, var
+        # d k_i / d x_j (Matern r cancelled) in reused (D, rows, n) buffers
+        np.multiply(-(5.0 / 3.0) * sv * lin * expo, diff, out=dK)
+        np.divide(dK, ell ** 2, out=dK)
+        return (mean, var, np.multiply(dK, self.alpha, out=diff).sum(-1).T * s,
+                -2.0 * np.multiply(dK, W.T, out=diff).sum(-1).T * s * s)
 
 
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,

@@ -16,6 +16,7 @@ code, without importing ``scipy.linalg`` or ``scipy.optimize``.
 from __future__ import annotations
 
 import importlib.util
+import sys
 from importlib.machinery import PathFinder
 from types import SimpleNamespace
 
@@ -29,13 +30,16 @@ def _compiled(package: str, name: str):
         full, [f"{d}/{package}" for d in scipy.submodule_search_locations])
     if spec is None:
         raise ImportError(f"no compiled module {full}", name=full)
+    loaded = full in sys.modules
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    if not loaded:      # CPython registered it, and no package binds it
+        sys.modules.pop(full, None)
     return module
 
 
 _flapack = _compiled("linalg", "_flapack")
-dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 setulb = _compiled("optimize", "_lbfgsb").setulb
 slsqp = _compiled("optimize", "_slsqplib").slsqp
 

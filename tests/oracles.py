@@ -8,7 +8,10 @@ per-row jacobian and the ``(n, n, D)`` Matern arithmetic with its
 ``axis=-1`` sum.  The discrete polish and the hill climb are kept as they
 were before both became ``aspo.solvers.walk_steps`` walks: one polish walk
 after another, and a climb with its own neighbours and best move.  Tests
-compare the array code and the walks against them with ``==``.
+compare the likelihood, the posterior and the acquisition built on it
+against them within a tolerance, since ``aspo.gp`` sums in other orders
+than these dots and solves, and the constraint jacobian and the walks with
+``==``.
 """
 
 import math

@@ -65,7 +65,6 @@ from aspo.space import (
 from oracles import (
     reference_cooled_scores,
     reference_maximize_acquisition,
-    reference_nll_and_grad,
     reference_objective,
     reference_posterior,
     reference_smooth_constraint,
@@ -671,11 +670,10 @@ def record_fit_solves(monkeypatch):
     return likelihoods, record_lbfgsb_solves(monkeypatch, gp_mod)
 
 
-def oracle_likelihood(diff, y, extra_noise, jitter):
-    """``reference_nll_and_grad`` on the (n, n, D) copy of ``diff``."""
-    diff = np.ascontiguousarray(np.transpose(diff, (1, 2, 0)))
-    return lambda theta: reference_nll_and_grad(theta, diff, y, extra_noise,
-                                                jitter)
+def likelihood_of_one(*args):
+    """``gp._likelihood(*args)`` at one theta: the batch of one."""
+    nll_and_grad = gp_mod._likelihood(*args)
+    return lambda theta: nll_and_grad(theta[None, :])[0]
 
 
 def lbfgsb_by_minimize(fun, x0, lo, hi, maxiter):
@@ -703,15 +701,15 @@ class TestLbfgsbDriver:
         ("boom", 0), ("boom", 1), ("rocketchip", 0), ("el2_veer", 2)])
     def test_fit_restarts_match_minimize(self, monkeypatch, processor, seed):
         # the fit's restarts run in lockstep on the stacked likelihood; each
-        # must end where minimize takes it alone on the oracle likelihood
+        # must end where minimize takes it alone on the batch of one
         likelihoods, solves = record_fit_solves(monkeypatch)
         bundle_context(assets.load_bundle(processor),
                        np.random.default_rng(seed))
         (args,), (((_, starts, lo, hi, maxiter), runs),) = likelihoods, solves
         assert len(starts) == len(runs) == gp_mod.FIT_RESTARTS
-        oracle = oracle_likelihood(*args)
+        one = likelihood_of_one(*args)
         for x0, ours in zip(starts, runs):
-            assert_same_lbfgsb(ours, lbfgsb_by_minimize(oracle, x0, lo, hi,
+            assert_same_lbfgsb(ours, lbfgsb_by_minimize(one, x0, lo, hi,
                                                         maxiter))
 
     @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
@@ -720,10 +718,10 @@ class TestLbfgsbDriver:
         bundle_context(assets.load_bundle(processor), np.random.default_rng(4))
         monkeypatch.undo()
         (args,), (((fun, starts, lo, hi, _), _),) = likelihoods, solves
-        oracle = oracle_likelihood(*args)
+        one = likelihood_of_one(*args)
         for x0, ours in zip(starts, lbfgsb_lockstep(fun, starts, lo, hi, 2)):
             assert (ours.nit, ours.status) == (2, 1)
-            assert_same_lbfgsb(ours, lbfgsb_by_minimize(oracle, x0, lo, hi, 2))
+            assert_same_lbfgsb(ours, lbfgsb_by_minimize(one, x0, lo, hi, 2))
 
     @pytest.mark.parametrize("processor, seed", [
         ("boom", 0), ("rocketchip", 1), ("el2_veer", 3)])
@@ -800,7 +798,7 @@ class TestBatchOfOne:
         space = bundle.space
         ctx = bundle_context(bundle, np.random.default_rng(17))
         U = np.random.default_rng(18).uniform(size=(2000, space.encoded_dim))
-        mean, var, dmean, dvar = ctx.model.predict_with_gradient_arrays(U)
+        mean, var, dmean, dvar = ctx.model.posterior(U, gradient=True)
         costs, dcosts = ctx.cost.values_and_gradients(U)
         for u, m, v, dm, dv, c, dc in zip(U, mean.tolist(), var.tolist(),
                                           dmean, dvar, costs, dcosts):
@@ -847,6 +845,19 @@ def acquisition_rows(bundle, seed, mode=PAPER_RATIO):
     return ctx, U[rng.permutation(len(U))], Q[rng.permutation(len(Q))]
 
 
+def assert_rows_close(got, want):
+    """``(value, gradient)`` rows or scores as the per-row oracle's, within
+    rounding: the posterior sums in other orders than the oracle's dots and
+    triangular solves.  Measured: 3.6e-10 relative in a value, and 4.3e-11
+    of a row's largest gradient entry."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert np.abs(g[1] - w[1]).max() <= 1e-8 * np.abs(w[1]).max()
+            g, w = g[0], w[0]
+        assert g == pytest.approx(w, rel=1e-8, abs=0.0)
+
+
 class TestArrayRowsMatchOracles:
     @pytest.mark.parametrize("mode", [PAPER_RATIO, EXPONENT])
     @pytest.mark.parametrize("processor", assets.PROCESSORS)
@@ -860,11 +871,10 @@ class TestArrayRowsMatchOracles:
         assert (ctx.cost.values(U) < acq.COST_EPS).any()
         for cost in (ctx.cost, None):
             ctx.cost = cost
-            got = acq._relaxed_objective_batch(ctx)(U)
-            want = reference_objective(ctx)(U)
-            assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
-            assert [row_bits(r) for r in _cooled_scores(ctx, Q)] == \
-                [row_bits(r) for r in reference_cooled_scores(ctx, Q)]
+            assert_rows_close(acq._relaxed_objective_batch(ctx)(U),
+                              reference_objective(ctx)(U))
+            assert_rows_close(_cooled_scores(ctx, Q).tolist(),
+                              reference_cooled_scores(ctx, Q))
         if bundle.tree is not None:
             got = smooth_constraint(bundle.space, bundle.tree)(U)
             want = reference_smooth_constraint(bundle.space, bundle.tree)(U)
@@ -884,8 +894,8 @@ class StubCost:
 class TestArrayRowsOnManyRows:
     @pytest.mark.parametrize("mode", [PAPER_RATIO, EXPONENT])
     def test_stub_cost_rows(self, mode):
-        # enough rows that libm's pow, exp and erf would part from numpy's
-        # somewhere; some costs fall below COST_EPS with a nonzero gradient
+        # many rows, and some costs fall below COST_EPS with a nonzero
+        # gradient
         bundle = assets.load_bundle("rocketchip")
         ctx = bundle_context(bundle, np.random.default_rng(31), mode)
         ctx.cost = StubCost()
@@ -893,9 +903,8 @@ class TestArrayRowsOnManyRows:
         U = rng.uniform(size=(5000, bundle.space.encoded_dim))
         U[::50, 0] = rng.uniform(0.0, 0.005, size=100)
         assert (ctx.cost.values(U) < acq.COST_EPS).sum() >= 50
-        got = acq._relaxed_objective_batch(ctx)(U)
-        want = reference_objective(ctx)(U)
-        assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
+        assert_rows_close(acq._relaxed_objective_batch(ctx)(U),
+                          reference_objective(ctx)(U))
 
     def test_signed_zero_partials(self):
         # at the middle of both intervals the attaining conditional's

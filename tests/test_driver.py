@@ -129,12 +129,13 @@ class TestRunOptimization:
 
     def test_cache_hits_charged_at_lookup_cost(self):
         # tiny space: the optimizer will revisit stored configurations
+        # before it has evaluated all nine
         import json as _json
         import os
         import tempfile
         space_doc = {"parameters": [
-            {"name": "a", "kind": "ordinal", "values": [1, 2], "default": 1},
-            {"name": "b", "kind": "ordinal", "values": [1, 2], "default": 1},
+            {"name": "a", "kind": "ordinal", "values": [1, 2, 3], "default": 1},
+            {"name": "b", "kind": "ordinal", "values": [1, 2, 3], "default": 1},
         ]}
         model_doc = {
             "processor": "tiny", "base_frequency_mhz": 50.0,
@@ -156,7 +157,6 @@ class TestRunOptimization:
             rc = RunConfig(space_file=sfile, model_file=mfile,
                            budget_iterations=8, warm_start_budget=4, seed=0)
             report = run_optimization(rc)
-        # all four configurations exist after warm start; later proposals hit
         hits = [e for e in report.history
                 if e.iteration > 0 and
                 e.result.eval_minutes == LOOKUP_MINUTES * rc.time_compression]
@@ -497,7 +497,7 @@ class TestCli:
 
     def test_space_smaller_than_the_warm_start_budget(self, tmp_path):
         # two configurations against the default budget of ten: the warm
-        # start evaluates both and the run goes on
+        # start evaluates both, and the exhausted space ends the run
         files = tiny_inputs(tmp_path, [("a", [2], 2), ("b", [1, 2], 1)])
         result = CliRunner().invoke(cli_main, [
             "run", "--space", files["space_file"],
@@ -505,8 +505,10 @@ class TestCli:
         assert result.exit_code == 0, result.output
         rows = [json.loads(line) for line in
                 (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
-        assert [r["config"] for r in rows if r.get("iteration") == 0] == \
+        assert [r["config"] for r in rows if "config" in r] == \
             [{"a": 2, "b": 1}, {"a": 2, "b": 2}]
+        assert [r["iteration"] for r in rows if "config" in r] == [0, 0]
+        assert rows[-1]["stop_reason"] == "converged"
 
     def test_eval_bench_infeasible_space_exits_3(self, tmp_path):
         # drawing its feasible configurations gives up at the sampler's cap

@@ -9,6 +9,12 @@ ASPO's SLSQP ascent got a cap of its own (``acquisition.SLSQP_MAXITER``, 10
 in place of 30), ``boom-seed2-it5`` was the one case whose proposals moved
 (its first BO proposal); it was re-recorded from that change, made on
 commit ``5fb95a7``, and every other case and report hash stayed as recorded.
+When one GP posterior (``GpModel.posterior``) replaced the two that kept
+the bits of deleted per-row code, every ASPO case, ``el2_veer-vanilla-bo``
+and the ``boom-seed0-it5`` report hashes were re-recorded from that change,
+made on commit ``503925d``: their floats left 1e-9, and one configuration
+moved (entry 14 of ``boom-seed2-it5``).  ``boom-random``, ``boom-vanilla-bo``
+and the hill climb with its report hashes stayed as recorded.
 Configurations must match exactly; floats (best EET, per-entry acquisition
 value and cost estimate) must agree to a relative 1e-9.  The report cases
 pin the sha256 of ``report.jsonl`` and ``report.csv`` byte for byte.

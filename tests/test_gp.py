@@ -15,8 +15,6 @@ from aspo.gp import (
     _cholesky_with_escalation,
     _differences,
     _likelihood,
-    _pairwise_rows,
-    _row_dots,
     fit,
     gram_matrix,
     kernel_value,
@@ -127,24 +125,22 @@ class TestLogMarginalLikelihood:
             assert abs(grad[j] - fd) / max(1.0, abs(fd)) < 1e-4
 
 
-class TestPairwiseOrder:
-    """``_pairwise_rows`` sums the leading axis as ``np.add.reduce`` sums a
-    contiguous last axis, on whichever numpy is installed."""
-
-    @pytest.mark.parametrize("D", [*range(1, 41), 64, 127, 128, 129, 200, 257])
-    def test_equals_add_reduce_over_last_axis(self, D):
-        rng = np.random.default_rng(D)
-        for a, b in [(1, 1), (1, 64), (64, 1), (2, 3), (7, 9), (8, 8),
-                     (13, 40), (39, 39), (64, 64)]:
-            S = rng.normal(size=(a, b, D)) * rng.uniform(0.0, 10.0, D)
-            got = _pairwise_rows(np.ascontiguousarray(S.transpose(2, 0, 1)))
-            assert got.tobytes() == np.add.reduce(S, axis=-1).tobytes(), (a, b)
+def assert_likelihood_close(got, want):
+    """An ``(nll, grad)`` pair as the per-row oracle's, within rounding:
+    the radius sums its terms in another order (measured: 8e-15 relative in
+    the nll, 1.6e-13 of the largest gradient entry)."""
+    (nll, grad), (want_nll, want_grad) = got, want
+    assert nll == pytest.approx(want_nll, rel=1e-12)
+    assert np.abs(grad - want_grad).max() <= 1e-11 * np.abs(want_grad).max()
 
 
 class TestNllAndGrad:
     @pytest.mark.parametrize("n", [2, 7, 10, 40])
     @pytest.mark.parametrize("D", [3, 8, 12])
     def test_matches_reference_bit_for_bit(self, n, D):
+        """The likelihood against the per-row reference, now within
+        rounding (``assert_likelihood_close``): the id predates the
+        tolerance."""
         rng = np.random.default_rng([n, D])
         # rows on a coarse grid, so some pairs share coordinates
         X = rng.integers(0, 4, size=(n, D)) / 3.0
@@ -156,11 +152,9 @@ class TestNllAndGrad:
             theta = np.concatenate([rng.uniform(np.log(0.01), np.log(20.0), D),
                                     [rng.uniform(np.log(0.1), np.log(10.0)),
                                      rng.uniform(np.log(1e-8), np.log(1.0))]])
-            (nll, grad), = nll_and_grad(theta[None, :])
-            want_nll, want_grad = reference_nll_and_grad(theta, diff, y,
-                                                         extra, 1e-8)
-            assert nll == want_nll
-            assert grad.tolist() == want_grad.tolist()
+            got, = nll_and_grad(theta[None, :])
+            assert_likelihood_close(got, reference_nll_and_grad(
+                theta, diff, y, extra, 1e-8))
 
     @pytest.mark.parametrize("D", [3, 12])
     def test_transposed_view_input(self, D):
@@ -170,11 +164,12 @@ class TestNllAndGrad:
         diff = X[:, None, :] - X[None, :, :]
         y, extra = rng.normal(size=9), np.zeros(9)
         theta = rng.uniform(-1.0, 1.0, D + 2)
-        got, = _likelihood(diff.transpose(2, 0, 1), y, extra, 1e-8)(
+        view = diff.transpose(2, 0, 1)
+        got, = _likelihood(view, y, extra, 1e-8)(theta[None, :])
+        want, = _likelihood(np.ascontiguousarray(view), y, extra, 1e-8)(
             theta[None, :])
-        want = reference_nll_and_grad(theta, diff, y, extra, 1e-8)
         assert got[0] == want[0]
-        assert got[1].tolist() == want[1].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_differences_are_feature_major(self):
         X = np.random.default_rng(1).uniform(size=(5, 3))
@@ -211,8 +206,8 @@ class TestNllAndGrad:
 
 
 class TestStackedLikelihood:
-    """Each row of a likelihood batch equals the oracle at its theta, bit for
-    bit, whatever else the batch holds."""
+    """Each row of a likelihood batch matches the oracle at its theta, and
+    keeps its bits whatever else the batch holds."""
 
     @staticmethod
     def problem(n, D):
@@ -236,9 +231,8 @@ class TestStackedLikelihood:
         for R in range(1, 6):
             got = nll_and_grad(thetas[:R])
             assert len(got) == R
-            for (nll, grad), (want_nll, want_grad) in zip(got, want):
-                assert nll == want_nll
-                assert grad.tolist() == want_grad.tolist()
+            for row, want_row in zip(got, want):
+                assert_likelihood_close(row, want_row)
 
     @pytest.mark.parametrize("n, D", [(2, 3), (7, 8), (40, 12)])
     def test_rows_keep_their_bits_when_permuted_or_cut(self, n, D):
@@ -267,11 +261,9 @@ class TestStackedLikelihood:
         got = nll_and_grad(thetas)
         assert got[1][0] == 1e25
         assert got[1][1].tobytes() == np.zeros(5).tobytes()
-        for theta, (nll, grad) in zip(thetas, got):
-            want_nll, want_grad = reference_nll_and_grad(theta, diff, y, extra,
-                                                         1e-300)
-            assert nll == want_nll
-            assert grad.tolist() == want_grad.tolist()
+        for theta, row in zip(thetas, got):
+            assert_likelihood_close(row, reference_nll_and_grad(
+                theta, diff, y, extra, 1e-300))
         for i in (0, 2):
             (nll, grad), = nll_and_grad(thetas[i:i + 1])
             assert nll == got[i][0] and grad.tobytes() == got[i][1].tobytes()
@@ -488,9 +480,10 @@ class TestRelaxedGradient:
 
 
 # --------------------------------------------------------------------------
-# the BLAS and LAPACK facts behind the batched posterior: a stacked matmul
-# runs the same dot or matrix-vector product per row as a 1-D product, and
-# one multi-right-hand-side dpotrs solves each column as a lone one does
+# the row facts behind the batched posterior and the cost model: a stacked
+# product-and-sum or matrix-vector product gives each row the bits of its
+# batch of one, and one multi-right-hand-side dpotrs solves each column as a
+# lone one does
 
 def same_bits(got, want):
     """Equal bit for bit, NaN where NaN."""
@@ -501,17 +494,18 @@ def same_bits(got, want):
 
 
 def blas_problem(n, rows):
-    """A Cholesky factor, a vector, kernel rows and a gradient tensor; one
-    row (the returned index) holds a NaN."""
+    """A Cholesky factor, a vector, kernel rows, a feature-major gradient
+    tensor (12, rows, n) and a 12-vector; one row (the returned index)
+    holds a NaN."""
     rng = np.random.default_rng([n, rows])
     A = rng.normal(size=(n, n))
     L = cholesky(A @ A.T + n * np.eye(n), lower=True)
     K = rng.normal(size=(rows, n))
-    dK = rng.normal(size=(rows, n, 12))
+    dK = rng.normal(size=(12, rows, n))
     nan_row = rows // 2
     K[nan_row, n // 2] = np.nan
-    dK[nan_row, n // 2, 5] = np.nan
-    return L, rng.normal(size=n), K, dK, nan_row
+    dK[5, nan_row, n // 2] = np.nan
+    return L, rng.normal(size=n), K, dK, rng.normal(size=12), nan_row
 
 
 def assert_rows(got, want, nan_row):
@@ -526,24 +520,29 @@ def assert_rows(got, want, nan_row):
 @pytest.mark.parametrize("n", [1, 2, 7, 12, 40, 64])
 class TestBlasRowFacts:
     def test_multi_rhs_dpotrs_equals_per_column(self, n, rows):
-        L, _, K, _, nan_row = blas_problem(n, rows)
+        L, _, K, _, _, nan_row = blas_problem(n, rows)
         W, info = dpotrs(L, K.T, lower=1)
         assert info == 0
-        assert_rows(W.T, [dpotrs(L, k, lower=1)[0] for k in K],
-                    nan_row if rows > 1 else 0)
+        assert_rows(W.T, [dpotrs(L, k, lower=1)[0] for k in K], nan_row)
 
     def test_stacked_matmul_equals_per_row_products(self, n, rows):
-        L, alpha, K, dK, nan_row = blas_problem(n, rows)
-        nan_row = nan_row if rows > 1 else 0
+        L, alpha, K, dK, weights, nan_row = blas_problem(n, rows)
         W = dpotrs(L, K.T, lower=1)[0].T
-        dKt = dK.transpose(0, 2, 1)
-        assert_rows(_row_dots(K, alpha), [k @ alpha for k in K], nan_row)
-        assert_rows(_row_dots(K, W), [k @ w for k, w in zip(K, W)], nan_row)
-        assert_rows(_row_dots(W, W), [w @ w for w in W], nan_row)
-        assert_rows(np.matmul(dKt, alpha[:, None])[..., 0],
-                    [dk.T @ alpha for dk in dK], nan_row)
-        assert_rows(np.matmul(dKt, W[:, :, None])[..., 0],
-                    [dk.T @ w for dk, w in zip(dK, W)], nan_row)
+        one = range(rows)
+        # GpModel.posterior: (rows, n) and feature-major (D, rows, n) sums
+        assert_rows((K * alpha).sum(axis=1),
+                    [(K[i:i + 1] * alpha).sum(axis=1)[0] for i in one], nan_row)
+        assert_rows((K * W).sum(axis=1),
+                    [(K[i:i + 1] * W[i]).sum(axis=1)[0] for i in one], nan_row)
+        assert_rows((dK * alpha).sum(-1).T,
+                    [(dK[:, i:i + 1] * alpha).sum(-1)[:, 0] for i in one],
+                    nan_row)
+        assert_rows((dK * W).sum(-1).T,
+                    [(dK[:, i:i + 1] * W[i]).sum(-1)[:, 0] for i in one],
+                    nan_row)
+        # the cost model's (rows, records, D) @ (D,) product
+        P = np.ascontiguousarray(dK.transpose(1, 2, 0))
+        assert_rows(P @ weights, [p @ weights for p in P], nan_row)
 
 
 def test_blas_row_facts_at_one_blas_thread():
@@ -558,8 +557,19 @@ def test_blas_row_facts_at_one_blas_thread():
     assert proc.stdout.splitlines()[-1].startswith("36 passed")
 
 
+def assert_within(got, want, tol):
+    """Every entry within ``tol`` of the largest magnitude in ``want``."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 class TestBatchedPosterior:
-    """The array posterior against its row-by-row oracles, bit for bit."""
+    """The array posterior against its row-by-row oracles, within rounding:
+    the kernel's radius sums its terms in another order, and the variance
+    comes from K^-1 k rather than L^-1 k.  Measured: 4.0e-14 relative in
+    the mean, 4.4e-16 of the prior variance, and 4.7e-15 and 3.0e-9 of the
+    largest mean and variance gradient entries."""
 
     @staticmethod
     def model_and_queries(seed):
@@ -575,19 +585,24 @@ class TestBatchedPosterior:
 
     @pytest.mark.parametrize("seed", [40, 41])
     def test_predict_batch_matches_oracle(self, seed):
+        """``posterior``, which replaced ``predict_batch``, at many rows."""
         model, Q = self.model_and_queries(seed)
-        mean, var = model.predict_batch(Q)
-        want = reference_posterior(model, Q)
-        assert same_bits(mean, [w[0] for w in want])
-        assert same_bits(var, [w[1] for w in want])
+        mean, var = model.posterior(Q)
+        want = np.array(reference_posterior(model, Q))
+        np.testing.assert_allclose(mean, want[:, 0], rtol=1e-12, atol=0.0)
+        prior = model.params.signal_variance * model.target_std ** 2
+        assert np.abs(var - want[:, 1]).max() <= 1e-12 * prior
 
     @pytest.mark.parametrize("seed", [40, 41])
     def test_gradient_arrays_match_oracle(self, seed):
         model, Q = self.model_and_queries(seed)
-        got = model.predict_with_gradient_arrays(Q)
+        got = model.posterior(Q, gradient=True)
+        # the means and variances are the gradient-free call's, bit for bit
+        assert [a.tobytes() for a in got[:2]] == \
+            [a.tobytes() for a in model.posterior(Q)]
         want = reference_posterior_gradient(model, Q)
-        for j in range(4):
-            assert same_bits(got[j], [w[j] for w in want])
+        assert_within(got[2], [w[2] for w in want], 1e-12)
+        assert_within(got[3], [w[3] for w in want], 1e-7)
         one = model.predict_with_gradient(Q[0])
         assert same_bits(one[2], got[2][0]) and same_bits(one[3], got[3][0])
 
@@ -602,7 +617,9 @@ class TestBatchedPosterior:
                 for v in raw if v < -1e-10]
         assert 0 < len(want) < len(Q)
         caplog.set_level(logging.WARNING, logger="aspo.gp")
-        _, var = model.predict_batch(Q)
-        assert [r.getMessage() for r in caplog.records
-                if r.name == "aspo.gp"] == want
-        assert (var >= 0).all()
+        for gradient in (False, True):
+            caplog.clear()
+            var = model.posterior(Q, gradient=gradient)[1]
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "aspo.gp"] == want
+            assert (var >= 0).all()
