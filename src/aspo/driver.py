@@ -165,7 +165,7 @@ def _insert(store: CheckpointStore, cfg: dict,
         config=cfg, encoded=encode(store.space, cfg), metrics=result))
 
 
-def _surrogate(space: ParameterSpace, history, seed: int):
+def _surrogate(space: ParameterSpace, history):
     """GP on every valid result so far.
 
     None while the valid results snap to fewer than two distinct points.
@@ -174,7 +174,7 @@ def _surrogate(space: ParameterSpace, history, seed: int):
     X = [encode(space, e.config) for e in valid]
     if len({tuple(np.round(x, 12)) for x in X}) < 2:
         return None
-    return fit(space, X, [e.eet_ms() for e in valid], seed=seed)
+    return fit(space, X, [e.eet_ms() for e in valid])
 
 
 def _hill_climb(space: ParameterSpace, history):
@@ -262,7 +262,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         if baseline == "hill-climb":
             cfg = next(climber, None)
             return None if cfg is None else (cfg, None)
-        model = _surrogate(space, history, rc.seed)
+        model = _surrogate(space, history)
         if baseline == "vanilla-bo":
             if model is None:
                 return random_configuration(space, rng), None

@@ -17,10 +17,10 @@ so per-dimension work runs over long contiguous rows, and the radius adds
 the dimensions up row after row: an entry's bits do not depend on where it
 sits, except a lone entry (one row, one input), which numpy sums pairwise.
 
-Hyperparameters come from L-BFGS-B restarts run on the multi-start
-scaffold in ``solvers``, which ends each restart where ``minimize`` would.
-Each fit builds one likelihood closure that scores every live restart in
-one stacked pass, calling LAPACK row by row as scipy's wrappers would.
+Hyperparameters come from one L-BFGS-B solve per fit, started at the given
+(or default) hyperparameters and run on the scaffold in ``solvers``, which
+ends it where ``minimize`` would.  Its likelihood closure scores one theta
+at a time, with one ``dpotrf`` and two ``dpotrs`` calls.
 One batched posterior, for the vertex scores and the relaxed gradients,
 takes one kernel matrix, one ``dpotrs`` and per-row sums: from two training
 inputs on, each row of a batch equals its batch of one bit for bit.
@@ -50,9 +50,7 @@ NOISE_BOUNDS = (1e-8, 1e1)
 
 MAX_JITTER = 1e-2
 
-#: L-BFGS-B restarts per fit: the initial hyperparameters, then seeded draws
-FIT_RESTARTS = 5
-#: L-BFGS-B iteration cap per restart
+#: L-BFGS-B iteration cap per fit
 FIT_MAXITER = 60
 
 
@@ -136,63 +134,47 @@ def _cholesky_with_escalation(K: np.ndarray, jitter: float):
 
 
 def _likelihood(diff, y, extra_noise, jitter):
-    """Negative log marginal likelihood and its log-space gradient, one
-    ``(nll, grad)`` per row of theta (R, D+2) = log([lengthscales (D),
-    signal_variance, noise_variance]), as a closure over feature-major
-    ``diff`` (D, n, n).  Matern arithmetic and gradient products run once
-    over (D, R, n, n), the ``dpotrf`` and ``dpotrs`` calls row by row: each
-    row keeps its bits alone.  A failed Cholesky gives its row a large
-    penalty, so line searches back off.  Rows are checked in order, kernel
-    first: the first not finite raises ``NumericalError``."""
+    """Negative log marginal likelihood and its log-space gradient at theta
+    (D+2,) = log([lengthscales (D), signal_variance, noise_variance]), as a
+    closure over feature-major ``diff`` (D, n, n).  A failed Cholesky gives
+    a large penalty, so line searches back off.  A kernel not finite raises
+    ``NumericalError`` before the Cholesky, and so does, after it, a
+    likelihood not finite."""
     n, D = len(y), len(diff)
-    diff = np.ascontiguousarray(diff)[:, None]     # (D, 1, n, n)
+    diff = np.ascontiguousarray(diff)
     eye = np.eye(n)
     log_norm = 0.5 * n * np.log(2 * np.pi)
-    terms = np.empty((D, 0, n, n))
+    terms = np.empty_like(diff)
 
     def nll_and_grad(theta):
-        nonlocal terms
-        R = len(theta)
-        if terms.shape[1] < R:          # a buffer for the widest batch yet
-            terms = np.empty((D, R, n, n))
         e = np.exp(theta)
-        sv, nv = e[:, D, None, None], e[:, D + 1]
+        sv, nv = e[D], e[D + 1]
         K_sig, lin, expo, scaled_sq = _matern_terms(
-            e[:, :D].T[:, :, None, None], sv, diff, terms[:, :R])
+            e[:D, None, None], sv, diff, terms)
         K = K_sig.copy()
-        diagonal = K.reshape(R, n * n)[:, ::n + 1]     # a view: each diagonal
-        np.add(diagonal, nv[:, None] + extra_noise, out=diagonal)
-        np.add(diagonal, jitter, out=diagonal)
-        finite = np.isfinite(K).reshape(R, n * n).all(axis=1)
+        K.flat[::n + 1] += nv + extra_noise
+        K.flat[::n + 1] += jitter
+        if not np.isfinite(K).all():
+            raise NumericalError("likelihood kernel is not finite")
+        L, info = dpotrf(K, lower=1, clean=1)
+        if info:
+            return 1e25, np.zeros(D + 2)
+        alpha = dpotrs(L, y, lower=1)[0]
+        nll = 0.5 * (alpha * y).sum() + np.log(L.diagonal()).sum() + log_norm
+        if not np.isfinite(nll):
+            raise NumericalError("likelihood is not finite")
 
-        alpha, L_diag = np.zeros((R, n)), np.ones((R, n))
-        inverse, failed = np.zeros((R, n, n)), np.zeros(R, dtype=bool)
-        for i in range(R if finite.all() else int(np.argmin(finite))):
-            L, info = dpotrf(K[i], lower=1, clean=1)
-            if info:
-                failed[i] = True
-                continue
-            alpha[i], L_diag[i] = dpotrs(L, y, lower=1)[0], L.diagonal()
-            inverse[i] = dpotrs(L, eye, lower=1)[0]
-        nll = 0.5 * (alpha * y).sum(axis=1) + np.log(L_diag).sum(axis=1) + log_norm
-        for i in range(R):
-            if not finite[i]:
-                raise NumericalError("likelihood kernel is not finite")
-            if not (failed[i] or np.isfinite(nll[i])):
-                raise NumericalError("likelihood is not finite")
-
-        B = alpha[:, :, None] * alpha[:, None, :] - inverse
+        B = alpha[:, None] * alpha[None, :] - dpotrs(L, eye, lower=1)[0]
         # common factor of the Matern-5/2 radial derivative, with r
         # cancelled: d K / d log ell_j = radial * scaled_sq[j]
         radial = (5.0 / 3.0) * sv * lin * expo
         np.multiply(radial, scaled_sq, out=scaled_sq)
         np.multiply(scaled_sq, B, out=scaled_sq)
-        grad = np.empty((R, D + 2))
-        grad[:, :D] = (-0.5 * scaled_sq.reshape(D, R, n * n).sum(axis=2)).T
-        grad[:, D] = -0.5 * (B * K_sig).reshape(R, n * n).sum(axis=1)
-        grad[:, D + 1] = -0.5 * nv * np.trace(B, axis1=1, axis2=2)
-        nll[failed], grad[failed] = 1e25, 0.0
-        return list(zip(nll.tolist(), grad))
+        grad = np.empty(D + 2)
+        grad[:D] = -0.5 * scaled_sq.reshape(D, n * n).sum(axis=1)
+        grad[D] = -0.5 * (B * K_sig).sum()
+        grad[D + 1] = -0.5 * nv * np.trace(B)
+        return float(nll), grad
 
     return nll_and_grad
 
@@ -209,8 +191,7 @@ def log_marginal_likelihood(space, params: KernelParams, inputs, targets,
     theta = np.concatenate([np.log(params.lengthscales),
                             [np.log(params.signal_variance),
                              np.log(max(params.noise_variance, 1e-300))]])
-    (nll, grad), = _likelihood(_differences(X, X), y, extra,
-                               params.jitter)(theta[None, :])
+    nll, grad = _likelihood(_differences(X, X), y, extra, params.jitter)(theta)
     return -nll, -grad
 
 
@@ -300,14 +281,13 @@ class GpModel:
 
 def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None,
         *, optimize: bool = True, seed: int = 0) -> GpModel:
-    """Fit a model, maximizing marginal likelihood by multi-start L-BFGS-B.
+    """Fit a model, maximizing marginal likelihood by L-BFGS-B from ``init``.
 
-    Restart 0 begins at ``init`` (or the defaults), the rest at seeded
-    log-uniform draws; ties between restarts resolve to the lowest index.
-    The restarts are ``solvers.lbfgsb_steps`` solves (``FIT_MAXITER``
-    iterations at most) run by ``solvers.lockstep``, one stacked likelihood
-    call per round; each ends where ``minimize`` would take it alone.  A
-    non-finite likelihood raises ``NumericalError``.
+    One ``solvers.lbfgsb_steps`` solve (``FIT_MAXITER`` iterations at most),
+    run by ``solvers.lockstep``, starts at ``init`` (or the defaults) and
+    ends where ``minimize`` would.  A non-finite likelihood raises
+    ``NumericalError``.  ``seed`` is not read: a fit has one start, and no
+    random draw.
     With ``optimize=False`` the given hyperparameters are used as-is (this is
     the only mode that accepts a single training point, and the way to pin
     ``noise_variance=0`` for exact interpolation).
@@ -335,21 +315,13 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
 
     lo = np.log([*([LENGTHSCALE_BOUNDS[0]] * D), SIGNAL_BOUNDS[0], NOISE_BOUNDS[0]])
     hi = np.log([*([LENGTHSCALE_BOUNDS[1]] * D), SIGNAL_BOUNDS[1], NOISE_BOUNDS[1]])
-
-    starts = [np.log([*init.lengthscales, init.signal_variance,
-                      max(init.noise_variance, NOISE_BOUNDS[0])])]
-    for r in range(1, FIT_RESTARTS):
-        rng = np.random.default_rng([seed, r])
-        starts.append(np.concatenate([
-            rng.uniform(np.log(0.05), np.log(5.0), size=D),
-            [rng.uniform(np.log(0.1), np.log(10.0)),
-             rng.uniform(np.log(1e-7), np.log(1e-2))]]))
+    start = np.log([*init.lengthscales, init.signal_variance,
+                    max(init.noise_variance, NOISE_BOUNDS[0])])
     nll_and_grad = _likelihood(_differences(X, X), y, extra, init.jitter)
-    runs = lockstep(nll_and_grad,
-                    [lbfgsb_steps(x0, lo, hi, FIT_MAXITER) for x0 in starts])
-    theta = min(runs, key=lambda res: res.fun).x    # the first on ties
-    params = KernelParams(lengthscales=np.exp(theta[:D]),
-                          signal_variance=float(np.exp(theta[D])),
-                          noise_variance=float(np.exp(theta[D + 1])),
+    run, = lockstep(lambda thetas: map(nll_and_grad, thetas),
+                    [lbfgsb_steps(start, lo, hi, FIT_MAXITER)])
+    params = KernelParams(lengthscales=np.exp(run.x[:D]),
+                          signal_variance=float(np.exp(run.x[D])),
+                          noise_variance=float(np.exp(run.x[D + 1])),
                           jitter=init.jitter)
     return GpModel(space, params, X, y_mean, extra, mean, std)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import feasible_draws, feasible_rows
+from .errors import InfeasibleSpaceError
 from .space import ParameterSpace, rank_configuration
 
 
@@ -98,7 +99,8 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
     Array rows, which are rows of parameter ranks, are filtered by the exact
     constraint semantics in array order; if fewer than ``budget`` distinct
     configurations survive, seeded rejection sampling tops the list up.  A
-    space with fewer configurations than ``budget`` caps it at its size.
+    space with fewer configurations than ``budget`` caps it at its size, and
+    sampling that gives up short returns the designs found, if any.
     """
     if budget < 1:
         raise ValueError("warm-start budget must be at least 1")
@@ -113,7 +115,11 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
         chosen.setdefault(tuple(cfg.values()), cfg)
 
     draws = feasible_draws(tree, space, np.random.default_rng([seed, 1]))
-    while len(chosen) < budget:
-        cfg = next(draws)
-        chosen.setdefault(tuple(cfg.values()), cfg)
+    try:
+        while len(chosen) < budget:
+            cfg = next(draws)
+            chosen.setdefault(tuple(cfg.values()), cfg)
+    except InfeasibleSpaceError:
+        if not chosen:
+            raise
     return list(chosen.values())

@@ -670,12 +670,6 @@ def record_fit_solves(monkeypatch):
     return likelihoods, record_lbfgsb_solves(monkeypatch, gp_mod)
 
 
-def likelihood_of_one(*args):
-    """``gp._likelihood(*args)`` at one theta: the batch of one."""
-    nll_and_grad = gp_mod._likelihood(*args)
-    return lambda theta: nll_and_grad(theta[None, :])[0]
-
-
 def lbfgsb_by_minimize(fun, x0, lo, hi, maxiter):
     return minimize(fun, x0, jac=True, method="L-BFGS-B",
                     bounds=list(zip(lo, hi)), options={"maxiter": maxiter})
@@ -700,17 +694,15 @@ class TestLbfgsbDriver:
     @pytest.mark.parametrize("processor, seed", [
         ("boom", 0), ("boom", 1), ("rocketchip", 0), ("el2_veer", 2)])
     def test_fit_restarts_match_minimize(self, monkeypatch, processor, seed):
-        # the fit's restarts run in lockstep on the stacked likelihood; each
-        # must end where minimize takes it alone on the batch of one
+        # the fit's one solve (the id predates it: fits had five restarts)
+        # must end where minimize takes it on the likelihood
         likelihoods, solves = record_fit_solves(monkeypatch)
         bundle_context(assets.load_bundle(processor),
                        np.random.default_rng(seed))
-        (args,), (((_, starts, lo, hi, maxiter), runs),) = likelihoods, solves
-        assert len(starts) == len(runs) == gp_mod.FIT_RESTARTS
-        one = likelihood_of_one(*args)
-        for x0, ours in zip(starts, runs):
-            assert_same_lbfgsb(ours, lbfgsb_by_minimize(one, x0, lo, hi,
-                                                        maxiter))
+        (args,), (((_, (x0,), lo, hi, maxiter), (ours,)),) = \
+            likelihoods, solves
+        assert_same_lbfgsb(ours, lbfgsb_by_minimize(
+            gp_mod._likelihood(*args), x0, lo, hi, maxiter))
 
     @pytest.mark.parametrize("processor", ["boom", "rocketchip"])
     def test_iteration_limit(self, monkeypatch, processor):
@@ -718,10 +710,10 @@ class TestLbfgsbDriver:
         bundle_context(assets.load_bundle(processor), np.random.default_rng(4))
         monkeypatch.undo()
         (args,), (((fun, starts, lo, hi, _), _),) = likelihoods, solves
-        one = likelihood_of_one(*args)
-        for x0, ours in zip(starts, lbfgsb_lockstep(fun, starts, lo, hi, 2)):
-            assert (ours.nit, ours.status) == (2, 1)
-            assert_same_lbfgsb(ours, lbfgsb_by_minimize(one, x0, lo, hi, 2))
+        ours, = lbfgsb_lockstep(fun, starts, lo, hi, 2)
+        assert (ours.nit, ours.status) == (2, 1)
+        assert_same_lbfgsb(ours, lbfgsb_by_minimize(
+            gp_mod._likelihood(*args), starts[0], lo, hi, 2))
 
     @pytest.mark.parametrize("processor, seed", [
         ("boom", 0), ("rocketchip", 1), ("el2_veer", 3)])

@@ -128,8 +128,8 @@ class TestRunOptimization:
         assert report.tdt_minutes <= rc.tdt_limit_minutes + longest
 
     def test_cache_hits_charged_at_lookup_cost(self):
-        # tiny space: the optimizer will revisit stored configurations
-        # before it has evaluated all nine
+        # tiny space: random draws revisit stored configurations before all
+        # nine are evaluated, and the baseline shares run_eval's accounting
         import json as _json
         import os
         import tempfile
@@ -156,7 +156,7 @@ class TestRunOptimization:
                 _json.dump(model_doc, fh)
             rc = RunConfig(space_file=sfile, model_file=mfile,
                            budget_iterations=8, warm_start_budget=4, seed=0)
-            report = run_optimization(rc)
+            report = run_baseline(rc, "random")
         hits = [e for e in report.history
                 if e.iteration > 0 and
                 e.result.eval_minutes == LOOKUP_MINUTES * rc.time_compression]
@@ -509,6 +509,24 @@ class TestCli:
             [{"a": 2, "b": 1}, {"a": 2, "b": 2}]
         assert [r["iteration"] for r in rows if "config" in r] == [0, 0]
         assert rows[-1]["stop_reason"] == "converged"
+
+    def test_fewer_feasible_designs_than_the_warm_start_budget(self,
+                                                               tmp_path):
+        # a >= b leaves three of four designs against the default budget of
+        # ten: the warm start evaluates the three that sampling finds
+        files = tiny_inputs(tmp_path, [("a", [1, 2], 1), ("b", [1, 2], 1)],
+                            {"all": [{"ineq": {"xa": "a", "xb": "b"}}]})
+        result = CliRunner().invoke(cli_main, [
+            "run", "--space", files["space_file"],
+            "--model", files["model_file"],
+            "--constraints", files["constraint_file"],
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+        warm = [r["config"] for r in rows if r.get("iteration") == 0]
+        assert sorted((c["a"], c["b"]) for c in warm) == \
+            [(1, 1), (2, 1), (2, 2)]
 
     def test_eval_bench_infeasible_space_exits_3(self, tmp_path):
         # drawing its feasible configurations gives up at the sampler's cap

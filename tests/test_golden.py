@@ -15,6 +15,13 @@ and the ``boom-seed0-it5`` report hashes were re-recorded from that change,
 made on commit ``503925d``: their floats left 1e-9, and one configuration
 moved (entry 14 of ``boom-seed2-it5``).  ``boom-random``, ``boom-vanilla-bo``
 and the hill climb with its report hashes stayed as recorded.
+When each GP fit went from five L-BFGS-B restarts to one start
+(``gp.fit``), ``boom-seed0-it5``, ``boom-seed2-it5``, ``boom-seed3-it5``,
+``rocketchip-seed0-it10``, ``el2_veer-seed0-it10``,
+``boom-vanilla-bo-seed0-it10``, ``el2_veer-vanilla-bo-seed0-it10`` and the
+``boom-seed0-it5`` report hashes were re-recorded from that change, made on
+commit ``c0c8a59``.  ``boom-seed1-it5``, ``boom-random`` and the hill climb
+with its report hashes stayed as recorded.
 Configurations must match exactly; floats (best EET, per-entry acquisition
 value and cost estimate) must agree to a relative 1e-9.  The report cases
 pin the sha256 of ``report.jsonl`` and ``report.csv`` byte for byte.

@@ -152,8 +152,7 @@ class TestNllAndGrad:
             theta = np.concatenate([rng.uniform(np.log(0.01), np.log(20.0), D),
                                     [rng.uniform(np.log(0.1), np.log(10.0)),
                                      rng.uniform(np.log(1e-8), np.log(1.0))]])
-            got, = nll_and_grad(theta[None, :])
-            assert_likelihood_close(got, reference_nll_and_grad(
+            assert_likelihood_close(nll_and_grad(theta), reference_nll_and_grad(
                 theta, diff, y, extra, 1e-8))
 
     @pytest.mark.parametrize("D", [3, 12])
@@ -165,9 +164,8 @@ class TestNllAndGrad:
         y, extra = rng.normal(size=9), np.zeros(9)
         theta = rng.uniform(-1.0, 1.0, D + 2)
         view = diff.transpose(2, 0, 1)
-        got, = _likelihood(view, y, extra, 1e-8)(theta[None, :])
-        want, = _likelihood(np.ascontiguousarray(view), y, extra, 1e-8)(
-            theta[None, :])
+        got = _likelihood(view, y, extra, 1e-8)(theta)
+        want = _likelihood(np.ascontiguousarray(view), y, extra, 1e-8)(theta)
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -182,8 +180,7 @@ class TestNllAndGrad:
         diff = np.zeros((2, 2, 3))    # two identical rows, no noise: singular
         theta = np.log([1.0, 1.0, 1.0, 1.0, 1e-300])
         args = (np.array([1.0, -1.0]), np.zeros(2), 1e-300)
-        (nll, grad), = _likelihood(diff.transpose(2, 0, 1), *args)(
-            theta[None, :])
+        nll, grad = _likelihood(diff.transpose(2, 0, 1), *args)(theta)
         assert nll == reference_nll_and_grad(theta, diff, *args)[0] == 1e25
         assert grad.tolist() == [0.0] * 5
 
@@ -194,7 +191,40 @@ class TestNllAndGrad:
         diff[2, 0, 1] = np.nan      # one entry, above the diagonal
         with pytest.raises(NumericalError, match="not finite"):
             _likelihood(diff, rng.normal(size=5), np.zeros(5), 1e-8)(
-                np.zeros((1, 5)))
+                np.zeros(5))
+
+    @staticmethod
+    def problem(n, D):
+        rng = np.random.default_rng([n, D, 1])
+        X = rng.integers(0, 4, size=(n, D)) / 3.0   # pairs share coordinates
+        y = rng.normal(size=n)
+        extra = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0, 0.1, n), 0.0)
+        return X, y, extra, rng.uniform(-1.0, 1.0, D + 2)
+
+    def test_nan_difference_gives_the_kernel_message(self):
+        X, y, extra, theta = self.problem(7, 3)
+        diff = _differences(X, X)
+        diff[2, 0, 1] = np.nan
+        with pytest.raises(NumericalError,
+                           match="^likelihood kernel is not finite$"):
+            _likelihood(diff, y, extra, 1e-8)(theta)
+
+    def test_nan_target_gives_the_likelihood_message(self):
+        X, y, extra, theta = self.problem(7, 3)
+        y[3] = np.nan
+        with pytest.raises(NumericalError, match="^likelihood is not finite$"):
+            _likelihood(_differences(X, X), y, extra, 1e-8)(theta)
+
+    def test_kernel_is_checked_first(self):
+        # an overflowing signal variance leaves the kernel not finite, and
+        # the NaN target would leave the likelihood not finite too
+        X, y, extra, theta = self.problem(7, 3)
+        y[3] = np.nan
+        theta[3] = 1000.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError,
+                               match="^likelihood kernel is not finite$"):
+                _likelihood(_differences(X, X), y, extra, 1e-8)(theta)
 
     def test_nan_target_raises_numerical_error_from_fit(self):
         space = make_space()
@@ -203,99 +233,6 @@ class TestNllAndGrad:
         y[2] = np.nan
         with pytest.raises(NumericalError):
             fit(space, X, y, seed=0)
-
-
-class TestStackedLikelihood:
-    """Each row of a likelihood batch matches the oracle at its theta, and
-    keeps its bits whatever else the batch holds."""
-
-    @staticmethod
-    def problem(n, D):
-        rng = np.random.default_rng([n, D, 1])
-        X = rng.integers(0, 4, size=(n, D)) / 3.0   # pairs share coordinates
-        y = rng.normal(size=n)
-        extra = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0, 0.1, n), 0.0)
-        thetas = np.column_stack([
-            rng.uniform(np.log(0.01), np.log(20.0), (5, D)),
-            rng.uniform(np.log(0.1), np.log(10.0), 5),
-            rng.uniform(np.log(1e-8), np.log(1.0), 5)])
-        return X, y, extra, thetas
-
-    @pytest.mark.parametrize("n", [2, 7, 10, 40])
-    @pytest.mark.parametrize("D", [3, 8, 12])
-    def test_rows_match_reference(self, n, D):
-        X, y, extra, thetas = self.problem(n, D)
-        diff = X[:, None, :] - X[None, :, :]
-        want = [reference_nll_and_grad(t, diff, y, extra, 1e-8) for t in thetas]
-        nll_and_grad = _likelihood(_differences(X, X), y, extra, 1e-8)
-        for R in range(1, 6):
-            got = nll_and_grad(thetas[:R])
-            assert len(got) == R
-            for row, want_row in zip(got, want):
-                assert_likelihood_close(row, want_row)
-
-    @pytest.mark.parametrize("n, D", [(2, 3), (7, 8), (40, 12)])
-    def test_rows_keep_their_bits_when_permuted_or_cut(self, n, D):
-        X, y, extra, thetas = self.problem(n, D)
-        nll_and_grad = _likelihood(_differences(X, X), y, extra, 1e-8)
-        whole = nll_and_grad(thetas)
-        rng = np.random.default_rng(n)
-        for _ in range(12):
-            rows = rng.permutation(5)[:rng.integers(1, 6)]
-            for i, (nll, grad) in zip(rows, nll_and_grad(thetas[rows])):
-                assert nll == whole[i][0]
-                assert grad.tobytes() == whole[i][1].tobytes()
-
-    def test_cholesky_failure_row_among_good_rows(self):
-        # points 0 and 1 coincide: with signal 1 and no noise the middle row
-        # is singular, while the rows around it carry noise
-        rng = np.random.default_rng(5)
-        X = rng.uniform(size=(6, 3))
-        X[1] = X[0]
-        y, extra = rng.normal(size=6), np.zeros(6)
-        thetas = np.log([[0.5, 1.0, 2.0, 1.0, 1e-2],
-                         [1.0, 1.0, 1.0, 1.0, 1e-300],
-                         [0.3, 0.7, 1.5, 2.0, 1e-3]])
-        diff = X[:, None, :] - X[None, :, :]
-        nll_and_grad = _likelihood(_differences(X, X), y, extra, 1e-300)
-        got = nll_and_grad(thetas)
-        assert got[1][0] == 1e25
-        assert got[1][1].tobytes() == np.zeros(5).tobytes()
-        for theta, row in zip(thetas, got):
-            assert_likelihood_close(row, reference_nll_and_grad(
-                theta, diff, y, extra, 1e-300))
-        for i in (0, 2):
-            (nll, grad), = nll_and_grad(thetas[i:i + 1])
-            assert nll == got[i][0] and grad.tobytes() == got[i][1].tobytes()
-
-    def test_nan_difference_gives_the_kernel_message(self):
-        X, y, extra, thetas = self.problem(7, 3)
-        diff = _differences(X, X)
-        diff[2, 0, 1] = np.nan
-        with pytest.raises(NumericalError,
-                           match="^likelihood kernel is not finite$"):
-            _likelihood(diff, y, extra, 1e-8)(thetas)
-
-    def test_nan_target_gives_the_likelihood_message(self):
-        X, y, extra, thetas = self.problem(7, 3)
-        y[3] = np.nan
-        with pytest.raises(NumericalError, match="^likelihood is not finite$"):
-            _likelihood(_differences(X, X), y, extra, 1e-8)(thetas)
-
-    def test_rows_are_checked_in_order_kernel_first(self):
-        # an overflowing signal variance leaves only its own row's kernel not
-        # finite; the NaN target leaves every other row's likelihood not finite
-        X, y, extra, thetas = self.problem(7, 3)
-        y[3] = np.nan
-        thetas[2, 3] = 1000.0
-        nll_and_grad = _likelihood(_differences(X, X), y, extra, 1e-8)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError,
-                               match="^likelihood kernel is not finite$"):
-                nll_and_grad(thetas[2:])
-            with pytest.raises(NumericalError,
-                               match="^likelihood is not finite$"):
-                nll_and_grad(thetas[1:])
 
 
 class TestFit:
@@ -417,6 +354,20 @@ class TestFit:
         m2 = fit(space, X, y, seed=3)
         assert np.array_equal(m1.params.lengthscales, m2.params.lengthscales)
         assert m1.params.noise_variance == m2.params.noise_variance
+
+    def test_seed_is_not_read(self):
+        # one start, at the given hyperparameters: no seeded draw moves a fit
+        space = make_space()
+        X = random_vertices(space, 12, seed=21)
+        y = np.random.default_rng(22).normal(size=12)
+        m1, m2 = fit(space, X, y, seed=0), fit(space, X, y, seed=7)
+        assert m1.params.lengthscales.tobytes() == \
+            m2.params.lengthscales.tobytes()
+        assert m1.params.signal_variance == m2.params.signal_variance
+        assert m1.params.noise_variance == m2.params.noise_variance
+        Q = np.random.default_rng(23).uniform(size=(50, space.encoded_dim))
+        for a, b in zip(m1.posterior(Q), m2.posterior(Q)):
+            assert a.tobytes() == b.tobytes()
 
     def test_cholesky_factor_reconstructs_gram(self):
         space = make_space()
