@@ -67,16 +67,14 @@ def config_features(space: ParameterSpace, cfg: dict) -> np.ndarray:
 def _pairwise_terms(cat: np.ndarray, fa: np.ndarray,
                     fb: np.ndarray) -> np.ndarray:
     """Per-parameter distance terms; ``cat`` marks the categorical columns."""
-    terms = (fa - fb) ** 2
-    terms[..., cat] = (fa[..., cat] != fb[..., cat]).astype(float)
-    return terms
+    return np.where(cat, fa != fb, (fa - fb) ** 2)
 
 
 def weighted_distance(space: ParameterSpace, x: dict, q: dict,
                       weights: DistanceWeights) -> float:
     """Sum of w_i * feature-difference^2 over the space's parameters."""
-    fx = config_features(space, x)
-    fq = config_features(space, q)
+    fx, fq = np.array([config_ranks(space, x), config_ranks(space, q)],
+                      dtype=float) / space.rank_divisors
     terms = _pairwise_terms(space.categorical_mask, fx, fq)
     return float(np.dot(weights.w, terms))
 
@@ -156,10 +154,17 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn,
     """Pick weights minimizing leave-one-out synthesis time on a sampled subset.
 
     ``synthesis_time_fn(cfg, reference_record)`` supplies the time model.  It
-    must be pure: each ordered pair of sampled records is asked at most once
-    per call, and later trials reuse the answer.  Coordinate descent over a
-    fixed grid, starting from all-ones; a grid value is only adopted on strict
-    improvement, so a flat objective returns the all-ones vector unchanged.
+    must be pure and never NaN: each ordered pair of sampled records is
+    asked at most once per call, and later trials reuse the answer.
+
+    Coordinate descent over a fixed grid, starting from all-ones; a grid
+    value is only adopted on strict improvement, so a flat objective returns
+    the all-ones vector unchanged.  A coordinate's trials differ from ``w``
+    in that coordinate alone, so an adoption among them changes none of the
+    other trials: all are scored at once and adopted in grid order.  The descent stops at
+    its fixed point, within ``LEARN_SWEEPS`` sweeps: once a whole cycle of
+    coordinates adopts nothing, every later step would score the same trials
+    against the same best.
     """
     records = store.records()
     if len(records) < 3:
@@ -174,37 +179,42 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn,
     sample = [records[i] for i in idx]
     feats = store._features[idx]
 
-    # terms[i]: sample i against every other sample, in order.  The product
-    # stays stacked, one (n-1, P) matrix-vector product per block: a flat
-    # (n*(n-1), P) product rounds some rows differently and can flip a tie.
-    terms = np.stack([
-        _pairwise_terms(store.space.categorical_mask,
-                        np.delete(feats, i, axis=0), feats[i][None, :])
-        for i in range(len(sample))])
-    times: dict[tuple[int, int], float] = {}
+    n = len(sample)
+    # terms[i, k]: sample i against its k-th other sample, in order
+    off_diag = ~np.eye(n, dtype=bool)
+    terms = _pairwise_terms(store.space.categorical_mask, feats[None],
+                            feats[:, None])[off_diag].reshape(n, n - 1, -1)
+    rows = np.arange(n)
+    times = np.full((n, n), np.nan)     # times[i, j], asked on first use
 
-    def objective(w_vec: np.ndarray) -> float:
-        total = 0.0
-        for i, j in enumerate(np.argmin(terms @ w_vec, axis=1).tolist()):
-            j = j if j < i else j + 1
-            if (i, j) not in times:
-                times[i, j] = synthesis_time_fn(sample[i].config, sample[j])
-            total += times[i, j]
-        return total
+    def objectives(W: np.ndarray) -> np.ndarray:
+        """Leave-one-out totals of each weight row of ``W``."""
+        # The product stays stacked: one (n-1, P) matrix-vector product per
+        # trial and block, the gemv that ``terms @ w`` runs, so a trial's
+        # distances keep the bits they have alone.  A flat (n*(n-1), P) @
+        # (P, T) product rounds some rows differently and can flip a tie.
+        j = np.argmin((terms[None] @ W[:, None, :, None])[..., 0], axis=2)
+        j += j >= rows
+        t, i = np.nonzero(np.isnan(times[rows, j]))
+        for a, b in set(zip(i.tolist(), j[t, i].tolist())):
+            times[a, b] = synthesis_time_fn(sample[a].config, sample[b])
+        # summed in sample order, as one running total per trial
+        return np.add.accumulate(times[rows, j], axis=1)[:, -1]
 
     w = np.ones(len(store.space))
-    best = objective(w)
-    for _ in range(LEARN_SWEEPS):
-        for i in range(len(w)):
-            for g in WEIGHT_GRID:
-                if g == w[i]:
-                    continue
-                trial = w.copy()
-                trial[i] = g
-                val = objective(trial)
-                if val < best:
-                    best = val
-                    w = trial
+    best = objectives(w[None])[0]
+    stale = 0                           # coordinate steps since an adoption
+    for step in range(LEARN_SWEEPS * len(w)):
+        i = step % len(w)
+        grid = [g for g in WEIGHT_GRID if g != w[i]]
+        trials = np.repeat(w[None], len(grid), axis=0)
+        trials[:, i] = grid
+        stale += 1
+        for trial, val in zip(trials, objectives(trials)):
+            if val < best:
+                best, w, stale = val, trial, 0
+        if stale == len(w):
+            break
     return DistanceWeights(w)
 
 

@@ -205,6 +205,21 @@ def feasible_rows(tree, space: ParameterSpace, ranks: np.ndarray) -> np.ndarray:
     return ranks[exact_tree(tree, ordinal_columns(space, ranks))]
 
 
+def feasible_count(tree, space: ParameterSpace) -> int:
+    """Number of configurations that pass the exact semantics.
+
+    A space with a tree and at most ``MAX_REJECTION_DRAWS`` configurations,
+    the draws that rejection sampling would spend anyway, is counted with
+    one ``feasible_rows`` call over its whole rank grid.  Any other space
+    gives its size, which bounds the count.
+    """
+    size = space.size()
+    if tree is None or size > MAX_REJECTION_DRAWS:
+        return size
+    grid = np.indices(space.counts).reshape(len(space), -1).T
+    return len(feasible_rows(tree, space, grid))
+
+
 def feasible_draws(tree, space: ParameterSpace, rng,
                    error: type[InfeasibleSpaceError] = InfeasibleSpaceError):
     """Rejection sampling: the feasible ones among seeded uniform draws.

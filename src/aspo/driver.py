@@ -45,11 +45,12 @@ from .checkpoints import (
     cost_estimate,
     learn_weights,
 )
-from .constraints import feasible_draws, load_constraints
+from .constraints import feasible_count, feasible_draws, load_constraints
 from .errors import InvalidConfigurationError, NumericalError
 from .evaluation import (
     DIRECT,
     RETRIEVAL,
+    STAGE_CONSTRAINT,
     STRATEGIES,
     EvalHarness,
     EvaluationResult,
@@ -220,7 +221,8 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     error = None
     # the best valid entry so far; strict < keeps the first of equal EETs
     best_entry, best_eet = None, math.inf
-    evaluated: set[tuple] = set()       # distinct configurations, as ranks
+    # distinct configurations that pass the tree, as ranks
+    evaluated: set[tuple] = set()
 
     def t_syn(cfg, ref_record):
         return harness.backend.synthesis_time(cfg, ref_record.config)
@@ -231,7 +233,8 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         cache_hit = rc.strategy == RETRIEVAL and store.lookup(cfg) is not None
         result = harness.evaluate(cfg, rc.strategy, db=store, weights=weights)
         clock += result.eval_minutes
-        evaluated.add(tuple(config_ranks(space, cfg)))
+        if result.failure_stage != STAGE_CONSTRAINT:
+            evaluated.add(tuple(config_ranks(space, cfg)))
         history.append(HistoryEntry(iteration, cfg, result, alpha_value,
                                     cost_before))
         eet = history[-1].eet_ms()
@@ -284,6 +287,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
                                    warm_configs=warm)
         return cfg, alpha_cool(ctx, encode(space, cfg))
 
+    designs = feasible_count(tree, space)
     prev_best = best_eet
     stagnant = 0
     try:
@@ -292,7 +296,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
                 stop_reason = "tdt-limit"
                 break
             # an exhausted space has nothing left to propose
-            proposal = None if len(evaluated) == space.size() else propose(t)
+            proposal = None if len(evaluated) == designs else propose(t)
             if proposal is None:
                 stop_reason = "converged"
                 break

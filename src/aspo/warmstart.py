@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import feasible_draws, feasible_rows
+from .constraints import feasible_count, feasible_draws, feasible_rows
 from .errors import InfeasibleSpaceError
 from .space import ParameterSpace, rank_configuration
 
@@ -99,12 +99,15 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
     Array rows, which are rows of parameter ranks, are filtered by the exact
     constraint semantics in array order; if fewer than ``budget`` distinct
     configurations survive, seeded rejection sampling tops the list up.  A
-    space with fewer configurations than ``budget`` caps it at its size, and
+    space with fewer feasible configurations than ``budget`` caps it at
+    their ``feasible_count`` and fails at once when they number none, and
     sampling that gives up short returns the designs found, if any.
     """
     if budget < 1:
         raise ValueError("warm-start budget must be at least 1")
-    budget = min(budget, space.size())
+    budget = min(budget, feasible_count(tree, space))
+    if budget == 0:
+        raise InfeasibleSpaceError("no configuration satisfies the constraints")
     oa = generate_oa(space.counts, seed)
     # keyed by parameter values; the first of equal configurations is kept
     chosen: dict[tuple, dict] = {}

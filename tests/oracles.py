@@ -7,11 +7,13 @@ BLAS and LAPACK calls, the scalar EI arithmetic through ``math``, the
 per-row jacobian and the ``(n, n, D)`` Matern arithmetic with its
 ``axis=-1`` sum.  The discrete polish and the hill climb are kept as they
 were before both became ``aspo.solvers.walk_steps`` walks: one polish walk
-after another, and a climb with its own neighbours and best move.  Tests
-compare the likelihood, the posterior and the acquisition built on it
-against them within a tolerance, since ``aspo.gp`` sums in other orders
-than these dots and solves, and the constraint jacobian and the walks with
-``==``.
+after another, and a climb with its own neighbours and best move.  The
+checkpoint weight learner is kept as the coordinate descent that scored one
+grid trial at a time, on terms built one sample at a time.  Tests compare
+the likelihood, the posterior and the acquisition built on it against them
+within a tolerance, since ``aspo.gp`` sums in other orders than these dots
+and solves, and the constraint jacobian, the walks and the learned weights
+with ``==``.
 """
 
 import math
@@ -22,13 +24,20 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from aspo import acquisition as acq
 from aspo.acquisition import COST_EPS, PAPER_RATIO, cooled_value, ei_value
+from aspo.checkpoints import (
+    LEARN_SUBSET,
+    LEARN_SWEEPS,
+    WEIGHT_GRID,
+    CheckpointStore,
+    DistanceWeights,
+)
 from aspo.constraints import (
     compile_tree,
     feasible_draws,
     feasible_rows,
     smooth_constraint,
 )
-from aspo.errors import NoFeasibleCandidateError
+from aspo.errors import InsufficientRecordsError, NoFeasibleCandidateError
 from aspo.gp import SQRT5
 from aspo.solvers import lockstep, slsqp_steps
 from aspo.space import encode_ranks, rank_configuration, relaxed_arrays
@@ -306,3 +315,69 @@ def reference_hill_climb(space, history):
         if not known[key(best)] < current_eet:
             return
         current, current_eet = best, known[key(best)]
+
+
+def reference_pairwise_terms(cat: np.ndarray, fa: np.ndarray,
+                             fb: np.ndarray) -> np.ndarray:
+    """Per-parameter distance terms, categorical columns overwritten."""
+    terms = (fa - fb) ** 2
+    terms[..., cat] = (fa[..., cat] != fb[..., cat]).astype(float)
+    return terms
+
+
+def reference_learn_weights(store: CheckpointStore, synthesis_time_fn,
+                            seed: int = 0) -> DistanceWeights:
+    """Pick weights minimizing leave-one-out synthesis time on a sampled subset.
+
+    ``synthesis_time_fn(cfg, reference_record)`` supplies the time model.  It
+    must be pure: each ordered pair of sampled records is asked at most once
+    per call, and later trials reuse the answer.  Coordinate descent over a
+    fixed grid, starting from all-ones; a grid value is only adopted on strict
+    improvement, so a flat objective returns the all-ones vector unchanged.
+    """
+    records = store.records()
+    if len(records) < 3:
+        raise InsufficientRecordsError(
+            f"weight learning needs >= 3 records, have {len(records)}")
+    rng = np.random.default_rng([seed, len(records)])
+    if len(records) > LEARN_SUBSET:
+        idx = sorted(rng.choice(len(records), size=LEARN_SUBSET,
+                                replace=False))
+    else:
+        idx = list(range(len(records)))
+    sample = [records[i] for i in idx]
+    feats = store._features[idx]
+
+    # terms[i]: sample i against every other sample, in order.  The product
+    # stays stacked, one (n-1, P) matrix-vector product per block: a flat
+    # (n*(n-1), P) product rounds some rows differently and can flip a tie.
+    terms = np.stack([
+        reference_pairwise_terms(store.space.categorical_mask,
+                                 np.delete(feats, i, axis=0),
+                                 feats[i][None, :])
+        for i in range(len(sample))])
+    times: dict[tuple[int, int], float] = {}
+
+    def objective(w_vec: np.ndarray) -> float:
+        total = 0.0
+        for i, j in enumerate(np.argmin(terms @ w_vec, axis=1).tolist()):
+            j = j if j < i else j + 1
+            if (i, j) not in times:
+                times[i, j] = synthesis_time_fn(sample[i].config, sample[j])
+            total += times[i, j]
+        return total
+
+    w = np.ones(len(store.space))
+    best = objective(w)
+    for _ in range(LEARN_SWEEPS):
+        for i in range(len(w)):
+            for g in WEIGHT_GRID:
+                if g == w[i]:
+                    continue
+                trial = w.copy()
+                trial[i] = g
+                val = objective(trial)
+                if val < best:
+                    best = val
+                    w = trial
+    return DistanceWeights(w)

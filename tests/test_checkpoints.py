@@ -18,6 +18,7 @@ from aspo.checkpoints import (
 from aspo.errors import EmptyDatabaseError, InsufficientRecordsError
 from aspo.evaluation import EvaluationResult
 from aspo.space import ParameterDef, ParameterSpace, encode, random_configuration
+from oracles import reference_learn_weights
 
 
 @pytest.fixture
@@ -380,6 +381,77 @@ class TestLearnWeightsGolden:
         k = min(n, LEARN_SUBSET)
         assert len(asked) == len(set(asked))
         assert len(asked) <= k * (k - 1)
+
+
+def learn_both(store, synthesis_time_fn, seed):
+    """``learn_weights`` and the per-trial oracle on one store, each with
+    the ordered pairs it asked for, in order."""
+    runs = []
+    for learn in (learn_weights, reference_learn_weights):
+        asked = []
+
+        def t_syn(cfg, ref):
+            asked.append((tuple(cfg.values()), tuple(ref.config.values())))
+            return synthesis_time_fn(cfg, ref)
+
+        runs.append((learn(store, t_syn, seed=seed).w, asked))
+    return runs
+
+
+class TestLearnWeightsMatchesReference:
+    """The batched learner against the per-trial coordinate descent it
+    replaced: the same weights bit for bit, the same pairs asked, each once.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 20, 21, 33, 60])
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip", "el2_veer"])
+    def test_bundled_processors(self, processor, n):
+        for seed in range(4):
+            store, model = feasible_store(processor, n, seed)
+            (w, asked), (want, want_asked) = learn_both(
+                store, lambda cfg, ref: model.synthesis_time(cfg, ref.config),
+                seed)
+            assert w.tobytes() == want.tobytes(), (seed, w, want)
+            assert set(asked) == set(want_asked)
+            assert len(asked) == len(set(asked))
+
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip", "el2_veer"])
+    def test_totals_are_summed_in_sample_order(self, processor):
+        # 1 + 2**53 rounds back to 2**53, so each total depends on the
+        # order of its terms, and a pairwise sum can flip an adoption
+        for n in (12, 20, 33):
+            for seed in range(4):
+                store, _ = feasible_store(processor, n, seed)
+                p, q = (p.name for p in store.space.params[:2])
+
+                def t_syn(cfg, ref):
+                    if cfg[p] != ref.config[p]:
+                        return 2.0 ** 53
+                    return float(cfg[q] != ref.config[q])
+
+                (w, _), (want, _) = learn_both(store, t_syn, seed)
+                assert w.tobytes() == want.tobytes(), (n, seed, w, want)
+
+    def test_ties_on_an_all_categorical_space(self):
+        # equal feature rows and integer times: most trials tie
+        space = ParameterSpace([
+            ParameterDef(name, "categorical", ("x", "y", "z")[:k], "x")
+            for name, k in (("a", 2), ("b", 3), ("c", 2), ("d", 3))])
+        rng = np.random.default_rng(12)
+        cfgs = list(space.iter_configurations())
+        rng.shuffle(cfgs)
+        store = store_with(space, cfgs[:15])
+        store._features[[3, 7, 11]] = store._features[0]
+        store._features[9] = store._features[4]
+
+        def t_syn(cfg, ref):
+            return float(sum(cfg[k] != ref.config[k] for k in cfg))
+
+        for seed in range(4):
+            (w, asked), (want, want_asked) = learn_both(store, t_syn, seed)
+            assert w.tobytes() == want.tobytes(), (seed, w, want)
+            assert set(asked) == set(want_asked)
+            assert len(asked) == len(set(asked))
 
 
 @pytest.mark.parametrize("processor", ["boom", "rocketchip", "el2_veer"])

@@ -13,6 +13,7 @@ from aspo.constraints import (
     compile_tree,
     exact_configuration,
     exact_tree,
+    feasible_count,
     parse_constraints,
     smooth_constraint,
     smooth_gradient,
@@ -610,3 +611,24 @@ def test_batched_exact_matches_per_configuration():
     want = [exact_configuration(bundle.tree, bundle.space, c) for c in cfgs]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want)
+
+
+class TestFeasibleCount:
+    def test_counts_the_configurations_that_pass(self):
+        space = ParameterSpace([
+            ParameterDef("a", "ordinal", (1, 2, 3), 1),
+            ParameterDef("m", "categorical", ("x", "y"), "x"),
+            ParameterDef("b", "ordinal", (1, 2, 4), 1),
+        ])
+        tree = parse_constraints(
+            {"all": [{"ineq": {"xa": "a", "xb": "b"}}]}, space)
+        want = sum(exact_configuration(tree, space, cfg)
+                   for cfg in space.iter_configurations())
+        assert feasible_count(tree, space) == want == 10
+
+    def test_without_a_tree_or_past_the_draw_cap_gives_the_size(self):
+        assert feasible_count(None, ordspace(a=[1, 2], b=[3, 4, 5])) == 6
+        # BOOM is too large to enumerate
+        bundle = assets.load_bundle("boom")
+        assert feasible_count(bundle.tree, bundle.space) == \
+            bundle.space.size()

@@ -528,6 +528,24 @@ class TestCli:
         assert sorted((c["a"], c["b"]) for c in warm) == \
             [(1, 1), (2, 1), (2, 2)]
 
+    @pytest.mark.parametrize("warm_start", [["--warm-start", "3"], []])
+    def test_evaluated_feasible_designs_exhaust_the_space(self, tmp_path,
+                                                          warm_start):
+        # a >= b leaves three of four designs: once the warm start has
+        # evaluated all three, the run stops instead of proposing them again
+        files = tiny_inputs(tmp_path, [("a", [1, 2], 1), ("b", [1, 2], 1)],
+                            {"all": [{"ineq": {"xa": "a", "xb": "b"}}]})
+        result = CliRunner().invoke(cli_main, [
+            "run", "--space", files["space_file"],
+            "--model", files["model_file"],
+            "--constraints", files["constraint_file"], *warm_start,
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+        assert len([r for r in rows if "config" in r]) == 3
+        assert rows[-1]["stop_reason"] == "converged"
+
     def test_eval_bench_infeasible_space_exits_3(self, tmp_path):
         # drawing its feasible configurations gives up at the sampler's cap
         result = CliRunner().invoke(cli_main, [
