@@ -264,9 +264,11 @@ def _starts(space: ParameterSpace, seed: int, iteration: int,
         list(rng.uniform(size=(N_UNIFORM_STARTS, space.encoded_dim)))
 
 
-def _box_ranks(space: ParameterSpace, u) -> tuple:
-    """Rank row of the vertex a solver's point snaps to, as a dict key."""
-    return tuple(point_ranks(space, np.clip(u, 0.0, 1.0)))
+def _box_ranks(space: ParameterSpace, points) -> np.ndarray:
+    """Distinct rank rows of the vertices that solver points snap to, in
+    first-seen order, from one ``point_ranks`` call."""
+    ranks = point_ranks(space, np.clip(points, 0.0, 1.0))
+    return ranks[np.sort(np.unique(ranks, axis=0, return_index=True)[1])]
 
 
 #: the errors a start's objective or constraint can raise; they retire it
@@ -323,13 +325,10 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
                     [slsqp_steps(u0, 0 if tree is None else 1, SLSQP_MAXITER)
                      for u0 in starts])
 
-    # snapped candidates as rank rows, first-seen order, duplicates dropped
-    found: dict[tuple, None] = {}
+    points = []     # each start, then its end unless the start was retired
     for u0, run in zip(starts, runs):
-        found.setdefault(_box_ranks(space, u0))
-        if run is not None:
-            found.setdefault(_box_ranks(space, run.x))
-    candidates = np.array(list(found), dtype=np.intp)
+        points += [u0] if run is None else [u0, run.x]
+    candidates = _box_ranks(space, points)
     score = _rank_scorer(ctx, space, tree)
     scores = score(candidates)
     # the feasible candidates, strongest first, then first found on ties
@@ -365,7 +364,6 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     runs = lockstep(_relaxed_objective_batch(ctx),
                     [lbfgsb_steps(u0, lo, hi, MAXITER)
                      for u0 in _starts(space, seed, iteration, warm_configs)])
-    candidates = np.array(list(dict.fromkeys(_box_ranks(space, r.x)
-                                             for r in runs)), dtype=np.intp)
+    candidates = _box_ranks(space, [r.x for r in runs])
     scores = _cooled_scores(ctx, encode_ranks(space, candidates))
     return rank_configuration(space, candidates[int(np.argmax(scores))])

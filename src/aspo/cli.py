@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration problem (bad files, bad options),
-3 infeasible space or no feasible candidate, 4 numerical failure inside the
-surrogate.
+Exit codes: 0 success, 2 configuration problem (bad files, bad options, an
+output path that cannot be written), 3 infeasible space or no feasible
+candidate, 4 numerical failure inside the surrogate.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ STRATEGY_ALIASES = {"direct": DIRECT, "fixed": FIXED_CHECKPOINT,
                     "retrieval": RETRIEVAL}
 
 _CONFIG_ERRORS = (InvalidConfigurationError, ConstraintSyntaxError,
-                  UnknownParameterError, AssetError, FileNotFoundError,
-                  KeyError, ValueError)
+                  UnknownParameterError, AssetError, OSError, KeyError,
+                  ValueError)
 
 
 def _fail(code: int, message: str):
@@ -112,6 +112,7 @@ def run(processor, space, constraints, model, benchmark, seed, iters,
             time_compression=time_compression)
         report = run_optimization(rc) if baseline == "none" \
             else run_baseline(rc, baseline)
+        paths = emit_report(report, out)
     except InfeasibleSpaceError as exc:
         _fail(3, str(exc))
     except NumericalError as exc:
@@ -119,7 +120,6 @@ def run(processor, space, constraints, model, benchmark, seed, iters,
     except _CONFIG_ERRORS as exc:
         _fail(2, str(exc))
 
-    paths = emit_report(report, out)
     idr = "n/a" if report.idr is None else f"{report.idr:.1%}"
     best = "n/a" if report.best_eet_ms is None else f"{report.best_eet_ms:.4f} ms"
     click.echo(f"evaluations: {report.evaluations}  best EET: {best}  "
@@ -148,6 +148,8 @@ def eval_bench(processor, space, constraints, model, benchmark, seed,
                        constraint_file=constraints_f, benchmark=benchmark,
                        seed=seed, time_compression=time_compression)
         result = run_eval_bench(rc, n_configs=n_configs)
+        if out:
+            Path(out).write_text(json.dumps(result, indent=2) + "\n")
     except InfeasibleSpaceError as exc:
         _fail(3, str(exc))
     except _CONFIG_ERRORS as exc:
@@ -158,7 +160,6 @@ def eval_bench(processor, space, constraints, model, benchmark, seed,
         click.echo(f"{name:<18}{stats['mean_minutes']:>10.3f}"
                    f"{stats['min_minutes']:>10.3f}{stats['max_minutes']:>10.3f}")
     if out:
-        Path(out).write_text(json.dumps(result, indent=2) + "\n")
         click.echo(f"wrote {out}")
 
 

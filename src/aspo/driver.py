@@ -64,6 +64,7 @@ from .space import (
     ParameterSpace,
     config_ranks,
     encode,
+    encode_ranks,
     random_configuration,
     rank_configuration,
 )
@@ -169,13 +170,13 @@ def _insert(store: CheckpointStore, cfg: dict,
 def _surrogate(space: ParameterSpace, history):
     """GP on every valid result so far.
 
-    None while the valid results snap to fewer than two distinct points.
+    None while the valid results hold fewer than two distinct designs.
     """
     valid = [e for e in history if e.result.valid]
-    X = [encode(space, e.config) for e in valid]
-    if len({tuple(np.round(x, 12)) for x in X}) < 2:
+    ranks = [tuple(config_ranks(space, e.config)) for e in valid]
+    if len(set(ranks)) < 2:
         return None
-    return fit(space, X, [e.eet_ms() for e in valid])
+    return fit(space, encode_ranks(space, ranks), [e.eet_ms() for e in valid])
 
 
 def _hill_climb(space: ParameterSpace, history):
@@ -426,6 +427,8 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
     plus a warm-start round, and retrieval matches with the model's own
     distance weights; returns per-strategy mean/min/max virtual minutes.
     """
+    if n_configs < 1:
+        raise ValueError("the number of configurations must be positive")
     space, tree, harness, store = _setup(rc)
     draws = feasible_draws(tree, space, np.random.default_rng([rc.seed, 31]))
     configs = [next(draws) for _ in range(n_configs)]

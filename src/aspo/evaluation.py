@@ -171,14 +171,14 @@ class SyntheticModel:
                 total += c["lut_cost"] * p.scaled_rank(cfg[p.name])
         return int(round(total))
 
-    def complexity(self, cfg: dict) -> float:
-        """Normalized extra LUT load in [0, 1]."""
-        if self._max_extra_luts == 0:
-            return 0.0
-        return (self.luts(cfg) - self.base_luts) / self._max_extra_luts
-
     def fmax(self, cfg: dict) -> float:
-        return self.base_frequency * (1.0 - self.gamma * self.complexity(cfg))
+        return self._fmax_at(self.luts(cfg))
+
+    def _fmax_at(self, luts: int) -> float:
+        """Frequency at a LUT count, falling with the extra LUT load."""
+        load = 0.0 if self._max_extra_luts == 0 \
+            else (luts - self.base_luts) / self._max_extra_luts
+        return self.base_frequency * (1.0 - self.gamma * load)
 
     def cycles(self, cfg: dict, benchmark: str) -> int:
         try:
@@ -215,7 +215,7 @@ class SyntheticModel:
                    benchmark: str) -> EvaluationResult:
         luts = self.luts(cfg)
         return EvaluationResult(
-            cycles=self.cycles(cfg, benchmark), fmax_mhz=self.fmax(cfg),
+            cycles=self.cycles(cfg, benchmark), fmax_mhz=self._fmax_at(luts),
             luts=luts, power_w=self.power(luts),
             eval_minutes=self.synthesis_time(cfg, reference_cfg), valid=True)
 

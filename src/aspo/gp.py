@@ -8,7 +8,7 @@ posterior variance there to the noise floor and stops the acquisition from
 re-proposing designs that have already been synthesized.
 
 Targets are standardized to zero mean / unit variance internally; predictions
-are returned in original units.  Duplicate snapped inputs are merged by
+are returned in original units.  Inputs with equal rank rows are merged by
 averaging their targets and inflating the merged point's noise by the group
 variance, keeping the Gram matrix well conditioned.
 
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NumericalError
 from .solvers import dpotrf, dpotrs, lbfgsb_steps, lockstep
 from .solvers import minimize  # noqa: F401  (lazy; perfbench/spans.py wraps it)
-from .space import ParameterSpace, snap
+from .space import ParameterSpace, encode_ranks, point_ranks, snap
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +111,7 @@ def kernel_value(space: ParameterSpace, params: KernelParams, x, y) -> float:
 
 def gram_matrix(space: ParameterSpace, params: KernelParams, points) -> np.ndarray:
     """Snap-composed Gram matrix of a point set."""
-    snapped = np.stack([snap(space, p) for p in points])
+    snapped = snap(space, points)
     return _matern52(params, snapped, snapped)
 
 
@@ -185,7 +185,7 @@ def log_marginal_likelihood(space, params: KernelParams, inputs, targets,
 
     Inputs are snapped first; targets are used as given (callers standardize).
     """
-    X = np.stack([snap(space, p) for p in inputs])
+    X = snap(space, inputs)
     y = np.asarray(targets, dtype=float)
     extra = np.zeros(len(y)) if extra_noise is None else np.asarray(extra_noise)
     theta = np.concatenate([np.log(params.lengthscales),
@@ -195,21 +195,21 @@ def log_marginal_likelihood(space, params: KernelParams, inputs, targets,
     return -nll, -grad
 
 
-def _merge_duplicates(X: np.ndarray, y: np.ndarray):
-    """Average targets of identical snapped rows; inflate their noise.
+def _merge_duplicates(ranks: np.ndarray, y: np.ndarray):
+    """Average the targets of equal rank rows; inflate their noise.
 
-    Returns (X_unique, y_mean, extra_noise) preserving first-seen order.
+    Returns (keep, y_mean, extra_noise) per distinct row, first-seen order.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(X):
-        groups.setdefault(tuple(np.round(row, 12)), []).append(i)
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(ranks):
+        groups.setdefault(row.tobytes(), []).append(i)
     keep, means, extras = [], [], []
     for idx in groups.values():
         vals = y[idx]
         keep.append(idx[0])
         means.append(float(vals.mean()))
         extras.append(float(vals.var()) if len(idx) > 1 else 0.0)
-    return X[keep], np.asarray(means), np.asarray(extras)
+    return keep, np.asarray(means), np.asarray(extras)
 
 
 class GpModel:
@@ -288,18 +288,20 @@ def fit(space: ParameterSpace, inputs, targets, init: KernelParams | None = None
     ends where ``minimize`` would.  A non-finite likelihood raises
     ``NumericalError``.  ``seed`` is not read: a fit has one start, and no
     random draw.
+    Inputs with equal ``point_ranks`` rows merge into the first.
     With ``optimize=False`` the given hyperparameters are used as-is (this is
     the only mode that accepts a single training point, and the way to pin
     ``noise_variance=0`` for exact interpolation).
     """
-    X_raw = np.stack([snap(space, p) for p in inputs])
     y_raw = np.asarray(targets, dtype=float)
-    if X_raw.shape[0] != y_raw.shape[0]:
+    if len(inputs) != len(y_raw):
         raise ValueError("inputs and targets length mismatch")
-    if X_raw.shape[0] < (2 if optimize else 1):
+    if len(y_raw) < (2 if optimize else 1):
         raise ValueError("need at least 2 training points to fit "
                          "(1 with optimize=False)")
-    X, y_mean, extra_raw = _merge_duplicates(X_raw, y_raw)
+    ranks = point_ranks(space, inputs)
+    keep, y_mean, extra_raw = _merge_duplicates(ranks, y_raw)
+    X = encode_ranks(space, ranks[keep])
 
     mean = float(y_mean.mean())
     std = float(y_mean.std())

@@ -15,8 +15,9 @@ these arrays instead of walking the parameters, and the rank helpers
 (``config_ranks``, ``point_ranks``, ``encode_ranks``, ``ordinal_columns``)
 expose the same layout to batched callers: a configuration is a row of
 per-parameter ranks, and a batch of rows encodes or feeds the exact
-constraint semantics in one array operation.  Each batched result equals the
-per-configuration one bit for bit.
+constraint semantics in one array operation.  ``point_ranks`` and ``snap``
+take a point ``(D,)`` or rows ``(M, D)`` under one box check.  Each batched
+result equals the per-point one bit for bit.
 """
 
 from __future__ import annotations
@@ -221,18 +222,10 @@ class ParameterSpace:
         return cls.from_json(Path(path).read_text())
 
 
-def _check_point(space: ParameterSpace, point) -> np.ndarray:
-    arr = np.asarray(point, dtype=float)
-    if arr.shape != (space.encoded_dim,):
-        raise InvalidPointError(
-            f"expected dimension {space.encoded_dim}, got shape {arr.shape}")
-    return _check_rows(space, arr[None, :])[0]
-
-
 def _check_rows(space: ParameterSpace, points) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != space.encoded_dim:
-        raise InvalidPointError(f"expected rows of dimension "
+    if arr.ndim not in (1, 2) or arr.shape[-1] != space.encoded_dim:
+        raise InvalidPointError(f"expected a point or rows of dimension "
                                 f"{space.encoded_dim}, got shape {arr.shape}")
     # min and max propagate NaN, which then fails both comparisons
     if arr.size and not (arr.min() >= -_BOX_TOL and arr.max() <= 1.0 + _BOX_TOL):
@@ -261,34 +254,36 @@ def rank_configuration(space: ParameterSpace, ranks) -> dict:
 
 
 def encode_ranks(space: ParameterSpace, ranks) -> np.ndarray:
-    """Encoded vertices of rank rows: ``(M, P)`` ints to ``(M, D)`` floats.
+    """Encoded vertices of rank rows: ``(..., P)`` ints to ``(..., D)`` floats.
 
     Row ``i`` is bit for bit ``encode`` of the configuration of row ``i``.
     """
     ranks = np.asarray(ranks, dtype=np.intp)
-    out = np.zeros((len(ranks), space.encoded_dim))
-    rows = np.arange(len(ranks))[:, None]
-    out[rows, space._cat_offsets + ranks[:, space._cat_params]] = 1.0
-    out[:, space.ordinal_coords] = ranks[:, space._ord_params] \
+    out = np.zeros((*ranks.shape[:-1], space.encoded_dim))
+    np.put_along_axis(out, space._cat_offsets + ranks[..., space._cat_params],
+                      1.0, axis=-1)
+    out[..., space.ordinal_coords] = ranks[..., space._ord_params] \
         / space._ord_divisors
     return out
 
 
-def point_ranks(space: ParameterSpace, point) -> np.ndarray:
-    """Ranks of the vertex that ``snap`` projects a point of the box onto.
+def point_ranks(space: ParameterSpace, points) -> np.ndarray:
+    """Ranks of the vertices that ``snap`` projects points of the box onto:
+    a point ``(D,)`` gives ``(P,)``, and rows ``(M, D)`` give ``(M, P)``.
 
     Each one-hot block takes its arg-max (ties to the lowest index); each
     ordinal coordinate rounds to the nearest rank (ties to the lower rank).
     """
-    arr = _check_point(space, point)
-    ranks = np.zeros(len(space.params), dtype=np.intp)
+    arr = _check_rows(space, points)
+    ranks = np.zeros((*arr.shape[:-1], len(space.params)), dtype=np.intp)
     if len(space._cat_params):
-        padded = np.append(arr, -np.inf)
-        ranks[space._cat_params] = np.argmax(padded[space._cat_blocks], axis=1)
+        padded = np.append(arr, np.full((*arr.shape[:-1], 1), -np.inf), -1)
+        ranks[..., space._cat_params] = np.argmax(
+            padded[..., space._cat_blocks], axis=-1)
     # ceil(x - 0.5) rounds half-way cases down; a single-valued ordinal
     # (no rank step) lands on ceil(-0.5) = rank 0
-    ranks[space._ord_params] = np.ceil(
-        arr[space.ordinal_coords] * space._ord_steps - 0.5).astype(np.intp)
+    ranks[..., space._ord_params] = np.ceil(
+        arr[..., space.ordinal_coords] * space._ord_steps - 0.5).astype(np.intp)
     return ranks
 
 
@@ -311,22 +306,22 @@ def random_configuration(space: ParameterSpace, rng) -> dict:
 
 def encode(space: ParameterSpace, cfg: dict) -> np.ndarray:
     """Embed a configuration into [0, 1]^D (one-hot blocks + scaled ranks)."""
-    return encode_ranks(space, [config_ranks(space, cfg)])[0]
+    return encode_ranks(space, config_ranks(space, cfg))
 
 
-def snap(space: ParameterSpace, point) -> np.ndarray:
-    """Project a point of the box onto the nearest admissible vertex.
+def snap(space: ParameterSpace, points) -> np.ndarray:
+    """Project a point or rows of the box onto the nearest admissible vertex.
 
     Each one-hot block collapses to its arg-max vertex (ties to the lowest
     index); each ordinal coordinate rounds to the nearest scaled rank (ties
     to the lower rank).  Idempotent by construction.
     """
-    return encode_ranks(space, point_ranks(space, point)[None, :])[0]
+    return encode_ranks(space, point_ranks(space, points))
 
 
 def decode(space: ParameterSpace, point) -> dict:
     """Inverse of ``encode`` after snapping; always yields a valid configuration."""
-    return rank_configuration(space, point_ranks(space, point))
+    return rank_configuration(space, point_ranks(space, [point])[0])
 
 
 def relaxed_arrays(space: ParameterSpace, points):
@@ -338,7 +333,7 @@ def relaxed_arrays(space: ParameterSpace, points):
     so each row equals its batch of one bit for bit.
     """
     arr = _check_rows(space, points)
-    pos = np.clip(arr[:, space.ordinal_coords], 0.0, 1.0) * space._ord_steps
+    pos = np.clip(arr[..., space.ordinal_coords], 0.0, 1.0) * space._ord_steps
     i0 = np.minimum(pos.astype(np.intp), space._ord_last)
     frac = pos - i0
     lo = space._ord_table[space._ord_rows, i0]
@@ -355,7 +350,7 @@ def relaxed_values(space: ParameterSpace, point):
     can chain gradients back to the encoded box.  Categorical parameters have
     no numeric view and are omitted.
     """
-    values, slopes = relaxed_arrays(space, _check_point(space, point)[None, :])
+    values, slopes = relaxed_arrays(space, [point])
     names = space.ordinal_names
     return (dict(zip(names, values[0].tolist())),
             {n: (c, s) for n, c, s in zip(

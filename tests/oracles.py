@@ -9,11 +9,13 @@ per-row jacobian and the ``(n, n, D)`` Matern arithmetic with its
 were before both became ``aspo.solvers.walk_steps`` walks: one polish walk
 after another, and a climb with its own neighbours and best move.  The
 checkpoint weight learner is kept as the coordinate descent that scored one
-grid trial at a time, on terms built one sample at a time.  Tests compare
-the likelihood, the posterior and the acquisition built on it against them
-within a tolerance, since ``aspo.gp`` sums in other orders than these dots
-and solves, and the constraint jacobian, the walks and the learned weights
-with ``==``.
+grid trial at a time, on terms built one sample at a time.  The GP's
+duplicate merge is kept as it grouped snapped rows by rounding them, and
+the maximizer's candidates are snapped one solver point at a time.  Tests
+compare the likelihood, the posterior and the acquisition built on it
+against them within a tolerance, since ``aspo.gp`` sums in other orders
+than these dots and solves, and the constraint jacobian, the walks, the
+learned weights and the merged duplicates with ``==``.
 """
 
 import math
@@ -40,7 +42,12 @@ from aspo.constraints import (
 from aspo.errors import InsufficientRecordsError, NoFeasibleCandidateError
 from aspo.gp import SQRT5
 from aspo.solvers import lockstep, slsqp_steps
-from aspo.space import encode_ranks, rank_configuration, relaxed_arrays
+from aspo.space import (
+    encode_ranks,
+    point_ranks,
+    rank_configuration,
+    relaxed_arrays,
+)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -84,6 +91,22 @@ def reference_nll_and_grad(theta, diff, y, extra_noise, jitter):
     grad[D] = -0.5 * np.sum(B * K_sig)
     grad[D + 1] = -0.5 * nv * np.trace(B)
     return float(nll), grad
+
+
+def reference_merge_duplicates(X: np.ndarray, y: np.ndarray):
+    """The GP's duplicate merge as it was on snapped rows: rows whose
+    coordinates round to the same 12 places form a group.  Returns
+    (X_unique, y_mean, extra_noise) in first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(X):
+        groups.setdefault(tuple(np.round(row, 12)), []).append(i)
+    keep, means, extras = [], [], []
+    for idx in groups.values():
+        vals = y[idx]
+        keep.append(idx[0])
+        means.append(float(vals.mean()))
+        extras.append(float(vals.var()) if len(idx) > 1 else 0.0)
+    return X[keep], np.asarray(means), np.asarray(extras)
 
 
 def reference_kernel(model, Q):
@@ -259,11 +282,15 @@ def reference_maximize_acquisition(ctx, space, tree, *, seed=0,
         acq._slsqp_rows(acq._relaxed_objective_batch(ctx), constraint),
         [slsqp_steps(u0, 0 if tree is None else 1, acq.SLSQP_MAXITER)
          for u0 in starts])
+
+    def box_ranks(u):       # one solver point at a time
+        return tuple(point_ranks(space, np.clip(u, 0.0, 1.0)))
+
     found = {}
     for u0, run in zip(starts, runs):
-        found.setdefault(acq._box_ranks(space, u0))
+        found.setdefault(box_ranks(u0))
         if run is not None:
-            found.setdefault(acq._box_ranks(space, run.x))
+            found.setdefault(box_ranks(run.x))
     candidates = feasible_rows(tree, space, np.array(list(found),
                                                      dtype=np.intp))
     if len(candidates):

@@ -484,6 +484,31 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "retrieval" in result.output
 
+    @staticmethod
+    def assert_plain_exit_2(result):
+        assert result.exit_code == 2, result.output
+        assert "\nerror: " in "\n" + result.output
+        assert "Traceback" not in result.output
+
+    def test_run_out_naming_a_file_exits_2(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self.assert_plain_exit_2(CliRunner().invoke(cli_main, [
+            "run", "--processor", "el2_veer", "--iters", "0",
+            "--warm-start", "2", "--out", str(out)]))
+
+    def test_eval_bench_out_in_a_missing_directory_exits_2(self, tmp_path):
+        self.assert_plain_exit_2(CliRunner().invoke(cli_main, [
+            "eval-bench", "--processor", "el2_veer", "--configs", "2",
+            "--out", str(tmp_path / "missing" / "x.json")]))
+
+    def test_eval_bench_without_configurations_exits_2(self):
+        result = CliRunner().invoke(cli_main, [
+            "eval-bench", "--processor", "el2_veer", "--configs", "0"])
+        self.assert_plain_exit_2(result)
+        assert "error: the number of configurations must be positive" \
+            in result.output
+
     def test_missing_inputs_usage_error(self):
         runner = CliRunner()
         result = runner.invoke(cli_main, ["run"])

@@ -9,19 +9,29 @@ import pytest
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from aspo import assets
 from aspo.errors import NumericalError
 from aspo.gp import (
     KernelParams,
     _cholesky_with_escalation,
     _differences,
     _likelihood,
+    _merge_duplicates,
     fit,
     gram_matrix,
     kernel_value,
     log_marginal_likelihood,
 )
-from aspo.space import ParameterDef, ParameterSpace, encode, snap
+from aspo.space import (
+    ParameterDef,
+    ParameterSpace,
+    encode,
+    encode_ranks,
+    point_ranks,
+    snap,
+)
 from oracles import (
+    reference_merge_duplicates,
     reference_nll_and_grad,
     reference_posterior,
     reference_posterior_gradient,
@@ -346,6 +356,27 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(space, random_vertices(space, 1, seed=18), [1.0])
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_no_inputs_is_a_value_error(self, optimize):
+        with pytest.raises(ValueError):
+            fit(make_space(), [], [], optimize=optimize)
+
+    def test_unsnapped_inputs_fit_as_their_vertices(self):
+        space = make_space(n_ordinals=1, levels=3, n_cats=1, cat_values=2)
+        rng = np.random.default_rng(19)
+        U = rng.uniform(size=(20, space.encoded_dim))
+        y = rng.normal(size=20)
+        raw, vertices = fit(space, U, y), fit(space, snap(space, U), y)
+        assert len(raw.X) < len(U)          # the inputs share vertices
+        for got, want in [
+                (raw.X, vertices.X), (raw.targets, vertices.targets),
+                (raw.extra_noise, vertices.extra_noise),
+                (raw.params.lengthscales, vertices.params.lengthscales),
+                ([raw.params.signal_variance, raw.params.noise_variance],
+                 [vertices.params.signal_variance,
+                  vertices.params.noise_variance])]:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_restart_determinism(self):
         space = make_space()
         X = random_vertices(space, 10, seed=19)
@@ -378,6 +409,27 @@ class TestFit:
             + (model.params.noise_variance + model.jitter_used) * np.eye(len(model.X))
         recon = model.L @ model.L.T
         assert np.max(np.abs(recon - K)) <= 1e-8
+
+
+@pytest.mark.parametrize("processor", ["boom", "rocketchip", "el2_veer"])
+def test_merge_by_rank_row_matches_rounding_reference(processor):
+    """Grouping by rank row splits the points as rounding their snapped
+    vertices did: the same vertices, means and variances, in order."""
+    space = assets.load_bundle(processor).space
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        pool = rng.uniform(size=(6, space.encoded_dim))
+        U = np.clip(pool[rng.integers(6, size=30)]
+                    + rng.normal(scale=0.05, size=(30, space.encoded_dim)),
+                    0.0, 1.0)
+        y = rng.normal(size=30)
+        ranks = point_ranks(space, U)
+        keep, means, extras = _merge_duplicates(ranks, y)
+        want = reference_merge_duplicates(snap(space, U), y)
+        assert len(keep) < len(U)
+        for got, exp in zip((encode_ranks(space, ranks[keep]), means, extras),
+                            want):
+            assert got.tobytes() == exp.tobytes()
 
 
 class TestCholeskyEscalation:

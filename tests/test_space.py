@@ -10,6 +10,7 @@ from aspo.space import (
     ParameterSpace,
     decode,
     encode,
+    point_ranks,
     random_configuration,
     relaxed_values,
     snap,
@@ -26,13 +27,17 @@ def categorical(name, values, default=None):
                         values[0] if default is None else default)
 
 
-@pytest.fixture
-def boomish_space():
+def _boomish_space():
     return ParameterSpace([
         categorical("bpd_config", ["TAGEL", "Boom2", "Alpha21264"]),
         ordinal("FetchWidth", [1, 4, 8], default=4),
         ordinal("DecodeWidth", [1, 2, 3, 4, 5, 6]),
     ])
+
+
+@pytest.fixture
+def boomish_space():
+    return _boomish_space()
 
 
 class TestParameterDef:
@@ -285,6 +290,8 @@ def _equivalence_points(space, n, seed):
 
 
 def _space(name):
+    if name == "boomish":
+        return _boomish_space()
     if name == "mixed":   # single-valued blocks of both kinds
         return ParameterSpace([
             ordinal("fixed", [7]), categorical("only", ["x"]),
@@ -327,3 +334,60 @@ class TestIndexArraysMatchReference:
             want = {p.name: p.values[int(ref.integers(p.count))]
                     for p in space.params}
             assert random_configuration(space, rng) == want
+
+
+def _tie_points(space, n, seed):
+    """Rows with every ordinal half-way between two ranks and every one-hot
+    block of two or more options tied at its maximum."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(n, space.encoded_dim))
+    rows = np.arange(n)[:, None]
+    for p, off in space.blocks():
+        if p.count == 1:
+            continue
+        if p.kind == ORDINAL:
+            pts[:, off] = (rng.integers(p.count - 1, size=n) + 0.5) \
+                / (p.count - 1)
+        else:
+            block = pts[:, off:off + p.count]
+            tied = rng.permuted(np.tile(np.arange(p.count), (n, 1)),
+                                axis=1)[:, :2]
+            block[rows, tied] = block.max(axis=1)[:, None]
+    return pts
+
+
+@pytest.mark.parametrize(
+    "name", ["boom", "rocketchip", "el2_veer", "mixed", "boomish"])
+class TestPointSets:
+    """``point_ranks`` and ``snap`` over rows: each row as it is alone."""
+
+    def test_rows_match_single_points(self, name):
+        space = _space(name)
+        rows = np.concatenate([_equivalence_points(space, 1000, 3),
+                               _tie_points(space, 1000, 4)])
+        ranks, snapped = point_ranks(space, rows), snap(space, rows)
+        assert ranks.shape == (len(rows), len(space.params))
+        assert snapped.shape == rows.shape
+        for i, u in enumerate(rows):
+            assert np.array_equal(ranks[i], point_ranks(space, u))
+            assert snapped[i].tobytes() == snap(space, u).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5])
+    def test_one_bad_row_rejects_the_batch(self, name, bad):
+        space = _space(name)
+        rows = _equivalence_points(space, 20, 5)
+        rows[7, -1] = bad
+        for fn in (point_ranks, snap):
+            with pytest.raises(InvalidPointError):
+                fn(space, rows)
+
+    def test_other_shapes_rejected(self, name):
+        space = _space(name)
+        D = space.encoded_dim
+        for shape in [(2, 3, D), (4, D + 1), (D + 1,), ()]:
+            for fn in (point_ranks, snap):
+                with pytest.raises(InvalidPointError):
+                    fn(space, np.full(shape, 0.5))
+        for fn in (decode, relaxed_values):     # one point only
+            with pytest.raises(InvalidPointError):
+                fn(space, np.full((3, D), 0.5))
