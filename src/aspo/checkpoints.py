@@ -85,10 +85,11 @@ def artifact_path(space: ParameterSpace, cfg: dict) -> str:
 
 
 class CheckpointStore:
-    """Insertion-ordered map of configurations to checkpoint records.
+    """Checkpoint records in insertion order, keyed by rank row.
 
-    Row ``i`` of the feature matrix holds ``config_features`` of record ``i``
-    and is kept current on every insert.
+    A configuration is its ``config_ranks`` row here, so an inadmissible one
+    raises on insert and on lookup.  Row ``i`` of the feature matrix holds
+    ``config_features`` of record ``i`` and is kept current on every insert.
     """
 
     def __init__(self, space: ParameterSpace):
@@ -96,9 +97,6 @@ class CheckpointStore:
         self._index: dict[tuple, int] = {}
         self._records: list[CheckpointRecord] = []
         self._features = np.empty((0, len(space)))
-
-    def _key(self, cfg: dict) -> tuple:
-        return tuple(cfg[p.name] for p in self.space.params)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -108,8 +106,8 @@ class CheckpointStore:
 
     def insert(self, record: CheckpointRecord) -> None:
         """Add or refresh a record; re-inserting keeps the original rank."""
-        key = self._key(record.config)
-        row = config_features(self.space, record.config)
+        key = tuple(config_ranks(self.space, record.config))
+        row = np.divide(key, self.space.rank_divisors)
         i = self._index.get(key)
         if i is None:
             self._index[key] = len(self._records)
@@ -120,7 +118,7 @@ class CheckpointStore:
             self._features[i] = row
 
     def lookup(self, cfg: dict) -> CheckpointRecord | None:
-        i = self._index.get(self._key(cfg))
+        i = self._index.get(tuple(config_ranks(self.space, cfg)))
         return None if i is None else self._records[i]
 
 
@@ -138,7 +136,7 @@ def match_config(store: CheckpointStore, cfg: dict,
     if len(store) == 0:
         raise EmptyDatabaseError("no checkpoints stored")
     d = _distances_to_all(store, cfg, weights)
-    return store.records()[int(np.argmin(d))]
+    return store._records[int(np.argmin(d))]
 
 
 def cost_estimate(store: CheckpointStore, cfg: dict,

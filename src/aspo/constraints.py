@@ -402,6 +402,12 @@ def _vacuity_margin(space: ParameterSpace, atom: IntervalAtom) -> float:
     return min(clearances) / 2.0
 
 
+def _number(value, context: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConstraintSyntaxError(f"{context}: {value!r} is not a number")
+    return float(value)
+
+
 def _parse_interval(space, data, context) -> IntervalAtom:
     if not isinstance(data, dict) or set(data) != {"param", "in"}:
         raise ConstraintSyntaxError(
@@ -410,7 +416,8 @@ def _parse_interval(space, data, context) -> IntervalAtom:
     if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
         raise ConstraintSyntaxError(f"{context}: interval needs [lo, hi]")
     _require_ordinal(space, data["param"], context)
-    return IntervalAtom(data["param"], float(bounds[0]), float(bounds[1]))
+    return IntervalAtom(data["param"], _number(bounds[0], context),
+                        _number(bounds[1], context))
 
 
 def _parse_node(space: ParameterSpace, data, path: str):
@@ -439,9 +446,9 @@ def _parse_node(space: ParameterSpace, data, path: str):
             raise ConstraintSyntaxError(f"{context}: missing field {exc}") from None
         _require_ordinal(space, xa, context)
         _require_ordinal(space, xb, context)
-        c = Inequality(ka=float(body.get("ka", 1.0)), xa=xa,
-                       kb=float(body.get("kb", 1.0)), xb=xb,
-                       t=float(body.get("t", 0.0)))
+        c = Inequality(ka=_number(body.get("ka", 1.0), context), xa=xa,
+                       kb=_number(body.get("kb", 1.0), context), xb=xb,
+                       t=_number(body.get("t", 0.0), context))
         if body.get("strict", False):
             c = Inequality(c.ka, c.xa, c.kb, c.xb,
                            c.t - _strictness_offset(space, c))

@@ -108,12 +108,15 @@ class RunConfig:
             raise ValueError(f"unknown acquisition mode {self.acquisition_mode!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.stagnation_limit is not None and self.stagnation_limit < 1:
+            raise ValueError("stagnation limit must be at least 1, or None")
 
 
 @dataclass
 class HistoryEntry:
     iteration: int                  # 0 for warm start
     config: dict
+    ranks: tuple                    # the configuration's rank row
     result: EvaluationResult
     alpha_value: float | None
     cost_estimate: float | None
@@ -173,7 +176,7 @@ def _surrogate(space: ParameterSpace, history):
     None while the valid results hold fewer than two distinct designs.
     """
     valid = [e for e in history if e.result.valid]
-    ranks = [tuple(config_ranks(space, e.config)) for e in valid]
+    ranks = [e.ranks for e in valid]
     if len(set(ranks)) < 2:
         return None
     return fit(space, encode_ranks(space, ranks), [e.eet_ms() for e in valid])
@@ -189,7 +192,7 @@ def _hill_climb(space: ParameterSpace, history):
     def score(entry):
         return -entry.eet_ms() if entry.result.valid else -math.inf
 
-    known = {tuple(config_ranks(space, e.config)): score(e) for e in history}
+    known = {e.ranks: score(e) for e in history}
 
     def scores(rows):               # proposes the rows not yet evaluated
         rows = [tuple(row) for row in rows]
@@ -230,14 +233,15 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
 
     def run_eval(iteration, cfg, alpha_value):
         nonlocal clock, inserts, weights, best_entry, best_eet
+        ranks = tuple(config_ranks(space, cfg))
         cost_before = cost_estimate(store, cfg, weights)
         cache_hit = rc.strategy == RETRIEVAL and store.lookup(cfg) is not None
         result = harness.evaluate(cfg, rc.strategy, db=store, weights=weights)
         clock += result.eval_minutes
         if result.failure_stage != STAGE_CONSTRAINT:
-            evaluated.add(tuple(config_ranks(space, cfg)))
-        history.append(HistoryEntry(iteration, cfg, result, alpha_value,
-                                    cost_before))
+            evaluated.add(ranks)
+        history.append(HistoryEntry(iteration, cfg, ranks, result,
+                                    alpha_value, cost_before))
         eet = history[-1].eet_ms()
         if eet is not None and eet < best_eet:
             best_entry, best_eet = history[-1], eet

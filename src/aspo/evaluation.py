@@ -4,7 +4,8 @@
 design: the constraint stage, the retrieval lookup, the choice of reference
 checkpoint, synthesis by the backend, the resource stage on the synthesized
 LUT count, and the one conversion of the tool's minutes into the run's
-virtual minutes (``time_scale``).  It builds every failed result.  The
+virtual minutes (``time_scale``).  It builds every failed result, and a
+configuration that does not match the space raises before any stage.  The
 reference is none under ``direct`` (synthesis from scratch), the default
 configuration under ``fixed-checkpoint``, and the nearest stored checkpoint
 under ``retrieval``, where an exact hit returns the cached metrics at lookup
@@ -17,12 +18,12 @@ depends on the design and the reference alone.
 simulate-and-synthesize flow.  Cycle counts start from a per-benchmark base
 (instructions retired) and grow by a quadratic penalty for every ordinal
 parameter left below its top rank plus a fixed factor per categorical choice;
-LUT usage accumulates per-parameter costs; the maximum frequency degrades
-linearly with normalized LUT complexity; synthesis time ramps from a base
-(incremental) to a full (from scratch) figure with the weighted distance to
-the reference.  All coefficients live in a bundled, frozen model file so
-results are reproducible oracles.  ``ExternalEvaluator`` runs a real
-toolchain over a one-request, one-response JSON line protocol.
+LUT usage accumulates per-parameter costs; both sums read per-rank tables
+built once.  The maximum frequency degrades linearly with the LUT load;
+synthesis time ramps from a base to a full (from scratch) figure with the
+weighted distance to the reference.  All coefficients live in a bundled,
+frozen model file so results are reproducible oracles.  ``ExternalEvaluator``
+runs a real toolchain over a one-request, one-response JSON line protocol.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (
     ToolError,
     UndefinedMetricError,
 )
-from .space import CATEGORICAL, ParameterSpace
+from .space import CATEGORICAL, ParameterSpace, config_ranks
 
 DIRECT = "direct"
 FIXED_CHECKPOINT = "fixed-checkpoint"
@@ -113,11 +114,24 @@ class SyntheticModel:
 
     def __init__(self, data: dict, space: ParameterSpace):
         names = [p.name for p in space.params]
+        if not isinstance(data, dict):
+            raise InvalidConfigurationError("model file must hold an object")
         unknown = [k for k in data if k not in MODEL_KEYS + ("processor",)]
         if unknown:
             raise InvalidConfigurationError(
                 f"model file has unknown key(s) {', '.join(unknown)}")
         coeffs = data.get("parameters", {})
+        objects = {k: data.get(k, {}) for k in
+                   ("benchmarks", "match_weights", "parameters")}
+        if isinstance(coeffs, dict):
+            objects.update((f"parameters.{n}", c) for n, c in coeffs.items())
+            objects.update((f"parameters.{n}.{f}", c.get(f, {}))
+                           for n, c in coeffs.items() if isinstance(c, dict)
+                           for f in ("lut_factors", "cycle_factors"))
+        malformed = [k for k, v in objects.items() if not isinstance(v, dict)]
+        if malformed:
+            raise InvalidConfigurationError(
+                f"model file: {', '.join(malformed)} must be object(s)")
         missing = [k for k in MODEL_KEYS if k not in data] + [
             f"{p.name}.{f}" for p in space.params if p.name in coeffs
             for f in (("lut_factors", "cycle_factors") if p.kind == CATEGORICAL
@@ -140,22 +154,35 @@ class SyntheticModel:
             raise InvalidConfigurationError(
                 f"model file: {'; '.join(uncovered)}")
         self.space = space
-        self.base_frequency = float(data["base_frequency_mhz"])
-        self.gamma = float(data["frequency_sensitivity"])
-        self.base_luts = int(data["base_luts"])
-        self.lut_budget = int(data["lut_budget"])
-        self.t_full = float(data["full_synthesis_minutes"])
-        self.t_base = float(data["base_synthesis_minutes"])
-        self.power_idle = float(data["power_idle_w"])
-        self.power_per_lut = float(data["power_per_lut_w"])
-        self.benchmarks = dict(data["benchmarks"])
-        self.coeffs = data["parameters"]
-        self.match_weights = DistanceWeights(
-            np.array([data["match_weights"][n] for n in names]))
-        self._max_dist = float(self.match_weights.w.sum())
-        self._max_extra_luts = sum(
-            max(c["lut_factors"].values()) if "lut_factors" in c
-            else c["lut_cost"] for c in map(self.coeffs.get, names))
+        try:
+            self.base_frequency = float(data["base_frequency_mhz"])
+            self.gamma = float(data["frequency_sensitivity"])
+            self.base_luts = int(data["base_luts"])
+            self.lut_budget = int(data["lut_budget"])
+            self.t_full = float(data["full_synthesis_minutes"])
+            self.t_base = float(data["base_synthesis_minutes"])
+            self.power_idle = float(data["power_idle_w"])
+            self.power_per_lut = float(data["power_per_lut_w"])
+            self.benchmarks = {name: float(base) for name, base
+                               in data["benchmarks"].items()}
+            self.match_weights = DistanceWeights(
+                np.array([data["match_weights"][n] for n in names]))
+            self._max_dist = float(self.match_weights.w.sum())
+            self._max_extra_luts = sum(
+                max(c["lut_factors"].values()) if "lut_factors" in c
+                else c["lut_cost"] for c in map(coeffs.get, names))
+            # each parameter's LUT and cycle-penalty terms, indexed by rank
+            params = [(p, coeffs[p.name]) for p in space.params]
+            self._lut_terms = [
+                [float(c["lut_factors"][v]) if p.kind == CATEGORICAL
+                 else c["lut_cost"] * p.scaled_rank(v) for v in p.values]
+                for p, c in params]
+            self._cycle_terms = [
+                [float(c["cycle_factors"][v]) if p.kind == CATEGORICAL
+                 else c["cycle_beta"] * (1.0 - p.scaled_rank(v)) ** 2
+                 for v in p.values] for p, c in params]
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigurationError(f"model file: {exc}") from None
 
     @classmethod
     def load(cls, path, space: ParameterSpace) -> "SyntheticModel":
@@ -163,12 +190,8 @@ class SyntheticModel:
 
     def luts(self, cfg: dict) -> int:
         total = float(self.base_luts)
-        for p in self.space.params:
-            c = self.coeffs[p.name]
-            if p.kind == CATEGORICAL:
-                total += c["lut_factors"][cfg[p.name]]
-            else:
-                total += c["lut_cost"] * p.scaled_rank(cfg[p.name])
+        for terms, r in zip(self._lut_terms, config_ranks(self.space, cfg)):
+            total += terms[r]
         return int(round(total))
 
     def fmax(self, cfg: dict) -> float:
@@ -186,16 +209,9 @@ class SyntheticModel:
         except KeyError:
             raise UndefinedMetricError(f"unknown benchmark {benchmark!r}") from None
         penalty = 0.0
-        for p in self.space.params:
-            c = self.coeffs[p.name]
-            if p.kind == CATEGORICAL:
-                penalty += c["cycle_factors"][cfg[p.name]]
-            else:
-                penalty += c["cycle_beta"] * (1.0 - p.scaled_rank(cfg[p.name])) ** 2
+        for terms, r in zip(self._cycle_terms, config_ranks(self.space, cfg)):
+            penalty += terms[r]
         return int(round(base * (1.0 + penalty)))
-
-    def power(self, luts: int) -> float:
-        return self.power_idle + self.power_per_lut * luts
 
     def synthesis_time(self, cfg: dict, reference_cfg: dict | None) -> float:
         """Minutes to synthesize, ramping with distance to the reference.
@@ -216,7 +232,7 @@ class SyntheticModel:
         luts = self.luts(cfg)
         return EvaluationResult(
             cycles=self.cycles(cfg, benchmark), fmax_mhz=self._fmax_at(luts),
-            luts=luts, power_w=self.power(luts),
+            luts=luts, power_w=self.power_idle + self.power_per_lut * luts,
             eval_minutes=self.synthesis_time(cfg, reference_cfg), valid=True)
 
 
@@ -252,6 +268,7 @@ class EvalHarness:
     def _stages(self, cfg, strategy, db, weights) -> EvaluationResult:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
+        self.space.validate(cfg)
         if not exact_configuration(self.tree, self.space, cfg):
             return self._failed(STAGE_CONSTRAINT, 0, FAILURE_MINUTES)
         from_store = strategy == RETRIEVAL and db is not None and len(db) > 0

@@ -190,13 +190,16 @@ class ParameterSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParameterSpace":
-        try:
-            raw = data["parameters"]
-        except (KeyError, TypeError):
+        raw = data.get("parameters") if isinstance(data, dict) else None
+        if not isinstance(raw, list):
             raise InvalidConfigurationError(
-                'space definition must contain a "parameters" list') from None
+                'space definition must contain a "parameters" list')
         params = []
-        for entry in raw:
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, dict) or \
+                    not isinstance(entry.get("values", []), list):
+                raise InvalidConfigurationError(
+                    f"space entry {i} must be an object with a values list")
             try:
                 params.append(ParameterDef(
                     name=entry["name"],

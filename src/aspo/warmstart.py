@@ -15,7 +15,7 @@ import numpy as np
 
 from .constraints import feasible_count, feasible_draws, feasible_rows
 from .errors import InfeasibleSpaceError
-from .space import ParameterSpace, rank_configuration
+from .space import ParameterSpace, config_ranks, rank_configuration
 
 
 @dataclass
@@ -98,9 +98,11 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
 
     Array rows, which are rows of parameter ranks, are filtered by the exact
     constraint semantics in array order; if fewer than ``budget`` distinct
-    configurations survive, seeded rejection sampling tops the list up.  A
-    space with fewer feasible configurations than ``budget`` caps it at
-    their ``feasible_count`` and fails at once when they number none, and
+    configurations survive, seeded rejection sampling tops the list up.
+    Designs are told apart by rank row, an array row as it is and a draw by
+    its ``config_ranks``; the first of equal designs is kept.  A space with
+    fewer feasible configurations than ``budget`` caps it at their
+    ``feasible_count`` and fails at once when they number none, and
     sampling that gives up short returns the designs found, if any.
     """
     if budget < 1:
@@ -109,19 +111,17 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
     if budget == 0:
         raise InfeasibleSpaceError("no configuration satisfies the constraints")
     oa = generate_oa(space.counts, seed)
-    # keyed by parameter values; the first of equal configurations is kept
     chosen: dict[tuple, dict] = {}
-    for row in feasible_rows(tree, space, oa.rows):
+    for row in feasible_rows(tree, space, oa.rows).tolist():
         if len(chosen) >= budget:
             break
-        cfg = rank_configuration(space, row)
-        chosen.setdefault(tuple(cfg.values()), cfg)
+        chosen.setdefault(tuple(row), rank_configuration(space, row))
 
     draws = feasible_draws(tree, space, np.random.default_rng([seed, 1]))
     try:
         while len(chosen) < budget:
             cfg = next(draws)
-            chosen.setdefault(tuple(cfg.values()), cfg)
+            chosen.setdefault(tuple(config_ranks(space, cfg)), cfg)
     except InfeasibleSpaceError:
         if not chosen:
             raise

@@ -9,7 +9,10 @@ per-row jacobian and the ``(n, n, D)`` Matern arithmetic with its
 were before both became ``aspo.solvers.walk_steps`` walks: one polish walk
 after another, and a climb with its own neighbours and best move.  The
 checkpoint weight learner is kept as the coordinate descent that scored one
-grid trial at a time, on terms built one sample at a time.  The GP's
+grid trial at a time, on terms built one sample at a time.  The synthetic
+model's LUT and cycle sums are kept as the per-parameter loops that looked
+each value up in its coefficient file before the model tabled its terms
+per rank.  The GP's
 duplicate merge is kept as it grouped snapped rows by rounding them, and
 the maximizer's candidates are snapped one solver point at a time.  Tests
 compare the likelihood, the posterior and the acquisition built on it
@@ -408,3 +411,28 @@ def reference_learn_weights(store: CheckpointStore, synthesis_time_fn,
                     best = val
                     w = trial
     return DistanceWeights(w)
+
+
+def reference_luts(data: dict, space, cfg: dict) -> int:
+    """``SyntheticModel.luts`` from the model file, one parameter at a time."""
+    total = float(data["base_luts"])
+    for p in space.params:
+        c = data["parameters"][p.name]
+        if p.kind == "categorical":
+            total += c["lut_factors"][cfg[p.name]]
+        else:
+            total += c["lut_cost"] * p.scaled_rank(cfg[p.name])
+    return int(round(total))
+
+
+def reference_cycles(data: dict, space, cfg: dict, benchmark: str) -> int:
+    """``SyntheticModel.cycles`` from the model file, one parameter at a
+    time."""
+    penalty = 0.0
+    for p in space.params:
+        c = data["parameters"][p.name]
+        if p.kind == "categorical":
+            penalty += c["cycle_factors"][cfg[p.name]]
+        else:
+            penalty += c["cycle_beta"] * (1.0 - p.scaled_rank(cfg[p.name])) ** 2
+    return int(round(data["benchmarks"][benchmark] * (1.0 + penalty)))

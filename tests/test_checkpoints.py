@@ -15,7 +15,11 @@ from aspo.checkpoints import (
     match_config,
     weighted_distance,
 )
-from aspo.errors import EmptyDatabaseError, InsufficientRecordsError
+from aspo.errors import (
+    EmptyDatabaseError,
+    InsufficientRecordsError,
+    InvalidConfigurationError,
+)
 from aspo.evaluation import EvaluationResult
 from aspo.space import ParameterDef, ParameterSpace, encode, random_configuration
 from oracles import reference_learn_weights
@@ -117,6 +121,22 @@ class TestStore:
         assert len(store) == 2
         assert store.records()[0].config == cfg_a
         assert store.records()[0].metrics.eval_minutes == 9.0
+
+    @pytest.mark.parametrize("cfg", [
+        {"size": 3, "depth": 2, "mode": "fast"},
+        {"size": 1, "depth": 2},
+        {"size": 1, "depth": 2, "mode": "fast", "zzz": 1},
+    ], ids=["value", "missing", "extra"])
+    def test_malformed_configuration_raises(self, space, cfg):
+        # keyed by rank row, so an extra key cannot match a stored design
+        store = store_with(space, [space.default_configuration()])
+        with pytest.raises(InvalidConfigurationError):
+            store.lookup(cfg)
+        bad = CheckpointRecord(config=cfg, encoded=np.zeros(4),
+                               metrics=ok_metrics())
+        with pytest.raises(InvalidConfigurationError):
+            store.insert(bad)
+        assert len(store) == 1
 
 
 class TestMatchConfig:

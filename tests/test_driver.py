@@ -46,13 +46,13 @@ def feasible_fraction():
     return float(np.mean(exact_tree(bundle.tree, cols)))
 
 
-def infeasible_inputs(tmp_path) -> list[str]:
-    """CLI input options for a two-parameter space with no feasible point."""
-    space_doc = {"parameters": [
+def tiny_docs() -> dict:
+    """Space, model and constraint documents of a two-parameter space with
+    no feasible point."""
+    return {"space": {"parameters": [
         {"name": "a", "kind": "ordinal", "values": [1, 2], "default": 1},
         {"name": "b", "kind": "ordinal", "values": [5, 6], "default": 5},
-    ]}
-    model_doc = {
+    ]}, "model": {
         "processor": "tiny", "base_frequency_mhz": 50.0,
         "frequency_sensitivity": 0.2, "base_luts": 100, "lut_budget": 10000,
         "full_synthesis_minutes": 10.0, "base_synthesis_minutes": 2.0,
@@ -61,12 +61,17 @@ def infeasible_inputs(tmp_path) -> list[str]:
         "match_weights": {"a": 1.0, "b": 1.0},
         "parameters": {"a": {"cycle_beta": 0.5, "lut_cost": 100},
                        "b": {"cycle_beta": 0.3, "lut_cost": 100}},
-    }
-    constraint_doc = {"all": [
-        {"ineq": {"xa": "a", "xb": "b"}}]}  # a >= b is impossible here
+    }, "constraints": {"all": [
+        {"ineq": {"xa": "a", "xb": "b"}}]}}  # a >= b is impossible here
+
+
+def infeasible_inputs(tmp_path, docs=None) -> list[str]:
+    """CLI input options for ``tiny_docs``, or for ``docs`` in its shape."""
+    docs = docs or tiny_docs()
     args = []
-    for option, doc in (("--space", space_doc), ("--model", model_doc),
-                        ("--constraints", constraint_doc)):
+    for option, doc in (("--space", docs["space"]),
+                        ("--model", docs["model"]),
+                        ("--constraints", docs["constraints"])):
         path = tmp_path / f"{option[2:]}.json"
         path.write_text(json.dumps(doc))
         args += [option, str(path)]
@@ -74,6 +79,11 @@ def infeasible_inputs(tmp_path) -> list[str]:
 
 
 class TestRunOptimization:
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_stagnation_limit_below_one_is_rejected(self, limit):
+        with pytest.raises(ValueError, match="stagnation limit"):
+            boom_rc(stagnation_limit=limit)
+
     def test_zero_budget_reports_warm_start_only(self):
         report = run_optimization(boom_rc(budget_iterations=0))
         assert report.evaluations == 6
@@ -458,6 +468,29 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "error: model file has unknown key(s) noise_sd\n" \
             in result.output
+
+    @pytest.mark.parametrize("file, edit", [
+        ("space", lambda d: d["parameters"][0].update(values=5)),
+        ("space", lambda d: d.update(parameters=["a"])),
+        ("constraints", lambda d: d["all"][0]["ineq"].update(ka=[1])),
+        ("constraints", lambda d: d.update({"all": [{"cond": {
+            "if": {"param": "a", "in": [[1], 2]},
+            "then": {"param": "b", "in": [5, 6]}}}]})),
+        ("model", lambda d: d.update(base_luts=[1])),
+        ("model", lambda d: d.update(parameters=5)),
+        ("model", lambda d: d["parameters"].update(a=5)),
+        ("model", lambda d: d["benchmarks"].update(multiply="x")),
+    ], ids=["space-values", "space-entry", "ineq-coefficient",
+            "interval-bound", "model-number", "model-parameters",
+            "model-parameter-entry", "model-benchmark"])
+    def test_validate_malformed_file_exits_2(self, tmp_path, file, edit):
+        docs = tiny_docs()
+        edit(docs[file])
+        result = CliRunner().invoke(
+            cli_main, ["validate", *infeasible_inputs(tmp_path, docs)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "error: " in result.output
+        assert "Traceback" not in result.output
 
     def test_run_writes_reports(self, tmp_path):
         runner = CliRunner()

@@ -14,7 +14,12 @@ from aspo.checkpoints import (
     weighted_distance,
 )
 from aspo.constraints import feasible_draws
-from aspo.errors import ProtocolError, ToolError, UndefinedMetricError
+from aspo.errors import (
+    InvalidConfigurationError,
+    ProtocolError,
+    ToolError,
+    UndefinedMetricError,
+)
 from aspo.evaluation import (
     DIRECT,
     FAILURE_MINUTES,
@@ -28,7 +33,8 @@ from aspo.evaluation import (
     SyntheticModel,
     estimated_execution_time,
 )
-from aspo.space import encode
+from aspo.space import encode, random_configuration
+from oracles import reference_cycles, reference_luts
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +235,69 @@ class TestStrategies:
         h = harness_for(bundle, model, time_scale=1 / 60)
         res = h.evaluate(bundle.space.default_configuration(), DIRECT)
         assert res.eval_minutes == pytest.approx(model.t_full / 60)
+
+
+@pytest.mark.parametrize("processor", assets.PROCESSORS)
+def test_tabled_model_matches_the_per_parameter_loops(processor):
+    """Per-rank tables price every design as the coefficient file does."""
+    bundle = assets.load_bundle(processor)
+    model = SyntheticModel(bundle.model, bundle.space)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        cfg = random_configuration(bundle.space, rng)
+        assert model.luts(cfg) == reference_luts(bundle.model, bundle.space,
+                                                 cfg)
+        for benchmark in model.benchmarks:
+            assert model.cycles(cfg, benchmark) == reference_cycles(
+                bundle.model, bundle.space, cfg, benchmark)
+
+
+def malformed(space, kind):
+    """The default configuration broken one way: an inadmissible value, a
+    missing parameter or an extra key."""
+    cfg = space.default_configuration()
+    if kind == "value":
+        cfg["icache_nSets"] = 7777
+    elif kind == "missing":
+        del cfg["icache_nSets"]
+    else:
+        cfg["zzz"] = 1
+    return cfg
+
+
+MALFORMED = ("value", "missing", "extra")
+
+
+class TestMalformedConfiguration:
+    @pytest.mark.parametrize("strategy", [DIRECT, FIXED_CHECKPOINT, RETRIEVAL])
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_harness_raises_a_typed_error(self, boom, kind, strategy):
+        bundle, model = boom
+        h = harness_for(bundle, model)
+        store = CheckpointStore(bundle.space)
+        insert_all(store, bundle.space, model,
+                   [bundle.space.default_configuration()], h)
+        with pytest.raises(InvalidConfigurationError):
+            h.evaluate(malformed(bundle.space, kind), strategy, db=store,
+                       weights=model.match_weights)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_model_raises_a_typed_error(self, boom, kind):
+        _, model = boom
+        cfg = malformed(model.space, kind)
+        with pytest.raises(InvalidConfigurationError):
+            model.luts(cfg)
+        with pytest.raises(InvalidConfigurationError):
+            model.cycles(cfg, "multiply")
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_external_tool_never_sees_it(self, boom, tmp_path, kind):
+        bundle, _ = boom
+        log = tmp_path / "requests.jsonl"
+        h = tool_harness(bundle, RECORDER, str(log))
+        with pytest.raises(InvalidConfigurationError):
+            h.evaluate(malformed(bundle.space, kind), DIRECT)
+        assert recorded_requests(log) == []
 
 
 class TestEstimatedExecutionTime:
