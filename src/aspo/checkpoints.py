@@ -1,10 +1,11 @@
 """Checkpoint database: evaluated configurations plus their synthesis artifacts.
 
-Records are kept in insertion order and matched by a weighted squared
-distance over per-parameter features: ordinal parameters compare scaled
-ranks, categorical parameters contribute a 0/1 mismatch indicator.  The
-minimum distance to the database doubles as the evaluation-cost estimate fed
-to the acquisition function, and the per-parameter weights are learned by
+Records are kept in insertion order, keyed by rank row, and matched on rank
+rows (``find``, ``distances``, ``nearest``) by a weighted squared distance
+over per-parameter features: ordinal parameters compare scaled ranks,
+categorical parameters contribute a 0/1 mismatch indicator.  The minimum
+distance to the database doubles as the evaluation-cost estimate fed to the
+acquisition function, and the per-parameter weights are learned by
 coordinate descent against observed synthesis times.
 
 Concurrency: single writer (the driver), any number of readers.  The store
@@ -56,27 +57,25 @@ class CheckpointRecord:
     synthesis_minutes: float | None = None
 
 
-def config_features(space: ParameterSpace, cfg: dict) -> np.ndarray:
-    """Per-parameter numeric features: scaled rank, or category index.
-
-    Category indices are only ever compared for equality, never subtracted.
-    """
-    return np.array(config_ranks(space, cfg), dtype=float) / space.rank_divisors
-
-
 def _pairwise_terms(cat: np.ndarray, fa: np.ndarray,
                     fb: np.ndarray) -> np.ndarray:
     """Per-parameter distance terms; ``cat`` marks the categorical columns."""
     return np.where(cat, fa != fb, (fa - fb) ** 2)
 
 
+def rank_distance(space: ParameterSpace, a, b,
+                  weights: DistanceWeights) -> float:
+    """Sum of w_i * feature-difference^2 between two rank rows."""
+    fa, fb = np.divide([a, b], space.rank_divisors)
+    terms = _pairwise_terms(space.categorical_mask, fa, fb)
+    return float(np.dot(weights.w, terms))
+
+
 def weighted_distance(space: ParameterSpace, x: dict, q: dict,
                       weights: DistanceWeights) -> float:
-    """Sum of w_i * feature-difference^2 over the space's parameters."""
-    fx, fq = np.array([config_ranks(space, x), config_ranks(space, q)],
-                      dtype=float) / space.rank_divisors
-    terms = _pairwise_terms(space.categorical_mask, fx, fq)
-    return float(np.dot(weights.w, terms))
+    """``rank_distance`` between two configurations."""
+    return rank_distance(space, config_ranks(space, x), config_ranks(space, q),
+                         weights)
 
 
 def artifact_path(space: ParameterSpace, cfg: dict) -> str:
@@ -88,55 +87,56 @@ class CheckpointStore:
     """Checkpoint records in insertion order, keyed by rank row.
 
     A configuration is its ``config_ranks`` row here, so an inadmissible one
-    raises on insert and on lookup.  Row ``i`` of the feature matrix holds
-    ``config_features`` of record ``i`` and is kept current on every insert.
+    raises on insert and on lookup.  Record ``i`` has rank row ``_rows[i]``
+    and feature row ``i``: an ordinal's scaled rank, a categorical's index.
     """
 
     def __init__(self, space: ParameterSpace):
         self.space = space
-        self._index: dict[tuple, int] = {}
-        self._records: list[CheckpointRecord] = []
+        self._records: dict[tuple, CheckpointRecord] = {}
+        self._rows: list[tuple] = []
         self._features = np.empty((0, len(space)))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def records(self) -> list[CheckpointRecord]:
-        return list(self._records)
+        return list(self._records.values())
 
     def insert(self, record: CheckpointRecord) -> None:
         """Add or refresh a record; re-inserting keeps the original rank."""
         key = tuple(config_ranks(self.space, record.config))
-        row = np.divide(key, self.space.rank_divisors)
-        i = self._index.get(key)
-        if i is None:
-            self._index[key] = len(self._records)
-            self._records.append(record)
-            self._features = np.vstack([self._features, row])
-        else:
-            self._records[i] = record
-            self._features[i] = row
+        if key not in self._records:
+            self._rows.append(key)
+            self._features = np.vstack(
+                [self._features, np.divide(key, self.space.rank_divisors)])
+        self._records[key] = record
 
     def lookup(self, cfg: dict) -> CheckpointRecord | None:
-        i = self._index.get(tuple(config_ranks(self.space, cfg)))
-        return None if i is None else self._records[i]
+        return self.find(config_ranks(self.space, cfg))
 
+    def find(self, ranks) -> CheckpointRecord | None:
+        """The record of a rank row, or None."""
+        return self._records.get(tuple(ranks))
 
-def _distances_to_all(store: CheckpointStore, cfg: dict,
-                      weights: DistanceWeights) -> np.ndarray:
-    fx = config_features(store.space, cfg)
-    terms = _pairwise_terms(store.space.categorical_mask,
-                            store._features, fx[None, :])
-    return terms @ weights.w
+    def distances(self, ranks, weights: DistanceWeights) -> np.ndarray:
+        """Weighted distance from a rank row to every record, in order."""
+        fx = np.divide(ranks, self.space.rank_divisors)
+        terms = _pairwise_terms(self.space.categorical_mask, self._features,
+                                fx[None, :])
+        return terms @ weights.w
+
+    def nearest(self, ranks, weights: DistanceWeights) -> tuple:
+        """Rank row of the nearest record; ties go to the earliest insert."""
+        if not self._records:
+            raise EmptyDatabaseError("no checkpoints stored")
+        return self._rows[int(np.argmin(self.distances(ranks, weights)))]
 
 
 def match_config(store: CheckpointStore, cfg: dict,
                  weights: DistanceWeights) -> CheckpointRecord:
     """Record at minimum weighted distance; ties go to the earliest insert."""
-    if len(store) == 0:
-        raise EmptyDatabaseError("no checkpoints stored")
-    d = _distances_to_all(store, cfg, weights)
-    return store._records[int(np.argmin(d))]
+    return store.find(store.nearest(config_ranks(store.space, cfg), weights))
 
 
 def cost_estimate(store: CheckpointStore, cfg: dict,
@@ -144,7 +144,7 @@ def cost_estimate(store: CheckpointStore, cfg: dict,
     """Minimum weighted distance to the database; ``COST_PRIOR`` when empty."""
     if len(store) == 0:
         return COST_PRIOR
-    return float(_distances_to_all(store, cfg, weights).min())
+    return float(store.distances(config_ranks(store.space, cfg), weights).min())
 
 
 def learn_weights(store: CheckpointStore, synthesis_time_fn,
@@ -227,11 +227,8 @@ class RelaxedCost:
 
     def __init__(self, store: CheckpointStore, weights: DistanceWeights):
         self.space = store.space
-        records = store.records()
-        if records:
-            self.Q = np.stack([r.encoded for r in records])
-        else:
-            self.Q = np.empty((0, store.space.encoded_dim))
+        self.Q = np.reshape([r.encoded for r in store.records()],
+                            (len(store), store.space.encoded_dim))
         cw = np.empty(store.space.encoded_dim)
         for i, (p, off) in enumerate(store.space.blocks()):
             cw[off:off + p.width] = weights.w[i] / (2.0 if p.kind == CATEGORICAL

@@ -195,7 +195,7 @@ def exact_configuration(tree, space: ParameterSpace, cfg: dict) -> bool:
     """Convenience wrapper: exact semantics on a configuration of a space."""
     if tree is None:
         return True
-    return bool(exact_tree(tree, space.ordinal_values(cfg)))
+    return bool(exact_tree(tree, {n: cfg[n] for n in space.ordinal_names}))
 
 
 def feasible_rows(tree, space: ParameterSpace, ranks: np.ndarray) -> np.ndarray:

@@ -163,11 +163,11 @@ def _setup(rc: RunConfig):
     return space, tree, harness, CheckpointStore(space)
 
 
-def _insert(store: CheckpointStore, cfg: dict,
+def _insert(store: CheckpointStore, cfg: dict, ranks,
             result: EvaluationResult) -> None:
-    """Store a valid result's checkpoint."""
+    """Store a valid result's checkpoint; ``ranks`` is ``cfg``'s rank row."""
     store.insert(CheckpointRecord(
-        config=cfg, encoded=encode(store.space, cfg), metrics=result))
+        config=cfg, encoded=encode_ranks(store.space, ranks), metrics=result))
 
 
 def _surrogate(space: ParameterSpace, history):
@@ -202,7 +202,7 @@ def _hill_climb(space: ParameterSpace, history):
                 known[row] = score(history[-1])
         return np.array([known[row] for row in rows])
 
-    start = config_ranks(space, space.default_configuration())
+    start = space.default_ranks
     value, = yield from scores([start])
     walk = walk_steps(space.counts, np.array(start), value, space.size())
     try:
@@ -235,7 +235,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         nonlocal clock, inserts, weights, best_entry, best_eet
         ranks = tuple(config_ranks(space, cfg))
         cost_before = cost_estimate(store, cfg, weights)
-        cache_hit = rc.strategy == RETRIEVAL and store.lookup(cfg) is not None
+        cache_hit = rc.strategy == RETRIEVAL and store.find(ranks) is not None
         result = harness.evaluate(cfg, rc.strategy, db=store, weights=weights)
         clock += result.eval_minutes
         if result.failure_stage != STAGE_CONSTRAINT:
@@ -246,7 +246,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
         if eet is not None and eet < best_eet:
             best_entry, best_eet = history[-1], eet
         if result.valid and not cache_hit:
-            _insert(store, cfg, result)
+            _insert(store, cfg, ranks, result)
             inserts += 1
             if inserts % RELEARN_EVERY == 0 and len(store) >= 3:
                 weights = learn_weights(store, t_syn, seed=rc.seed)
@@ -440,11 +440,12 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
     prepop = [space.default_configuration()] + \
         warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)
     for cfg in prepop:
-        if store.lookup(cfg) is not None:
+        ranks = config_ranks(space, cfg)
+        if store.find(ranks) is not None:
             continue
         res = harness.evaluate(cfg, DIRECT)
         if res.valid:
-            _insert(store, cfg, res)
+            _insert(store, cfg, ranks, res)
 
     out = {"configs": configs, "strategies": {}}
     oracle = harness.backend.match_weights

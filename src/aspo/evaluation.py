@@ -4,24 +4,24 @@
 design: the constraint stage, the retrieval lookup, the choice of reference
 checkpoint, synthesis by the backend, the resource stage on the synthesized
 LUT count, and the one conversion of the tool's minutes into the run's
-virtual minutes (``time_scale``).  It builds every failed result, and a
-configuration that does not match the space raises before any stage.  The
-reference is none under ``direct`` (synthesis from scratch), the default
-configuration under ``fixed-checkpoint``, and the nearest stored checkpoint
-under ``retrieval``, where an exact hit returns the cached metrics at lookup
-cost.  A backend has a ``space``, a ``base_frequency`` that failed results
-record, and ``synthesize(cfg, reference_cfg, benchmark)``, which returns a
-valid result in the tool's own minutes or raises ``Rejected``.  The answer
-depends on the design and the reference alone.
+virtual minutes (``time_scale``).  It ranks the configuration once, which
+raises before any stage on one that does not match the space, and builds
+every failed result.  The reference is none under ``direct`` (from scratch),
+the default configuration under ``fixed-checkpoint``, and the nearest stored
+checkpoint under ``retrieval``, where an exact hit returns the cached metrics
+at lookup cost.  A backend has a ``space``, a ``base_frequency`` that failed
+results record, and ``synthesize(ranks, reference_ranks, benchmark)`` on rank
+rows, which returns a valid result in the tool's own minutes or raises
+``Rejected``.  The answer depends on the design and the reference alone.
 
 ``SyntheticModel`` is a deterministic closed form standing in for a real
 simulate-and-synthesize flow.  Cycle counts start from a per-benchmark base
 (instructions retired) and grow by a quadratic penalty for every ordinal
 parameter left below its top rank plus a fixed factor per categorical choice;
 LUT usage accumulates per-parameter costs; both sums read per-rank tables
-built once.  The maximum frequency degrades linearly with the LUT load;
-synthesis time ramps from a base to a full (from scratch) figure with the
-weighted distance to the reference.  All coefficients live in a bundled,
+over the rank row.  The maximum frequency degrades linearly with the LUT
+load; synthesis time ramps from a base to a full (from scratch) figure with
+the ``rank_distance`` to the reference.  All coefficients live in a bundled,
 frozen model file so results are reproducible oracles.  ``ExternalEvaluator``
 runs a real toolchain over a one-request, one-response JSON line protocol.
 """
@@ -39,8 +39,7 @@ from .checkpoints import (
     CheckpointStore,
     DistanceWeights,
     artifact_path,
-    match_config,
-    weighted_distance,
+    rank_distance,
 )
 from .constraints import exact_configuration
 from .errors import (
@@ -50,6 +49,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .space import CATEGORICAL, ParameterSpace, config_ranks
+from .space import rank_configuration
 
 DIRECT = "direct"
 FIXED_CHECKPOINT = "fixed-checkpoint"
@@ -189,51 +189,58 @@ class SyntheticModel:
         return cls(json.loads(Path(path).read_text()), space)
 
     def luts(self, cfg: dict) -> int:
-        total = float(self.base_luts)
-        for terms, r in zip(self._lut_terms, config_ranks(self.space, cfg)):
-            total += terms[r]
-        return int(round(total))
+        return self._price(config_ranks(self.space, cfg))[0]
 
     def fmax(self, cfg: dict) -> float:
-        return self._fmax_at(self.luts(cfg))
-
-    def _fmax_at(self, luts: int) -> float:
-        """Frequency at a LUT count, falling with the extra LUT load."""
-        load = 0.0 if self._max_extra_luts == 0 \
-            else (luts - self.base_luts) / self._max_extra_luts
-        return self.base_frequency * (1.0 - self.gamma * load)
+        return self._price(config_ranks(self.space, cfg))[1]
 
     def cycles(self, cfg: dict, benchmark: str) -> int:
-        try:
-            base = self.benchmarks[benchmark]
-        except KeyError:
-            raise UndefinedMetricError(f"unknown benchmark {benchmark!r}") from None
-        penalty = 0.0
-        for terms, r in zip(self._cycle_terms, config_ranks(self.space, cfg)):
-            penalty += terms[r]
-        return int(round(base * (1.0 + penalty)))
+        return self.synthesize(config_ranks(self.space, cfg), None,
+                               benchmark).cycles
 
     def synthesis_time(self, cfg: dict, reference_cfg: dict | None) -> float:
+        """``_minutes`` between two configurations."""
+        return self._minutes(
+            config_ranks(self.space, cfg), None if reference_cfg is None
+            else config_ranks(self.space, reference_cfg))
+
+    def _price(self, ranks) -> tuple[int, float, float]:
+        """LUT count, frequency and cycle penalty of a rank row."""
+        luts, penalty = float(self.base_luts), 0.0
+        for lut, cycle, r in zip(self._lut_terms, self._cycle_terms, ranks):
+            luts += lut[r]
+            penalty += cycle[r]
+        luts = int(round(luts))
+        # the frequency falls with the extra LUT load
+        load = 0.0 if self._max_extra_luts == 0 \
+            else (luts - self.base_luts) / self._max_extra_luts
+        return luts, self.base_frequency * (1.0 - self.gamma * load), penalty
+
+    def _minutes(self, ranks, reference_ranks) -> float:
         """Minutes to synthesize, ramping with distance to the reference.
 
         No reference means a from-scratch run at the full figure.  The ramp
         uses the model's own match weights, so incremental reuse pays off in
         proportion to how much of the design is shared.
         """
-        if reference_cfg is None:
+        if reference_ranks is None:
             return self.t_full
-        d = weighted_distance(self.space, cfg, reference_cfg, self.match_weights)
+        d = rank_distance(self.space, ranks, reference_ranks, self.match_weights)
         frac = min(d / self._max_dist, 1.0) if self._max_dist > 0 else 1.0
         return min(max(self.t_base + (self.t_full - self.t_base) * frac,
                        self.t_base), self.t_full)
 
-    def synthesize(self, cfg: dict, reference_cfg: dict | None,
+    def synthesize(self, ranks, reference_ranks,
                    benchmark: str) -> EvaluationResult:
-        luts = self.luts(cfg)
+        try:
+            base = self.benchmarks[benchmark]
+        except KeyError:
+            raise UndefinedMetricError(f"unknown benchmark {benchmark!r}") from None
+        luts, fmax, penalty = self._price(ranks)
         return EvaluationResult(
-            cycles=self.cycles(cfg, benchmark), fmax_mhz=self._fmax_at(luts),
-            luts=luts, power_w=self.power_idle + self.power_per_lut * luts,
-            eval_minutes=self.synthesis_time(cfg, reference_cfg), valid=True)
+            cycles=int(round(base * (1.0 + penalty))), fmax_mhz=fmax, luts=luts,
+            power_w=self.power_idle + self.power_per_lut * luts,
+            eval_minutes=self._minutes(ranks, reference_ranks), valid=True)
 
 
 class Rejected(Exception):
@@ -268,20 +275,19 @@ class EvalHarness:
     def _stages(self, cfg, strategy, db, weights) -> EvaluationResult:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.space.validate(cfg)
+        ranks = config_ranks(self.space, cfg)
         if not exact_configuration(self.tree, self.space, cfg):
             return self._failed(STAGE_CONSTRAINT, 0, FAILURE_MINUTES)
         from_store = strategy == RETRIEVAL and db is not None and len(db) > 0
-        if from_store and (hit := db.lookup(cfg)) is not None:
+        if from_store and (hit := db.find(ranks)) is not None:
             result = replace(hit.metrics, eval_minutes=LOOKUP_MINUTES)
         else:
             if strategy == FIXED_CHECKPOINT:
-                reference = self.space.default_configuration()
+                reference = self.space.default_ranks
             else:
-                reference = match_config(db, cfg, weights).config \
-                    if from_store else None
+                reference = db.nearest(ranks, weights) if from_store else None
             try:
-                result = self.backend.synthesize(cfg, reference, self.benchmark)
+                result = self.backend.synthesize(ranks, reference, self.benchmark)
             except Rejected as rejection:
                 stage, minutes = rejection.args
                 return self._failed(stage, 0, minutes)
@@ -300,8 +306,8 @@ class ExternalEvaluator:
                "luts": ..., "power_w": ..., "synthesis_minutes": ...}
           or  {"id": ..., "status": "invalid", "stage": ...}
 
-    ``checkpoint_hint`` is the artifact handle of the reference
-    configuration, or null for a from-scratch run.  A timeout is a rejection
+    ``config`` is the design in space order; ``checkpoint_hint`` is the
+    reference's artifact handle, or null for a from-scratch run.  A timeout is a rejection
     at the synthesis stage charged ``timeout_s`` of the tool's time; an
     ``invalid`` reply is one charged ``FAILURE_MINUTES``.
     """
@@ -317,12 +323,13 @@ class ExternalEvaluator:
         self.timeout_s = timeout_s
         self._next_id = 0
 
-    def synthesize(self, cfg: dict, reference_cfg: dict | None,
+    def synthesize(self, ranks, reference_ranks,
                    benchmark: str) -> EvaluationResult:
         self._next_id += 1
-        hint = None if reference_cfg is None \
-            else artifact_path(self.space, reference_cfg)
-        request = {"id": f"r{self._next_id}", "config": cfg,
+        hint = None if reference_ranks is None else artifact_path(
+            self.space, rank_configuration(self.space, reference_ranks))
+        request = {"id": f"r{self._next_id}",
+                   "config": rank_configuration(self.space, ranks),
                    "checkpoint_hint": hint, "benchmark": benchmark}
         proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
                                 stdout=subprocess.PIPE, text=True)

@@ -57,6 +57,12 @@ class ParameterDef:
         if not self.values:
             raise InvalidConfigurationError(
                 f"parameter {self.name!r}: empty value list")
+        try:
+            hash((self.name, self.values))
+        except TypeError:
+            raise InvalidConfigurationError(
+                f"parameter {self.name!r}: name and values must be hashable"
+            ) from None
         if len(set(self.values)) != len(self.values):
             raise InvalidConfigurationError(
                 f"parameter {self.name!r}: duplicate values")
@@ -108,6 +114,7 @@ class ParameterSpace:
         self._offsets = tuple(offsets)
         self.encoded_dim = pos
         self.counts = tuple(p.count for p in params)
+        self.default_ranks = tuple(p.values.index(p.default) for p in params)
         self.categorical_mask = np.array([p.kind == CATEGORICAL for p in params],
                                          dtype=bool)
         # rank / divisor is an ordinal's scaled rank and a categorical's index
@@ -134,8 +141,6 @@ class ParameterSpace:
         self._ord_params = idx(ordn)
         self._ord_steps = np.array([self.counts[i] - 1 for i in ordn],
                                    dtype=float)
-        # a single-valued ordinal encodes its rank 0 as 0 / 1
-        self._ord_divisors = np.maximum(self._ord_steps, 1.0)
         self._ord_last = np.maximum(self._ord_steps - 1, 0).astype(np.intp)
         self._ord_rows = np.arange(len(ordn))
         table_width = max([2] + [self.counts[i] for i in ordn])
@@ -183,10 +188,6 @@ class ParameterSpace:
         """All configurations in lexicographic order; only for small spaces."""
         for combo in itertools.product(*(p.values for p in self.params)):
             yield {p.name: v for p, v in zip(self.params, combo)}
-
-    def ordinal_values(self, cfg: dict) -> dict:
-        """Numeric view of a configuration: ordinal parameter values only."""
-        return {p.name: cfg[p.name] for p in self.params if p.kind == ORDINAL}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParameterSpace":
@@ -265,8 +266,8 @@ def encode_ranks(space: ParameterSpace, ranks) -> np.ndarray:
     out = np.zeros((*ranks.shape[:-1], space.encoded_dim))
     np.put_along_axis(out, space._cat_offsets + ranks[..., space._cat_params],
                       1.0, axis=-1)
-    out[..., space.ordinal_coords] = ranks[..., space._ord_params] \
-        / space._ord_divisors
+    ords = space._ord_params
+    out[..., space.ordinal_coords] = ranks[..., ords] / space.rank_divisors[ords]
     return out
 
 
@@ -293,8 +294,8 @@ def point_ranks(space: ParameterSpace, points) -> np.ndarray:
 def ordinal_columns(space: ParameterSpace, ranks) -> dict:
     """Ordinal parameter values of rank rows, one array per parameter.
 
-    The batched counterpart of ``ParameterSpace.ordinal_values``: pass it to
-    ``exact_tree`` to check a whole batch of configurations at once.
+    Pass it to ``exact_tree`` to check a whole batch of configurations at
+    once.
     """
     ranks = np.asarray(ranks, dtype=np.intp)
     return {name: values[ranks[:, i]] for name, values, i in zip(

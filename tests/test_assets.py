@@ -32,7 +32,7 @@ def test_boom_default_satisfies_constraints():
     bundle = assets.load_bundle("boom")
     default = bundle.space.default_configuration()
     assert exact_configuration(bundle.tree, bundle.space, default)
-    values = bundle.space.ordinal_values(default)
+    values = {n: default[n] for n in bundle.space.ordinal_names}
     assert smooth_satisfied(smooth_tree(bundle.tree, values))
 
 

@@ -9,7 +9,6 @@ from aspo.checkpoints import (
     DistanceWeights,
     RelaxedCost,
     artifact_path,
-    config_features,
     cost_estimate,
     learn_weights,
     match_config,
@@ -476,7 +475,7 @@ class TestLearnWeightsMatchesReference:
 
 @pytest.mark.parametrize("processor", ["boom", "rocketchip", "el2_veer"])
 def test_config_features_match_reference_loop(processor):
-    """The index-array features equal the per-parameter loop bit for bit."""
+    """The store's feature rows equal the per-parameter loop bit for bit."""
     space = assets.load_bundle(processor).space
     rng = np.random.default_rng(3)
     for _ in range(500):
@@ -485,4 +484,6 @@ def test_config_features_match_reference_loop(processor):
         for i, p in enumerate(space.params):
             want[i] = p.values.index(cfg[p.name]) if p.kind == "categorical" \
                 else p.scaled_rank(cfg[p.name])
-        assert config_features(space, cfg).tobytes() == want.tobytes()
+        store = CheckpointStore(space)
+        store.insert(CheckpointRecord(cfg, encode(space, cfg), ok_metrics()))
+        assert store._features[0].tobytes() == want.tobytes()

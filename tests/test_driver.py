@@ -293,9 +293,9 @@ class TestResourceStage:
         synthesized = {}
         real_synthesize = SyntheticModel.synthesize
 
-        def recording_synthesize(model, cfg, reference_cfg, benchmark):
-            result = real_synthesize(model, cfg, reference_cfg, benchmark)
-            synthesized[tuple(cfg.values())] = result.eval_minutes
+        def recording_synthesize(model, ranks, reference_ranks, benchmark):
+            result = real_synthesize(model, ranks, reference_ranks, benchmark)
+            synthesized[tuple(ranks)] = result.eval_minutes
             return result
 
         monkeypatch.setattr(CheckpointStore, "insert", recording_insert)
@@ -318,9 +318,48 @@ class TestResourceStage:
             assert e.result.luts == model.luts(e.config)
             # charged the synthesis the tool has already run
             assert e.result.eval_minutes == \
-                synthesized[tuple(e.config.values())] * rc.time_compression
+                synthesized[e.ranks] * rc.time_compression
             assert e.config not in inserted
         assert len(inserted) == sum(e.result.valid for e in report.history)
+
+
+class TestRankBudget:
+    def test_retrieval_evaluation_ranks_its_design_at_most_four_times(
+            self, monkeypatch):
+        """The driver, the cost estimate, the harness and the store insert
+        each rank a design once; weight learning is not counted."""
+        import sys
+
+        from aspo import space as space_mod
+
+        real_ranks = space_mod.config_ranks
+        calls = 0
+        learning = 0
+
+        def counted_ranks(space, cfg):
+            nonlocal calls
+            calls += learning == 0
+            return real_ranks(space, cfg)
+
+        real_learn = driver_mod.learn_weights
+
+        def learn(*args, **kwargs):
+            nonlocal learning
+            learning += 1
+            try:
+                return real_learn(*args, **kwargs)
+            finally:
+                learning -= 1
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "aspo" and \
+                    getattr(mod, "config_ranks", None) is real_ranks:
+                monkeypatch.setattr(mod, "config_ranks", counted_ranks)
+        monkeypatch.setattr(driver_mod, "learn_weights", learn)
+        rc = boom_rc(budget_iterations=34, stagnation_limit=None)
+        report = run_baseline(rc, "hill-climb")
+        assert report.evaluations == 40
+        assert calls <= 4 * report.evaluations + 10
 
 
 class TestEmitReport:
@@ -472,6 +511,8 @@ class TestCli:
     @pytest.mark.parametrize("file, edit", [
         ("space", lambda d: d["parameters"][0].update(values=5)),
         ("space", lambda d: d.update(parameters=["a"])),
+        ("space", lambda d: d["parameters"][0].update(values=[[1], [2]])),
+        ("space", lambda d: d["parameters"][0].update(name=["a"])),
         ("constraints", lambda d: d["all"][0]["ineq"].update(ka=[1])),
         ("constraints", lambda d: d.update({"all": [{"cond": {
             "if": {"param": "a", "in": [[1], 2]},
@@ -480,7 +521,8 @@ class TestCli:
         ("model", lambda d: d.update(parameters=5)),
         ("model", lambda d: d["parameters"].update(a=5)),
         ("model", lambda d: d["benchmarks"].update(multiply="x")),
-    ], ids=["space-values", "space-entry", "ineq-coefficient",
+    ], ids=["space-values", "space-entry", "space-unhashable-values",
+            "space-unhashable-name", "ineq-coefficient",
             "interval-bound", "model-number", "model-parameters",
             "model-parameter-entry", "model-benchmark"])
     def test_validate_malformed_file_exits_2(self, tmp_path, file, edit):

@@ -11,6 +11,7 @@ from aspo.checkpoints import (
     CheckpointStore,
     artifact_path,
     match_config,
+    rank_distance,
     weighted_distance,
 )
 from aspo.constraints import feasible_draws
@@ -33,7 +34,7 @@ from aspo.evaluation import (
     SyntheticModel,
     estimated_execution_time,
 )
-from aspo.space import encode, random_configuration
+from aspo.space import config_ranks, encode, random_configuration
 from oracles import reference_cycles, reference_luts
 
 
@@ -250,6 +251,39 @@ def test_tabled_model_matches_the_per_parameter_loops(processor):
         for benchmark in model.benchmarks:
             assert model.cycles(cfg, benchmark) == reference_cycles(
                 bundle.model, bundle.space, cfg, benchmark)
+
+
+class TestRowPricing:
+    """``synthesize`` on rank rows prices every design as the dict path
+    does, bit for bit."""
+
+    @pytest.mark.parametrize("processor", assets.PROCESSORS)
+    def test_rows_price_as_the_dicts(self, processor):
+        bundle = assets.load_bundle(processor)
+        space = bundle.space
+        model = SyntheticModel(bundle.model, space)
+        weights = model.match_weights
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            cfg = random_configuration(space, rng)
+            ranks = config_ranks(space, cfg)
+            for ref in (None, space.default_configuration(),
+                        random_configuration(space, rng)):
+                ref_ranks = None if ref is None else tuple(config_ranks(space, ref))
+                minutes = model.synthesis_time(cfg, ref)
+                if ref is not None:
+                    assert np.float64(rank_distance(
+                        space, ranks, ref_ranks, weights)).tobytes() == \
+                        np.float64(weighted_distance(
+                            space, cfg, ref, weights)).tobytes()
+                for benchmark in model.benchmarks:
+                    res = model.synthesize(ranks, ref_ranks, benchmark)
+                    assert res.luts == reference_luts(bundle.model, space, cfg)
+                    assert res.cycles == reference_cycles(
+                        bundle.model, space, cfg, benchmark)
+                    assert res.fmax_mhz == model.fmax(cfg)
+                    assert np.float64(res.eval_minutes).tobytes() == \
+                        np.float64(minutes).tobytes()
 
 
 def malformed(space, kind):
@@ -488,6 +522,34 @@ class TestExternalEvaluator:
         h.evaluate(cfg, RETRIEVAL, db=store, weights=weights)
         hints = [r["checkpoint_hint"] for r in recorded_requests(log)]
         assert hints == [None, artifact_path(space, default), matched.artifact]
+
+    def test_retrieval_request_names_the_matched_checkpoint(self, boom,
+                                                             tmp_path):
+        bundle, model = boom
+        space = bundle.space
+        log = tmp_path / "requests.jsonl"
+        h = tool_harness(bundle, RECORDER, str(log))
+        # records without artifacts, as the driver stores them
+        store = CheckpointStore(space)
+        direct = harness_for(bundle, model)
+        for cfg in [space.default_configuration()] + random_feasible(
+                bundle, np.random.default_rng(4), 6):
+            store.insert(CheckpointRecord(config=cfg, encoded=encode(space, cfg),
+                                          metrics=direct.evaluate(cfg, DIRECT)))
+        weights = model.match_weights
+        cfgs = [c for c in random_feasible(bundle, np.random.default_rng(5), 6)
+                if store.lookup(c) is None]
+        for cfg in cfgs:
+            # the caller's key order is not the space's
+            h.evaluate(dict(reversed(cfg.items())), RETRIEVAL, db=store,
+                       weights=weights)
+        requests = recorded_requests(log)
+        assert len(requests) == len(cfgs) > 0
+        for cfg, request in zip(cfgs, requests):
+            assert request["checkpoint_hint"] == artifact_path(
+                space, match_config(store, cfg, weights).config)
+            assert list(request["config"].items()) == [
+                (p.name, cfg[p.name]) for p in space.params]
 
     def test_lookup_hit_never_spawns_the_tool(self, boom, tmp_path):
         bundle, model = boom
