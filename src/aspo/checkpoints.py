@@ -6,7 +6,7 @@ over per-parameter features: ordinal parameters compare scaled ranks,
 categorical parameters contribute a 0/1 mismatch indicator.  The minimum
 distance to the database doubles as the evaluation-cost estimate fed to the
 acquisition function, and the per-parameter weights are learned by
-coordinate descent against observed synthesis times.
+coordinate descent against the synthesis times a pair oracle gives.
 
 Concurrency: single writer (the driver), any number of readers.  The store
 lives in memory.  ``artifact_path`` hashes a configuration into an artifact
@@ -63,19 +63,17 @@ def _pairwise_terms(cat: np.ndarray, fa: np.ndarray,
     return np.where(cat, fa != fb, (fa - fb) ** 2)
 
 
-def rank_distance(space: ParameterSpace, a, b,
-                  weights: DistanceWeights) -> float:
-    """Sum of w_i * feature-difference^2 between two rank rows."""
+def rank_terms(space: ParameterSpace, a, b) -> np.ndarray:
+    """Per-parameter distance terms between two rank rows."""
     fa, fb = np.divide([a, b], space.rank_divisors)
-    terms = _pairwise_terms(space.categorical_mask, fa, fb)
-    return float(np.dot(weights.w, terms))
+    return _pairwise_terms(space.categorical_mask, fa, fb)
 
 
 def weighted_distance(space: ParameterSpace, x: dict, q: dict,
                       weights: DistanceWeights) -> float:
-    """``rank_distance`` between two configurations."""
-    return rank_distance(space, config_ranks(space, x), config_ranks(space, q),
-                         weights)
+    """Sum of w_i * feature-difference^2 between two configurations."""
+    return float(np.dot(weights.w, rank_terms(
+        space, config_ranks(space, x), config_ranks(space, q))))
 
 
 def artifact_path(space: ParameterSpace, cfg: dict) -> str:
@@ -95,7 +93,8 @@ class CheckpointStore:
         self.space = space
         self._records: dict[tuple, CheckpointRecord] = {}
         self._rows: list[tuple] = []
-        self._features = np.empty((0, len(space)))
+        self._buffer = np.empty((16, len(space)))
+        self._features = self._buffer[:0]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -107,9 +106,11 @@ class CheckpointStore:
         """Add or refresh a record; re-inserting keeps the original rank."""
         key = tuple(config_ranks(self.space, record.config))
         if key not in self._records:
+            if len(self._rows) == len(self._buffer):
+                self._buffer = np.vstack([self._buffer] * 2)
             self._rows.append(key)
-            self._features = np.vstack(
-                [self._features, np.divide(key, self.space.rank_divisors)])
+            self._features = self._buffer[:len(self._rows)]
+            self._features[-1] = np.divide(key, self.space.rank_divisors)
         self._records[key] = record
 
     def lookup(self, cfg: dict) -> CheckpointRecord | None:
@@ -149,10 +150,18 @@ def cost_estimate(store: CheckpointStore, cfg: dict,
 
 def learn_weights(store: CheckpointStore, synthesis_time_fn,
                   seed: int = 0) -> DistanceWeights:
+    """``learn_pair_weights`` asking ``synthesis_time_fn(cfg, record)``."""
+    return learn_pair_weights(
+        store, lambda a, b, terms: synthesis_time_fn(a.config, b), seed)
+
+
+def learn_pair_weights(store: CheckpointStore, pair_minutes,
+                       seed: int = 0) -> DistanceWeights:
     """Pick weights minimizing leave-one-out synthesis time on a sampled subset.
 
-    ``synthesis_time_fn(cfg, reference_record)`` supplies the time model.  It
-    must be pure and never NaN: each ordered pair of sampled records is
+    ``pair_minutes(record, reference, terms)`` gives the minutes to
+    synthesize ``record`` from ``reference`` (``terms``: their ``rank_terms``).
+    It must be pure and never NaN: each ordered pair of sampled records is
     asked at most once per call, and later trials reuse the answer.
 
     Coordinate descent over a fixed grid, starting from all-ones; a grid
@@ -195,7 +204,8 @@ def learn_weights(store: CheckpointStore, synthesis_time_fn,
         j += j >= rows
         t, i = np.nonzero(np.isnan(times[rows, j]))
         for a, b in set(zip(i.tolist(), j[t, i].tolist())):
-            times[a, b] = synthesis_time_fn(sample[a].config, sample[b])
+            times[a, b] = pair_minutes(sample[a], sample[b],
+                                       terms[a, b - (b > a)])
         # summed in sample order, as one running total per trial
         return np.add.accumulate(times[rows, j], axis=1)[:, -1]
 

@@ -17,7 +17,7 @@ tree supports:
 
 ``exact_tree`` and ``smooth_tree`` accept scalars or numpy arrays for the
 parameter values, so whole grids of configurations can be checked in one
-call; ``feasible_rows`` applies that to rows of parameter ranks.
+call.  Checks on a space read per-conjunct tables that ``exact_tree`` fills.
 
 Encoding notes.  A conditional "if x1 in [a1,b1] then x2 in [a2,b2]" is
 relaxed as ``max(-c1(x1) - m, min(c1(x1), c2(x2)))`` with ``c(v) =
@@ -37,6 +37,7 @@ import functools
 import json
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ from .errors import (
     InfeasibleSpaceError,
     UnknownParameterError,
 )
-from .space import ORDINAL, ParameterSpace, ordinal_columns
+from .space import ORDINAL, ParameterSpace
 from .space import random_configuration, relaxed_arrays
 
 # |smooth| at or above zero minus this tolerance counts as satisfied; the
@@ -55,7 +56,7 @@ from .space import random_configuration, relaxed_arrays
 # near -1e-29 instead of 0 in float64.
 SIGN_TOL = 1e-9
 
-#: uniform draws a rejection sampler may spend before it gives up
+#: uniform draws a rejection sampler may spend, and the most a table may hold
 MAX_REJECTION_DRAWS = 100_000
 
 # Fallback vacuity margin for hand-built conditionals; safe for integer grids
@@ -192,32 +193,69 @@ def exact_tree(tree, values):
 
 
 def exact_configuration(tree, space: ParameterSpace, cfg: dict) -> bool:
-    """Convenience wrapper: exact semantics on a configuration of a space."""
-    if tree is None:
-        return True
-    return bool(exact_tree(tree, {n: cfg[n] for n in space.ordinal_names}))
+    """Exact semantics on a configuration of a space, read from the tables."""
+    row = [ranks[cfg[name]] for name, ranks in space._rank_tables]
+    return len(feasible_rows(tree, space, np.array([row]))) == 1
 
 
 def feasible_rows(tree, space: ParameterSpace, ranks: np.ndarray) -> np.ndarray:
-    """Rank rows passing the exact semantics, in order (one array call)."""
+    """Rank rows passing the exact semantics, in order (one gather)."""
     if tree is None or not len(ranks):
         return ranks
-    return ranks[exact_tree(tree, ordinal_columns(space, ranks))]
+    _, _, strides, offsets, flat = _tables(tree, space)
+    return ranks[flat[ranks @ strides + offsets].all(axis=-1)]
 
 
 def feasible_count(tree, space: ParameterSpace) -> int:
-    """Number of configurations that pass the exact semantics.
+    """Configurations that pass the exact semantics: the space's size times
+    the share of each group's joined table that passes, or the size itself
+    (a bound) when a joined grid exceeds ``MAX_REJECTION_DRAWS``."""
+    if tree is None:
+        return space.size()
+    joined = []                         # (table, columns) of each group
+    for cols, table in _tables(tree, space)[1]:
+        apart = [g for g in joined if not set(g[1]) & set(cols)]
+        for other in [g for g in joined if set(g[1]) & set(cols)]:
+            axes = sorted({*cols, *other[1]})
+            if math.prod(space.counts[i] for i in axes) > MAX_REJECTION_DRAWS:
+                return space.size()
+            table, cols = np.einsum(table, cols, *other, axes), axes
+        joined = apart + [(table, cols)]
+    return functools.reduce(lambda n, g: n // g[0].size * int(g[0].sum()),
+                            joined, space.size())
 
-    A space with a tree and at most ``MAX_REJECTION_DRAWS`` configurations,
-    the draws that rejection sampling would spend anyway, is counted with
-    one ``feasible_rows`` call over its whole rank grid.  Any other space
-    gives its size, which bounds the count.
-    """
-    size = space.size()
-    if tree is None or size > MAX_REJECTION_DRAWS:
-        return size
-    grid = np.indices(space.counts).reshape(len(space), -1).T
-    return len(feasible_rows(tree, space, grid))
+
+#: per space, the tables of each tree checked on it, by tree identity; they
+#: depend on the two alone, so every caller can share them
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _tables(tree, space: ParameterSpace) -> tuple:
+    """``(tree, grids, strides, offsets, flat)``, built once per tree and
+    space: each conjunct's columns and table in ``grids``, and the tables
+    raveled end to end in ``flat``, where a rank row's entry in table ``k``
+    is ``flat[offsets[k] + row @ strides[:, k]]``.  Holding the tree keeps
+    its id from passing to another tree."""
+    per_tree = _TABLES.setdefault(space, {})
+    if id(tree) not in per_tree:
+        conjuncts = tree.children if isinstance(tree, Conj) else (tree,)
+        grids, strides = [], np.zeros((len(space), len(conjuncts)), np.intp)
+        for k, conjunct in enumerate(conjuncts):
+            names = tree_parameters(conjunct)
+            cols = [i for i, p in enumerate(space.params) if p.name in names]
+            shape = [space.counts[i] for i in cols]
+            if math.prod(shape) > MAX_REJECTION_DRAWS:
+                raise ConstraintSyntaxError(
+                    f"a rule over {', '.join(sorted(names))} spans "
+                    f"{math.prod(shape)} > {MAX_REJECTION_DRAWS} designs")
+            grids.append((cols, np.ascontiguousarray(exact_tree(conjunct, {
+                space.params[i].name: np.asarray(space.params[i].values)[a]
+                for i, a in zip(cols, np.indices(shape, sparse=True))}))))
+            strides[cols, k] = grids[-1][1].strides     # one byte an entry
+        sizes = [table.size for _, table in grids]
+        per_tree[id(tree)] = (tree, grids, strides, np.cumsum(sizes) - sizes,
+                              np.concatenate([t.ravel() for _, t in grids]))
+    return per_tree[id(tree)]
 
 
 def feasible_draws(tree, space: ParameterSpace, rng,
@@ -494,6 +532,7 @@ def parse_constraints(source, space: ParameterSpace) -> Conj:
         raise ConstraintSyntaxError('top level must be {"all": [...]}')
     node = _parse_node(space, data, "$")
     assert isinstance(node, Conj)
+    _tables(node, space)                # a rule too wide to table raises
     return node
 
 

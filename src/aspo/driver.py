@@ -43,7 +43,7 @@ from .checkpoints import (
     DistanceWeights,
     RelaxedCost,
     cost_estimate,
-    learn_weights,
+    learn_pair_weights,
 )
 from .constraints import feasible_count, feasible_draws, load_constraints
 from .errors import InvalidConfigurationError, NumericalError
@@ -228,8 +228,8 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     # distinct configurations that pass the tree, as ranks
     evaluated: set[tuple] = set()
 
-    def t_syn(cfg, ref_record):
-        return harness.backend.synthesis_time(cfg, ref_record.config)
+    def t_syn(record, reference, terms):    # priced from the pair's terms
+        return harness.backend.reuse_minutes(terms)
 
     def run_eval(iteration, cfg, alpha_value):
         nonlocal clock, inserts, weights, best_entry, best_eet
@@ -249,7 +249,7 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
             _insert(store, cfg, ranks, result)
             inserts += 1
             if inserts % RELEARN_EVERY == 0 and len(store) >= 3:
-                weights = learn_weights(store, t_syn, seed=rc.seed)
+                weights = learn_pair_weights(store, t_syn, seed=rc.seed)
 
     warm = warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)
     for cfg in warm:

@@ -21,16 +21,17 @@ parameter left below its top rank plus a fixed factor per categorical choice;
 LUT usage accumulates per-parameter costs; both sums read per-rank tables
 over the rank row.  The maximum frequency degrades linearly with the LUT
 load; synthesis time ramps from a base to a full (from scratch) figure with
-the ``rank_distance`` to the reference.  All coefficients live in a bundled,
-frozen model file so results are reproducible oracles.  ``ExternalEvaluator``
-runs a real toolchain over a one-request, one-response JSON line protocol.
+the weighted ``rank_terms`` to the reference (``reuse_minutes``).  All
+coefficients live in a bundled, frozen model file so results are reproducible
+oracles.  ``ExternalEvaluator`` runs a real toolchain over a one-request,
+one-response JSON line protocol.
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .checkpoints import (
     CheckpointStore,
     DistanceWeights,
     artifact_path,
-    rank_distance,
+    rank_terms,
 )
 from .constraints import exact_configuration
 from .errors import (
@@ -81,7 +82,7 @@ class EvaluationResult:
                              "invalid ones must name it")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))     # scalar fields: no deep copy needed
 
 
 @dataclass(frozen=True)
@@ -217,15 +218,16 @@ class SyntheticModel:
         return luts, self.base_frequency * (1.0 - self.gamma * load), penalty
 
     def _minutes(self, ranks, reference_ranks) -> float:
-        """Minutes to synthesize, ramping with distance to the reference.
-
-        No reference means a from-scratch run at the full figure.  The ramp
-        uses the model's own match weights, so incremental reuse pays off in
-        proportion to how much of the design is shared.
-        """
+        """Minutes to synthesize; the full figure without a reference."""
         if reference_ranks is None:
             return self.t_full
-        d = rank_distance(self.space, ranks, reference_ranks, self.match_weights)
+        return self.reuse_minutes(
+            rank_terms(self.space, ranks, reference_ranks))
+
+    def reuse_minutes(self, terms) -> float:
+        """Minutes to synthesize at ``rank_terms`` row ``terms`` from the
+        reference: reuse pays off in proportion to the design shared."""
+        d = float(np.dot(self.match_weights.w, terms))
         frac = min(d / self._max_dist, 1.0) if self._max_dist > 0 else 1.0
         return min(max(self.t_base + (self.t_full - self.t_base) * frac,
                        self.t_base), self.t_full)

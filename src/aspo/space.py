@@ -12,10 +12,10 @@ Every space precomputes index arrays once: the coordinates of each one-hot
 block, the coordinate and rank step of each ordinal, and a padded table of
 ordinal values.  ``encode``, ``snap``, ``decode`` and ``relaxed_values`` read
 these arrays instead of walking the parameters, and the rank helpers
-(``config_ranks``, ``point_ranks``, ``encode_ranks``, ``ordinal_columns``)
-expose the same layout to batched callers: a configuration is a row of
-per-parameter ranks, and a batch of rows encodes or feeds the exact
-constraint semantics in one array operation.  ``point_ranks`` and ``snap``
+(``config_ranks``, ``point_ranks``, ``encode_ranks``) expose the same
+layout to batched callers: a configuration is a row of per-parameter ranks,
+and a batch of rows encodes or indexes the exact constraint tables in one
+array operation.  ``point_ranks`` and ``snap``
 take a point ``(D,)`` or rows ``(M, D)`` under one box check.  Each batched
 result equals the per-point one bit for bit.
 """
@@ -289,17 +289,6 @@ def point_ranks(space: ParameterSpace, points) -> np.ndarray:
     ranks[..., space._ord_params] = np.ceil(
         arr[..., space.ordinal_coords] * space._ord_steps - 0.5).astype(np.intp)
     return ranks
-
-
-def ordinal_columns(space: ParameterSpace, ranks) -> dict:
-    """Ordinal parameter values of rank rows, one array per parameter.
-
-    Pass it to ``exact_tree`` to check a whole batch of configurations at
-    once.
-    """
-    ranks = np.asarray(ranks, dtype=np.intp)
-    return {name: values[ranks[:, i]] for name, values, i in zip(
-        space.ordinal_names, space._ord_table, space._ord_params)}
 
 
 def random_configuration(space: ParameterSpace, rng) -> dict:

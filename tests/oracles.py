@@ -14,7 +14,9 @@ model's LUT and cycle sums are kept as the per-parameter loops that looked
 each value up in its coefficient file before the model tabled its terms
 per rank.  The GP's
 duplicate merge is kept as it grouped snapped rows by rounding them, and
-the maximizer's candidates are snapped one solver point at a time.  Tests
+the maximizer's candidates are snapped one solver point at a time.  The
+exact constraint check walks the tree over per-parameter value columns, as
+it did before the constraints layer read per-conjunct tables.  Tests
 compare the likelihood, the posterior and the acquisition built on it
 against them within a tolerance, since ``aspo.gp`` sums in other orders
 than these dots and solves, and the constraint jacobian, the walks, the
@@ -436,3 +438,14 @@ def reference_cycles(data: dict, space, cfg: dict, benchmark: str) -> int:
         else:
             penalty += c["cycle_beta"] * (1.0 - p.scaled_rank(cfg[p.name])) ** 2
     return int(round(data["benchmarks"][benchmark] * (1.0 + penalty)))
+
+
+def ordinal_columns(space, ranks) -> dict:
+    """Ordinal parameter values of rank rows, one array per parameter.
+
+    Pass it to ``exact_tree`` to walk the tree over a whole batch of
+    configurations at once.
+    """
+    ranks = np.asarray(ranks, dtype=np.intp)
+    return {name: values[ranks[:, i]] for name, values, i in zip(
+        space.ordinal_names, space._ord_table, space._ord_params)}

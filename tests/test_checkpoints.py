@@ -10,8 +10,10 @@ from aspo.checkpoints import (
     RelaxedCost,
     artifact_path,
     cost_estimate,
+    learn_pair_weights,
     learn_weights,
     match_config,
+    rank_terms,
     weighted_distance,
 )
 from aspo.errors import (
@@ -20,7 +22,13 @@ from aspo.errors import (
     InvalidConfigurationError,
 )
 from aspo.evaluation import EvaluationResult
-from aspo.space import ParameterDef, ParameterSpace, encode, random_configuration
+from aspo.space import (
+    ParameterDef,
+    ParameterSpace,
+    config_ranks,
+    encode,
+    random_configuration,
+)
 from oracles import reference_learn_weights
 
 
@@ -468,6 +476,39 @@ class TestLearnWeightsMatchesReference:
 
         for seed in range(4):
             (w, asked), (want, want_asked) = learn_both(store, t_syn, seed)
+            assert w.tobytes() == want.tobytes(), (seed, w, want)
+            assert set(asked) == set(want_asked)
+            assert len(asked) == len(set(asked))
+
+
+class TestPairOracle:
+    """The learner as the driver runs it, with the model pricing each pair
+    from the learner's own terms row, against ``learn_weights`` with the
+    dict callback ``synthesis_time``: the same weights bit for bit, and the
+    same pairs asked."""
+
+    @pytest.mark.parametrize("n", [3, 7, 20, 33])
+    @pytest.mark.parametrize("processor", ["boom", "rocketchip", "el2_veer"])
+    def test_weights_and_pairs_match_the_dict_callback(self, processor, n):
+        for seed in range(4):
+            store, model = feasible_store(processor, n, seed)
+            space = store.space
+            rows = {id(r): row for r, row in zip(store.records(), store._rows)}
+            asked, want_asked = [], []
+
+            def oracle(record, reference, terms):
+                pair = rows[id(record)], rows[id(reference)]
+                asked.append(pair)
+                assert terms.tobytes() == rank_terms(space, *pair).tobytes()
+                return model.reuse_minutes(terms)
+
+            def t_syn(cfg, ref):
+                want_asked.append((tuple(config_ranks(space, cfg)),
+                                   rows[id(ref)]))
+                return model.synthesis_time(cfg, ref.config)
+
+            w = learn_pair_weights(store, oracle, seed=seed).w
+            want = learn_weights(store, t_syn, seed=seed).w
             assert w.tobytes() == want.tobytes(), (seed, w, want)
             assert set(asked) == set(want_asked)
             assert len(asked) == len(set(asked))

@@ -10,10 +10,12 @@ from aspo.constraints import (
     Inequality,
     IntervalAtom,
     _interval_value,
+    _tables,
     compile_tree,
     exact_configuration,
     exact_tree,
     feasible_count,
+    feasible_rows,
     parse_constraints,
     smooth_constraint,
     smooth_gradient,
@@ -27,11 +29,11 @@ from aspo.space import (
     ParameterDef,
     ParameterSpace,
     config_ranks,
-    ordinal_columns,
     random_configuration,
     relaxed_arrays,
     relaxed_values,
 )
+from oracles import ordinal_columns
 
 
 def reference_value_and_gradient(tree, values):
@@ -613,6 +615,95 @@ def test_batched_exact_matches_per_configuration():
     assert 0 < sum(want) < len(want)
 
 
+#: hand-built trees over ``SMALL``: each leaf kind, disjunctions, a leaf
+#: that names one parameter twice, conjuncts that share parameters, nested
+#: nodes, and a root that is not a conjunction
+SMALL = dict(a=[1, 2, 3, 4, 6], b=[1, 2, 3], c=[2, 4, 8], d=[1, 5], e=[3, 7])
+HAND_BUILT = {
+    "disj": Conj((Disj((Inequality(1.0, "a", 1.0, "b", 0.0),
+                        Divisibility("b", "a"))),)),
+    "conditional": Conj((Conditional(IntervalAtom("a", 2, 4),
+                                     IntervalAtom("c", 4, 8), 0.5),)),
+    "divisibility": Conj((Divisibility("c", "b"), Divisibility("a", "d"))),
+    "shared": Conj((Inequality(3.0, "a", 1.0, "a", -8.5),
+                    Inequality(1.0, "c", 2.0, "b", 0.0),
+                    Divisibility("c", "b"),
+                    Conditional(IntervalAtom("e", 3, 3),
+                                IntervalAtom("d", 5, 5), 2.0))),
+    "nested": Conj((Disj((Conj((Inequality(1.0, "c", 1.0, "a", 0.0),
+                                Divisibility("a", "b"))),
+                          Conditional(IntervalAtom("b", 1, 2),
+                                      IntervalAtom("e", 7, 7), 0.5))),
+                    Conj((Disj((Divisibility("c", "d"),
+                                Inequality(2.0, "d", 1.0, "e", 0.0))),)))),
+    "leaf-root": Inequality(1.0, "a", 1.0, "c", 1.0),
+}
+
+
+class TestConjunctTables:
+    """The per-conjunct tables against ``exact_tree``, their definition."""
+
+    @staticmethod
+    def check_tables(tree, space):
+        conjuncts = tree.children if isinstance(tree, Conj) else (tree,)
+        grids = _tables(tree, space)[1]
+        assert len(grids) == len(conjuncts)
+        for conjunct, (cols, table) in zip(conjuncts, grids):
+            params = [space.params[i] for i in cols]
+            assert {p.name for p in params} == tree_parameters(conjunct)
+            assert table.shape == tuple(p.count for p in params)
+            for point in np.ndindex(table.shape):
+                values = {p.name: p.values[r] for p, r in zip(params, point)}
+                assert table[point] == bool(exact_tree(conjunct, values))
+
+    def test_boom_tables_at_every_admissible_point(self):
+        bundle = assets.load_bundle("boom")
+        self.check_tables(bundle.tree, bundle.space)
+        sizes = [t.size for _, t in _tables(bundle.tree, bundle.space)[1]]
+        assert len(sizes) == 6 and max(sizes) <= 36
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_trees_on_the_whole_space(self, name):
+        tree, space = HAND_BUILT[name], ordspace(**SMALL)
+        self.check_tables(tree, space)
+        cfgs = list(space.iter_configurations())
+        want = [bool(exact_tree(tree, cfg)) for cfg in cfgs]
+        assert [exact_configuration(tree, space, c) for c in cfgs] == want
+        ranks = np.array([config_ranks(space, c) for c in cfgs])
+        assert feasible_rows(tree, space, ranks).tolist() == \
+            ranks[want].tolist()
+        assert feasible_count(tree, space) == sum(want)
+        assert 0 < sum(want) < len(want)
+
+    def test_feasible_rows_equal_the_tree_walk_on_random_boom_rows(self):
+        bundle = assets.load_bundle("boom")
+        space = bundle.space
+        ranks = np.random.default_rng(44).integers(
+            space.counts, size=(200_000, len(space)))
+        walked = ranks[exact_tree(bundle.tree, ordinal_columns(space, ranks))]
+        got = feasible_rows(bundle.tree, space, ranks)
+        assert got.tobytes() == walked.tobytes()
+        assert 0 < len(got) < len(ranks)
+
+    def test_built_once_per_tree_and_space(self):
+        bundle = assets.load_bundle("boom")
+        tables = _tables(bundle.tree, bundle.space)
+        assert _tables(bundle.tree, bundle.space) is tables
+        other = assets.load_bundle("boom")
+        assert _tables(bundle.tree, other.space) is not tables
+
+    def test_a_conjunct_too_wide_to_table_raises(self):
+        values = list(range(1, 401))
+        space = ordspace(a=values, b=values, c=[1, 2])
+        doc = {"all": [{"ineq": {"xa": "a", "xb": "c"}},
+                       {"ineq": {"xa": "a", "xb": "b"}}]}
+        with pytest.raises(ConstraintSyntaxError, match="a, b"):
+            parse_constraints(doc, space)
+        tree = Conj((Inequality(1.0, "a", 1.0, "b", 0.0),))
+        with pytest.raises(ConstraintSyntaxError):
+            exact_configuration(tree, space, space.default_configuration())
+
+
 class TestFeasibleCount:
     def test_counts_the_configurations_that_pass(self):
         space = ParameterSpace([
@@ -628,7 +719,13 @@ class TestFeasibleCount:
 
     def test_without_a_tree_or_past_the_draw_cap_gives_the_size(self):
         assert feasible_count(None, ordspace(a=[1, 2], b=[3, 4, 5])) == 6
-        # BOOM is too large to enumerate
+        # BOOM's groups of constrained parameters have small joint grids
         bundle = assets.load_bundle("boom")
-        assert feasible_count(bundle.tree, bundle.space) == \
-            bundle.space.size()
+        assert feasible_count(bundle.tree, bundle.space) == 2_529_792
+        # two 10,000-entry tables that share b join into a 10**6 grid
+        values = list(range(1, 101))
+        space = ordspace(a=values, b=values, c=values)
+        tree = parse_constraints({"all": [
+            {"ineq": {"xa": "a", "xb": "b"}},
+            {"ineq": {"xa": "b", "xb": "c"}}]}, space)
+        assert feasible_count(tree, space) == space.size() == 10**6

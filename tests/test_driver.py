@@ -327,39 +327,40 @@ class TestRankBudget:
     def test_retrieval_evaluation_ranks_its_design_at_most_four_times(
             self, monkeypatch):
         """The driver, the cost estimate, the harness and the store insert
-        each rank a design once; weight learning is not counted."""
+        each rank a design once; the weight learner, which relearns after
+        every fifth insert here, ranks none."""
         import sys
 
         from aspo import space as space_mod
 
         real_ranks = space_mod.config_ranks
         calls = 0
-        learning = 0
 
         def counted_ranks(space, cfg):
             nonlocal calls
-            calls += learning == 0
+            calls += 1
             return real_ranks(space, cfg)
-
-        real_learn = driver_mod.learn_weights
-
-        def learn(*args, **kwargs):
-            nonlocal learning
-            learning += 1
-            try:
-                return real_learn(*args, **kwargs)
-            finally:
-                learning -= 1
 
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "aspo" and \
                     getattr(mod, "config_ranks", None) is real_ranks:
                 monkeypatch.setattr(mod, "config_ranks", counted_ranks)
-        monkeypatch.setattr(driver_mod, "learn_weights", learn)
         rc = boom_rc(budget_iterations=34, stagnation_limit=None)
         report = run_baseline(rc, "hill-climb")
         assert report.evaluations == 40
         assert calls <= 4 * report.evaluations + 10
+
+    def test_hill_climb_never_asks_the_dict_synthesis_time(self, monkeypatch):
+        from aspo.evaluation import SyntheticModel
+
+        def refuse(*args):
+            raise AssertionError("synthesis_time called")
+
+        monkeypatch.setattr(SyntheticModel, "synthesis_time", refuse)
+        rc = boom_rc(budget_iterations=10_000, tdt_limit_minutes=math.inf,
+                     stagnation_limit=None)
+        report = run_baseline(rc, "hill-climb")
+        assert report.stop_reason == "converged" and report.evaluations > 300
 
 
 class TestEmitReport:
@@ -399,9 +400,11 @@ class TestFallbackDraw:
         import aspo.constraints as constraints_mod
 
         # one warm-start point is too few to fit, so iteration 1 draws its
-        # proposal at random; with no draws allowed the space counts as
-        # infeasible (exit 3), not as a surrogate failure (exit 4)
-        monkeypatch.setattr(constraints_mod, "MAX_REJECTION_DRAWS", 0)
+        # proposal at random; when every draw fails the tree, the sampler
+        # gives up at its cap and the space counts as infeasible (exit 3),
+        # not as a surrogate failure (exit 4)
+        monkeypatch.setattr(constraints_mod, "exact_configuration",
+                            lambda tree, space, cfg: False)
         # the warm start's one point is an array row and needs no draw
         run_optimization(boom_rc(budget_iterations=0, warm_start_budget=1))
         with pytest.raises(InfeasibleSpaceError):
@@ -532,6 +535,17 @@ class TestCli:
             cli_main, ["validate", *infeasible_inputs(tmp_path, docs)])
         assert result.exit_code == 2, (result.output, result.exception)
         assert "error: " in result.output
+        assert "Traceback" not in result.output
+
+    def test_validate_conjunct_too_wide_to_table_exits_2(self, tmp_path):
+        # a 400 x 400 grid exceeds the 100,000 entries a table may hold
+        docs = tiny_docs()
+        for p, lo in zip(docs["space"]["parameters"], (1, 5)):
+            p["values"] = list(range(lo, lo + 400))
+        result = CliRunner().invoke(
+            cli_main, ["validate", *infeasible_inputs(tmp_path, docs)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "error: a rule over a, b spans 160000" in result.output
         assert "Traceback" not in result.output
 
     def test_run_writes_reports(self, tmp_path):
@@ -670,7 +684,7 @@ class TestCli:
 class TestWeightRelearning:
     def test_relearned_every_five_insertions(self, monkeypatch):
         import aspo.driver as driver_mod
-        from aspo.checkpoints import learn_weights as real_learn
+        from aspo.checkpoints import learn_pair_weights as real_learn
 
         calls = []
 
@@ -678,7 +692,7 @@ class TestWeightRelearning:
             calls.append(len(store))
             return real_learn(store, fn, seed=seed, **kw)
 
-        monkeypatch.setattr(driver_mod, "learn_weights", counting_learn)
+        monkeypatch.setattr(driver_mod, "learn_pair_weights", counting_learn)
         run_optimization(boom_rc(budget_iterations=2, warm_start_budget=10))
         # 10 warm inserts trigger learning at 5 and 10; two more valid
         # insertions are not enough for another round

@@ -11,7 +11,7 @@ from aspo.checkpoints import (
     CheckpointStore,
     artifact_path,
     match_config,
-    rank_distance,
+    rank_terms,
     weighted_distance,
 )
 from aspo.constraints import feasible_draws
@@ -272,8 +272,8 @@ class TestRowPricing:
                 ref_ranks = None if ref is None else tuple(config_ranks(space, ref))
                 minutes = model.synthesis_time(cfg, ref)
                 if ref is not None:
-                    assert np.float64(rank_distance(
-                        space, ranks, ref_ranks, weights)).tobytes() == \
+                    assert np.float64(np.dot(weights.w, rank_terms(
+                        space, ranks, ref_ranks))).tobytes() == \
                         np.float64(weighted_distance(
                             space, cfg, ref, weights)).tobytes()
                 for benchmark in model.benchmarks:
