@@ -191,7 +191,8 @@ def _cooled_scores(ctx: AcquisitionContext, Q: np.ndarray) -> np.ndarray:
     """Cooled acquisition at every row of ``Q`` (encoded vertices), from one
     posterior batch and one stacked cost distance.  Every row scores bit
     for bit as ``alpha_cool`` scores it alone."""
-    cost = ctx.cost.values(Q) if ctx.cost is not None else np.ones(len(Q))
+    cost = np.ones(len(Q)) if ctx.cost is None \
+        else ctx.cost.values_and_gradients(Q)[0]
     return _cooled_rows(ctx, *ctx.model.posterior(Q), cost)[0]
 
 

@@ -260,7 +260,3 @@ class RelaxedCost:
         nearest = np.argmin(dists, axis=1)
         return (dists[rows, nearest],
                 2.0 * self.coord_weights * diff[rows, nearest])
-
-    def values(self, U: np.ndarray) -> np.ndarray:
-        """The values of ``values_and_gradients`` alone."""
-        return self.values_and_gradients(U)[0]

@@ -49,7 +49,7 @@ from .errors import (
     UnknownParameterError,
 )
 from .space import ORDINAL, ParameterSpace
-from .space import random_configuration, relaxed_arrays
+from .space import config_ranks, random_configuration, relaxed_arrays
 
 # |smooth| at or above zero minus this tolerance counts as satisfied; the
 # divisibility relaxation evaluates sin at large multiples of pi, which lands
@@ -194,7 +194,12 @@ def exact_tree(tree, values):
 
 def exact_configuration(tree, space: ParameterSpace, cfg: dict) -> bool:
     """Exact semantics on a configuration of a space, read from the tables."""
-    row = [ranks[cfg[name]] for name, ranks in space._rank_tables]
+    try:
+        row = [ranks[cfg[name]] for name, ranks in space._rank_tables]
+    except (KeyError, TypeError):
+        row = config_ranks(space, cfg)      # names the fault, or ranks by ==
+    if len(cfg) != len(row):
+        space.validate(cfg)                 # names the unknown key
     return len(feasible_rows(tree, space, np.array([row]))) == 1
 
 
@@ -264,8 +269,11 @@ def feasible_draws(tree, space: ParameterSpace, rng,
 
     Yields in draw order.  Once ``MAX_REJECTION_DRAWS`` draws are spent, the
     next request raises ``error``, so a caller that needs ``n`` feasible
-    configurations fails only when the cap leaves it short.
+    configurations fails only when the cap leaves it short (or at once,
+    when ``feasible_count`` finds none).
     """
+    if feasible_count(tree, space) == 0:
+        raise error("no configuration satisfies the constraints")
     for _ in range(MAX_REJECTION_DRAWS):
         cfg = random_configuration(space, rng)
         if exact_configuration(tree, space, cfg):

@@ -18,7 +18,6 @@ so identical run configurations produce byte-identical reports.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -100,10 +99,10 @@ class RunConfig:
             raise ValueError("iteration budget must be non-negative")
         if self.warm_start_budget < 1:
             raise ValueError("warm-start budget must be positive")
-        if self.tdt_limit_minutes <= 0:
-            raise ValueError("time limit must be positive")
-        if self.time_compression <= 0:
-            raise ValueError("time compression must be positive")
+        if not self.tdt_limit_minutes > 0:      # NaN too; inf lifts the limit
+            raise ValueError("time limit must be positive, or inf for none")
+        if not 0 < self.time_compression < math.inf:
+            raise ValueError("time compression must be positive and finite")
         if self.acquisition_mode not in (PAPER_RATIO, EXPONENT):
             raise ValueError(f"unknown acquisition mode {self.acquisition_mode!r}")
         if self.strategy not in STRATEGIES:
@@ -356,7 +355,7 @@ def _history_row(space: ParameterSpace, entry: HistoryEntry) -> dict:
     """One evaluation as a report row: the schema both emitters write."""
     return {"iteration": entry.iteration,
             "config": {p.name: entry.config[p.name] for p in space.params},
-            **entry.result.to_dict(), "eet_ms": entry.eet_ms(),
+            **vars(entry.result), "eet_ms": entry.eet_ms(),
             "alpha": entry.alpha_value, "cost_estimate": entry.cost_estimate}
 
 
@@ -383,40 +382,31 @@ def _csv_cell(value) -> str:
 
 
 def emit_report(report: RunReport, out_dir, formats=("jsonl", "csv")) -> list[Path]:
-    """Write history plus a summary row; byte-identical across equal runs."""
+    """Write history plus a summary row; byte-identical across equal runs.
+    Both files hold the same row dicts; every CSV line fills one column list."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    space = report.space
-    rows = [_history_row(space, entry) for entry in report.history]
+    rows = [_history_row(report.space, entry) for entry in report.history]
+    summary = _summary(report)
     written = []
-
     if "jsonl" in formats:
-        path = out_dir / "report.jsonl"
-        with path.open("w", newline="\n") as fh:
-            for row in rows + [_summary(report)]:
-                fh.write(json.dumps(row) + "\n")
-        written.append(path)
+        written.append(out_dir / "report.jsonl")
+        with written[-1].open("w", newline="\n") as fh:
+            fh.writelines(json.dumps(row) + "\n" for row in rows + [summary])
 
     if "csv" in formats:
-        path = out_dir / "report.csv"
-        param_names = [p.name for p in space.params]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iteration", *param_names, *_ROW_FIELDS,
-                         "idr", "tdt_minutes", "best_eet_ms"])
-        for row in rows:
-            writer.writerow([_csv_cell(c) for c in (
-                row["iteration"], *row["config"].values(),
-                *(row[f] for f in _ROW_FIELDS), None, None, None)])
-        best = report.best_config or {}
-        writer.writerow([_csv_cell(c) for c in (
-            ["summary"] +
-            [best.get(n) for n in param_names] +
-            [None] * 8 +
-            [report.idr, report.tdt_minutes, report.best_eet_ms])])
-        path.write_text(buf.getvalue(), newline="\n")
-        written.append(path)
-
+        params = [p.name for p in report.space.params]
+        fields = _ROW_FIELDS + ("idr", "tdt_minutes", "best_eet_ms")
+        best = summary["best_config"] or {}
+        lines = [[row["iteration"], *row["config"].values(),
+                  *map(row.get, fields)] for row in rows]
+        lines.append(["summary", *map(best.get, params),
+                      *map(summary.get, fields)])
+        written.append(out_dir / "report.csv")
+        with written[-1].open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["iteration", *params, *fields])
+            writer.writerows([_csv_cell(c) for c in line] for line in lines)
     return written
 
 

@@ -30,6 +30,7 @@ one-response JSON line protocol.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -80,9 +81,6 @@ class EvaluationResult:
         if self.valid != (self.failure_stage is None):
             raise ValueError("valid results must have no failure stage and "
                              "invalid ones must name it")
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))     # scalar fields: no deep copy needed
 
 
 @dataclass(frozen=True)
@@ -189,6 +187,7 @@ class SyntheticModel:
     def load(cls, path, space: ParameterSpace) -> "SyntheticModel":
         return cls(json.loads(Path(path).read_text()), space)
 
+    # dict entry points for perfbench's checks; aspo itself prices rank rows
     def luts(self, cfg: dict) -> int:
         return self._price(config_ranks(self.space, cfg))[0]
 
@@ -351,6 +350,8 @@ class ExternalEvaluator:
             response = json.loads(lines[0])
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"unparseable response: {exc}") from None
+        if not isinstance(response, dict):
+            raise ProtocolError("response is not a JSON object")
         if response.get("id") != request["id"]:
             raise ProtocolError(
                 f"response id {response.get('id')!r} does not echo request id")
@@ -360,9 +361,12 @@ class ExternalEvaluator:
                            FAILURE_MINUTES)
         if status != "ok":
             raise ProtocolError(f"unknown status {status!r}")
-        missing = [k for k in self.REQUIRED if k not in response]
-        if missing:
-            raise ProtocolError(f"response missing fields: {missing}")
+        # each a JSON number (not a bool), finite and >= 0; fmax_mhz > 0
+        bad = [k for k in self.REQUIRED
+               if type(value := response.get(k)) not in (int, float)
+               or not 0 <= value < math.inf or k == "fmax_mhz" and value == 0]
+        if bad:
+            raise ProtocolError(f"response fields missing or invalid: {bad}")
         return EvaluationResult(
             cycles=int(response["cycles"]),
             fmax_mhz=float(response["fmax_mhz"]),

@@ -177,7 +177,8 @@ def reference_cooled_scores(ctx, Q):
     """The cooled acquisition at every row of ``Q``, one row at a time."""
     model = ctx.model
     floor = model.duplicate_sigma_floor()
-    cost = ctx.cost.values(Q) if ctx.cost is not None else np.ones(len(Q))
+    cost = np.ones(len(Q)) if ctx.cost is None \
+        else ctx.cost.values_and_gradients(Q)[0]
     return [cooled_value(reference_ei_with_floor(
                 mean, math.sqrt(max(var, 0.0)), ctx.best_feasible, floor),
                 c, ctx.lam(), ctx.schedule.mode)

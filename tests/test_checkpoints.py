@@ -305,8 +305,8 @@ class TestRelaxedCost:
         rng = np.random.default_rng(8)
         for _ in range(50):
             x = {p.name: p.values[rng.integers(p.count)] for p in space.params}
-            assert relaxed.values(encode(space, x)[None, :])[0] == \
-                pytest.approx(cost_estimate(store, x, w))
+            value = relaxed.values_and_gradients(encode(space, x)[None, :])[0]
+            assert value[0] == pytest.approx(cost_estimate(store, x, w))
 
     def test_empty_store_prior(self, space):
         relaxed = RelaxedCost(CheckpointStore(space), DistanceWeights.ones(space))
@@ -327,8 +327,8 @@ class TestRelaxedCost:
                 hi, lo = u.copy(), u.copy()
                 hi[j] += h
                 lo[j] -= h
-                fd = (relaxed.values(hi[None, :])[0]
-                      - relaxed.values(lo[None, :])[0]) / (2 * h)
+                vals = relaxed.values_and_gradients(np.stack([hi, lo]))[0]
+                fd = (vals[0] - vals[1]) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 

@@ -15,6 +15,7 @@ from aspo.constraints import (
     exact_configuration,
     exact_tree,
     feasible_count,
+    feasible_draws,
     feasible_rows,
     parse_constraints,
     smooth_constraint,
@@ -24,7 +25,13 @@ from aspo.constraints import (
     smooth_tree,
     tree_parameters,
 )
-from aspo.errors import ConstraintSyntaxError, DomainError, UnknownParameterError
+from aspo.errors import (
+    ConstraintSyntaxError,
+    DomainError,
+    InfeasibleSpaceError,
+    InvalidConfigurationError,
+    UnknownParameterError,
+)
 from aspo.space import (
     ParameterDef,
     ParameterSpace,
@@ -702,6 +709,42 @@ class TestConjunctTables:
         tree = Conj((Inequality(1.0, "a", 1.0, "b", 0.0),))
         with pytest.raises(ConstraintSyntaxError):
             exact_configuration(tree, space, space.default_configuration())
+
+
+class TestExactConfiguration:
+    @pytest.mark.parametrize("fault", ["missing", "extra", "value"])
+    def test_a_configuration_off_the_space_raises(self, fault):
+        bundle = assets.load_bundle("boom")
+        cfg = bundle.space.default_configuration()
+        if fault == "missing":
+            del cfg["FetchWidth"]
+        elif fault == "extra":
+            cfg["zzz"] = 1
+        else:
+            cfg["FetchWidth"] = 7777
+        with pytest.raises(InvalidConfigurationError):
+            exact_configuration(bundle.tree, bundle.space, cfg)
+        with pytest.raises(InvalidConfigurationError):
+            exact_configuration(None, bundle.space, cfg)
+
+    def test_a_value_equal_to_an_admissible_one_is_ranked(self):
+        # 2.0 == 2 hashes alike; an unhashable 0-d array compares equal
+        space = ordspace(a=[1, 2], b=[1, 2])
+        tree = Conj((Inequality(1.0, "a", 1.0, "b", 0.0),))
+        assert exact_configuration(tree, space, {"a": 2.0, "b": np.array(1)})
+        assert not exact_configuration(tree, space,
+                                       {"a": np.array(1), "b": 2.0})
+
+
+class TestFeasibleDraws:
+    def test_an_unsatisfiable_space_raises_before_any_draw(self):
+        space = ordspace(a=[1, 2], b=[5, 6])
+        tree = Conj((Inequality(1.0, "a", 1.0, "b", 0.0),))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InfeasibleSpaceError, match="no configuration"):
+            next(feasible_draws(tree, space, rng))
+        assert rng.bit_generator.state == state
 
 
 class TestFeasibleCount:

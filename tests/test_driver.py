@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -309,13 +310,15 @@ class TestResourceStage:
         rejected = [e for e in report.history
                     if e.result.failure_stage == "resource"]
         assert len(rejected) >= 5
+        luts = {e.ranks: real_synthesize(model, e.ranks, None, "multiply").luts
+                for e in report.history}
         for e in report.history:
-            over = model.luts(e.config) > rc.max_luts
+            over = luts[e.ranks] > rc.max_luts
             feasible = exact_configuration(bundle.tree, bundle.space, e.config)
             assert (e.result.failure_stage == "resource") == (feasible and over)
         for e in rejected:
             assert not e.result.valid
-            assert e.result.luts == model.luts(e.config)
+            assert e.result.luts == luts[e.ranks]
             # charged the synthesis the tool has already run
             assert e.result.eval_minutes == \
                 synthesized[e.ranks] * rc.time_compression
@@ -393,6 +396,32 @@ class TestEmitReport:
         assert summary["idr"] is None
         csv_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert len(csv_lines) == 2
+
+    @pytest.mark.parametrize("processor", assets.PROCESSORS)
+    def test_every_csv_cell_sits_under_its_header(self, tmp_path, processor):
+        root = assets.asset_root()
+        cfile = root / f"constraints/{processor}.json"
+        report = run_optimization(boom_rc(
+            space_file=str(root / f"spaces/{processor}.json"),
+            model_file=str(root / f"models/{processor}.json"),
+            constraint_file=str(cfile) if cfile.exists() else None,
+            budget_iterations=1))
+        emit_report(report, tmp_path)
+        with (tmp_path / "report.csv").open(newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert len(lines) == report.evaluations + 1
+        assert all(len(line) == len(header) for line in lines)
+        summary = dict(zip(header, lines[-1]))
+        want = json.loads(
+            (tmp_path / "report.jsonl").read_text().splitlines()[-1])
+        assert summary["iteration"] == "summary"
+        for name in ("idr", "tdt_minutes", "best_eet_ms"):
+            assert float(summary[name]) == want[name]
+            assert all(line[header.index(name)] == "" for line in lines[:-1])
+        for name, value in want["best_config"].items():
+            assert summary[name] == str(value)
+        assert all(summary[name] == "" for name in
+                   ("cycles", "valid", "eet_ms", "alpha", "cost_estimate"))
 
 
 class TestFallbackDraw:
@@ -661,11 +690,31 @@ class TestCli:
         assert rows[-1]["stop_reason"] == "converged"
 
     def test_eval_bench_infeasible_space_exits_3(self, tmp_path):
-        # drawing its feasible configurations gives up at the sampler's cap
+        # the sampler reads the exact feasible count before its first draw
         result = CliRunner().invoke(cli_main, [
             "eval-bench", *infeasible_inputs(tmp_path)])
         assert result.exit_code == 3, result.output
-        assert "feasible" in result.output
+        assert "no configuration satisfies the constraints" in result.output
+
+    @pytest.mark.parametrize("option", [
+        ("--time-compression", "nan"), ("--time-compression", "inf"),
+        ("--time-compression", "-inf"), ("--tdt-limit", "nan")])
+    def test_non_finite_time_setting_exits_2(self, tmp_path, option):
+        result = CliRunner().invoke(cli_main, [
+            "run", "--processor", "el2_veer", "--iters", "1", *option,
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "time" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_tdt_limit_is_valid(self, tmp_path):
+        result = CliRunner().invoke(cli_main, [
+            "run", "--processor", "el2_veer", "--iters", "1",
+            "--tdt-limit", "inf", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(
+            (tmp_path / "report.jsonl").read_text().splitlines()[-1])
+        assert math.isfinite(summary["tdt_minutes"])
 
     def test_no_feasible_candidate_exits_3(self, tmp_path, monkeypatch):
         import aspo.driver as driver_mod

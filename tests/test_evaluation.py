@@ -73,7 +73,7 @@ class TestEvaluationResult:
     def test_round_trip(self):
         r = EvaluationResult(cycles=5, fmax_mhz=50.0, luts=10, power_w=0.2,
                              eval_minutes=3.0, valid=True)
-        assert EvaluationResult(**r.to_dict()) == r
+        assert EvaluationResult(**vars(r)) == r
 
 
 class TestSyntheticModel:
@@ -123,9 +123,11 @@ class TestSyntheticModel:
         for proc in assets.PROCESSORS:
             bundle = assets.load_bundle(proc)
             model = SyntheticModel(bundle.model, bundle.space)
-            maxed = {p.name: p.values[-1] for p in bundle.space.params}
-            worst = max(model.luts({**maxed, p.name: v})
-                        for p in bundle.space.params for v in p.values)
+            space = bundle.space
+            maxed = {p.name: p.values[-1] for p in space.params}
+            worst = max(model.synthesize(config_ranks(
+                space, {**maxed, p.name: v}), None, "multiply").luts
+                for p in space.params for v in p.values)
             assert worst <= model.lut_budget
 
     def test_constraint_failure_costs_one_minute(self, boom):
@@ -246,10 +248,11 @@ def test_tabled_model_matches_the_per_parameter_loops(processor):
     rng = np.random.default_rng(11)
     for _ in range(300):
         cfg = random_configuration(bundle.space, rng)
-        assert model.luts(cfg) == reference_luts(bundle.model, bundle.space,
-                                                 cfg)
+        ranks = config_ranks(bundle.space, cfg)
         for benchmark in model.benchmarks:
-            assert model.cycles(cfg, benchmark) == reference_cycles(
+            res = model.synthesize(ranks, None, benchmark)
+            assert res.luts == reference_luts(bundle.model, bundle.space, cfg)
+            assert res.cycles == reference_cycles(
                 bundle.model, bundle.space, cfg, benchmark)
 
 
@@ -281,7 +284,8 @@ class TestRowPricing:
                     assert res.luts == reference_luts(bundle.model, space, cfg)
                     assert res.cycles == reference_cycles(
                         bundle.model, space, cfg, benchmark)
-                    assert res.fmax_mhz == model.fmax(cfg)
+                    assert res.fmax_mhz == model.synthesize(
+                        ranks, None, benchmark).fmax_mhz
                     assert np.float64(res.eval_minutes).tobytes() == \
                         np.float64(minutes).tobytes()
 
@@ -320,9 +324,9 @@ class TestMalformedConfiguration:
         _, model = boom
         cfg = malformed(model.space, kind)
         with pytest.raises(InvalidConfigurationError):
-            model.luts(cfg)
+            model.synthesize(config_ranks(model.space, cfg), None, "multiply")
         with pytest.raises(InvalidConfigurationError):
-            model.cycles(cfg, "multiply")
+            model.synthesis_time(cfg, None)
 
     @pytest.mark.parametrize("kind", MALFORMED)
     def test_external_tool_never_sees_it(self, boom, tmp_path, kind):
@@ -395,6 +399,17 @@ print(json.dumps({"id": req["id"], "status": "ok", "fmax_mhz": 62.5,
                   "luts": 41000, "power_w": 1.2, "synthesis_minutes": 17.5}))
 """
 
+#: the ECHO_EVALUATOR reply with the fields of the JSON in argv[1] changed;
+#: JSON that is not an object is the whole reply
+ALTERED_REPLY = r"""
+import json, sys
+req = json.loads(sys.stdin.readline())
+change = json.loads(sys.argv[1])
+reply = {"id": req["id"], "status": "ok", "cycles": 12345, "fmax_mhz": 62.5,
+         "luts": 41000, "power_w": 1.2, "synthesis_minutes": 17.5}
+print(json.dumps({**reply, **change} if isinstance(change, dict) else change))
+"""
+
 INVALID_STAGE = r"""
 import json, sys
 req = json.loads(sys.stdin.readline())
@@ -459,6 +474,27 @@ class TestExternalEvaluator:
         with pytest.raises(ProtocolError, match="cycles"):
             tool_harness(bundle, MISSING_FIELD).evaluate(
                 bundle.space.default_configuration(), DIRECT)
+
+    @pytest.mark.parametrize("reply", [
+        "[]",                                           # not an object
+        '{"cycles": "abc"}', '{"cycles": null}',        # not a number
+        '{"luts": true}', '{"power_w": Infinity}',
+        '{"fmax_mhz": NaN, "synthesis_minutes": -3}',
+        '{"fmax_mhz": 0}', '{"fmax_mhz": -62.5}',      # no frequency
+        '{"synthesis_minutes": -3}', '{"luts": -1}',   # negative
+        '{"cycles": -1}', '{"power_w": -0.5}'])
+    def test_malformed_reply_is_protocol_error(self, boom, reply):
+        bundle, _ = boom
+        with pytest.raises(ProtocolError):
+            tool_harness(bundle, ALTERED_REPLY, reply).evaluate(
+                bundle.space.default_configuration(), DIRECT)
+
+    def test_zero_fields_but_the_frequency_are_valid(self, boom):
+        bundle, _ = boom
+        reply = '{"cycles": 0, "luts": 0, "power_w": 0, "synthesis_minutes": 0}'
+        res = tool_harness(bundle, ALTERED_REPLY, reply).evaluate(
+            bundle.space.default_configuration(), DIRECT)
+        assert res.valid and res.eval_minutes == 0
 
     def test_invalid_status_maps_to_stage(self, boom):
         bundle, _ = boom

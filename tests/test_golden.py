@@ -24,6 +24,12 @@ commit ``c0c8a59``.  ``boom-seed1-it5``, ``boom-random`` and the hill climb
 with its report hashes stayed as recorded.
 ``boom-seed4-it5`` to ``boom-seed9-it5`` were recorded later, from commit
 ``56a7971``, whose every other case the fixture confirmed.
+When the summary row of ``report.csv`` got the two cells it lacked (its
+``idr``, ``tdt_minutes`` and ``best_eet_ms`` had sat two columns left of
+their headers), the two ``report.csv`` hashes were re-recorded from that
+change: ``524b12f6...`` became ``964d35f0...`` under ``boom-seed0-it5``
+and ``63b6cd15...`` became ``c5b7612a...`` under the hill climb.  Both
+``report.jsonl`` hashes and every trajectory stayed as recorded.
 Configurations must match exactly; floats (best EET, per-entry acquisition
 value and cost estimate) must agree to a relative 1e-9.  The report cases
 pin the sha256 of ``report.jsonl`` and ``report.csv`` byte for byte.
