@@ -63,7 +63,7 @@ from .solvers import lbfgsb_steps, lockstep, slsqp_steps, walk_steps
 from .solvers import minimize  # noqa: F401  (lazy; perfbench/spans.py wraps it)
 from .space import (
     ParameterSpace,
-    encode,
+    config_ranks,
     encode_ranks,
     point_ranks,
     rank_configuration,
@@ -256,13 +256,14 @@ def _rank_scorer(ctx: AcquisitionContext, space: ParameterSpace, tree):
 
 
 def _starts(space: ParameterSpace, seed: int, iteration: int,
-            warm_configs) -> list[np.ndarray]:
-    """Multi-start points: the warm-start configurations, then seeded draws."""
-    if warm_configs is None:
-        warm_configs = warm_start_configs(space, None, seed, budget=10)
+            warm_ranks) -> list[np.ndarray]:
+    """Multi-start points: the encoded warm rank rows, then seeded draws."""
+    if warm_ranks is None:
+        warm_ranks = [config_ranks(space, cfg) for cfg in
+                      warm_start_configs(space, None, seed, budget=10)]
     rng = np.random.default_rng([seed, iteration, 2])
-    return [encode(space, cfg) for cfg in warm_configs] + \
-        list(rng.uniform(size=(N_UNIFORM_STARTS, space.encoded_dim)))
+    return list(encode_ranks(space, np.reshape(warm_ranks, (-1, len(space))))) \
+        + list(rng.uniform(size=(N_UNIFORM_STARTS, space.encoded_dim)))
 
 
 def _box_ranks(space: ParameterSpace, points) -> np.ndarray:
@@ -306,7 +307,7 @@ def _slsqp_rows(objective, constraint):
 
 
 def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
-                         *, seed: int = 0, warm_configs=None) -> dict:
+                         *, seed: int = 0, warm_ranks=None) -> dict:
     """Best exact-feasible configuration under the cooled acquisition.
 
     Multi-start constrained local search over the box: each start (the
@@ -320,7 +321,7 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
     snapped start alone.  Falls back to rejection sampling when no start
     yields a feasible candidate.
     """
-    starts = _starts(space, seed, ctx.iteration, warm_configs)
+    starts = _starts(space, seed, ctx.iteration, warm_ranks)
     constraint = smooth_constraint(space, tree) if tree is not None else None
     runs = lockstep(_slsqp_rows(_relaxed_objective_batch(ctx), constraint),
                     [slsqp_steps(u0, 0 if tree is None else 1, SLSQP_MAXITER)
@@ -349,7 +350,7 @@ def maximize_acquisition(ctx: AcquisitionContext, space: ParameterSpace, tree,
 
 def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
                               best: float, *, seed: int = 0, iteration: int = 0,
-                              warm_configs=None) -> dict:
+                              warm_ranks=None) -> dict:
     """Plain EI maximization: no constraints, no cost, no feasibility filter.
 
     This is the conventional-BO proposal generator used as a baseline; the
@@ -364,7 +365,7 @@ def maximize_ei_unconstrained(model: GpModel, space: ParameterSpace,
     lo, hi = np.zeros(space.encoded_dim), np.ones(space.encoded_dim)
     runs = lockstep(_relaxed_objective_batch(ctx),
                     [lbfgsb_steps(u0, lo, hi, MAXITER)
-                     for u0 in _starts(space, seed, iteration, warm_configs)])
+                     for u0 in _starts(space, seed, iteration, warm_ranks)])
     candidates = _box_ranks(space, [r.x for r in runs])
     scores = _cooled_scores(ctx, encode_ranks(space, candidates))
     return rank_configuration(space, candidates[int(np.argmax(scores))])

@@ -104,7 +104,7 @@ class CheckpointStore:
 
     def insert(self, record: CheckpointRecord) -> None:
         """Add or refresh a record; re-inserting keeps the original rank."""
-        key = tuple(config_ranks(self.space, record.config))
+        key = config_ranks(self.space, record.config)
         if key not in self._records:
             if len(self._rows) == len(self._buffer):
                 self._buffer = np.vstack([self._buffer] * 2)
@@ -133,6 +133,11 @@ class CheckpointStore:
             raise EmptyDatabaseError("no checkpoints stored")
         return self._rows[int(np.argmin(self.distances(ranks, weights)))]
 
+    def cost(self, ranks, weights: DistanceWeights) -> float:
+        """The cost estimate: a rank row's least distance to a record."""
+        return float(self.distances(ranks, weights).min()) if self._records \
+            else COST_PRIOR
+
 
 def match_config(store: CheckpointStore, cfg: dict,
                  weights: DistanceWeights) -> CheckpointRecord:
@@ -142,10 +147,8 @@ def match_config(store: CheckpointStore, cfg: dict,
 
 def cost_estimate(store: CheckpointStore, cfg: dict,
                   weights: DistanceWeights) -> float:
-    """Minimum weighted distance to the database; ``COST_PRIOR`` when empty."""
-    if len(store) == 0:
-        return COST_PRIOR
-    return float(store.distances(config_ranks(store.space, cfg), weights).min())
+    """``CheckpointStore.cost`` of a configuration."""
+    return store.cost(config_ranks(store.space, cfg), weights)
 
 
 def learn_weights(store: CheckpointStore, synthesis_time_fn,

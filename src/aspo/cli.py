@@ -7,6 +7,7 @@ candidate, 4 numerical failure inside the surrogate.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -37,14 +38,21 @@ from .space import ParameterSpace
 STRATEGY_ALIASES = {"direct": DIRECT, "fixed": FIXED_CHECKPOINT,
                     "retrieval": RETRIEVAL}
 
-_CONFIG_ERRORS = (InvalidConfigurationError, ConstraintSyntaxError,
-                  UnknownParameterError, AssetError, OSError, KeyError,
-                  ValueError)
+#: each failure a command reports, with its exit code; the first match wins
+_EXIT_CODES = {InfeasibleSpaceError: 3, NumericalError: 4, **dict.fromkeys((
+    InvalidConfigurationError, ConstraintSyntaxError, UnknownParameterError,
+    AssetError, OSError, KeyError, ValueError), 2)}
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+@contextlib.contextmanager
+def _exit_codes():
+    """Print an ``_EXIT_CODES`` failure as ``error: ...`` and exit with its code."""
+    try:
+        yield
+    except tuple(_EXIT_CODES) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(next(code for cls, code in _EXIT_CODES.items()
+                      if isinstance(exc, cls)))
 
 
 def _resolve_inputs(processor, space, constraints, model):
@@ -96,29 +104,23 @@ def _common_options(fn):
 @click.option("--max-luts", type=int, default=None,
               help="Override the model file's resource budget.")
 @click.option("--out", type=click.Path(), default="out", show_default=True)
+@_exit_codes()
 def run(processor, space, constraints, model, benchmark, seed, iters,
         warm_start, mode, strategy, baseline, tdt_limit, time_compression,
         max_luts, out):
     """Run one optimization (or baseline) and write report files."""
-    try:
-        space_f, constraints_f, model_f = _resolve_inputs(
-            processor, space, constraints, model)
-        rc = RunConfig(
-            space_file=space_f, model_file=model_f,
-            constraint_file=constraints_f, benchmark=benchmark,
-            budget_iterations=iters, tdt_limit_minutes=tdt_limit,
-            warm_start_budget=warm_start, seed=seed, acquisition_mode=mode,
-            strategy=STRATEGY_ALIASES[strategy], max_luts=max_luts,
-            time_compression=time_compression)
-        report = run_optimization(rc) if baseline == "none" \
-            else run_baseline(rc, baseline)
-        paths = emit_report(report, out)
-    except InfeasibleSpaceError as exc:
-        _fail(3, str(exc))
-    except NumericalError as exc:
-        _fail(4, str(exc))
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
+    space_f, constraints_f, model_f = _resolve_inputs(
+        processor, space, constraints, model)
+    rc = RunConfig(
+        space_file=space_f, model_file=model_f,
+        constraint_file=constraints_f, benchmark=benchmark,
+        budget_iterations=iters, tdt_limit_minutes=tdt_limit,
+        warm_start_budget=warm_start, seed=seed, acquisition_mode=mode,
+        strategy=STRATEGY_ALIASES[strategy], max_luts=max_luts,
+        time_compression=time_compression)
+    report = run_optimization(rc) if baseline == "none" \
+        else run_baseline(rc, baseline)
+    paths = emit_report(report, out)
 
     idr = "n/a" if report.idr is None else f"{report.idr:.1%}"
     best = "n/a" if report.best_eet_ms is None else f"{report.best_eet_ms:.4f} ms"
@@ -128,7 +130,7 @@ def run(processor, space, constraints, model, benchmark, seed, iters,
     for p in paths:
         click.echo(f"wrote {p}")
     if report.stop_reason == "numerical-failure":
-        _fail(4, report.error or "surrogate numerical failure")
+        raise NumericalError(report.error or "surrogate numerical failure")
 
 
 @main.command("eval-bench")
@@ -138,22 +140,18 @@ def run(processor, space, constraints, model, benchmark, seed, iters,
               show_default=True)
 @click.option("--out", type=click.Path(), default=None,
               help="Optional JSON output path.")
+@_exit_codes()
 def eval_bench(processor, space, constraints, model, benchmark, seed,
                n_configs, time_compression, out):
     """Compare direct, fixed-checkpoint, and retrieval evaluation times."""
-    try:
-        space_f, constraints_f, model_f = _resolve_inputs(
-            processor, space, constraints, model)
-        rc = RunConfig(space_file=space_f, model_file=model_f,
-                       constraint_file=constraints_f, benchmark=benchmark,
-                       seed=seed, time_compression=time_compression)
-        result = run_eval_bench(rc, n_configs=n_configs)
-        if out:
-            Path(out).write_text(json.dumps(result, indent=2) + "\n")
-    except InfeasibleSpaceError as exc:
-        _fail(3, str(exc))
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
+    space_f, constraints_f, model_f = _resolve_inputs(
+        processor, space, constraints, model)
+    rc = RunConfig(space_file=space_f, model_file=model_f,
+                   constraint_file=constraints_f, benchmark=benchmark,
+                   seed=seed, time_compression=time_compression)
+    result = run_eval_bench(rc, n_configs=n_configs)
+    if out:
+        Path(out).write_text(json.dumps(result, indent=2) + "\n")
 
     click.echo(f"{'strategy':<18}{'mean':>10}{'min':>10}{'max':>10}  (virtual minutes)")
     for name, stats in result["strategies"].items():
@@ -168,20 +166,18 @@ def eval_bench(processor, space, constraints, model, benchmark, seed,
 @click.option("--constraints", "constraints_path", type=click.Path(),
               default=None)
 @click.option("--model", "model_path", type=click.Path(), default=None)
+@_exit_codes()
 def validate(space_path, constraints_path, model_path):
     """Check space, constraint, and model files for consistency."""
-    try:
-        space = ParameterSpace.load(space_path)
-        click.echo(f"space: {len(space.params)} parameters, "
-                   f"{space.size()} configurations, encoded dim {space.encoded_dim}")
-        if constraints_path:
-            tree = load_constraints(constraints_path, space)
-            click.echo(f"constraints: parsed, {len(tree.children)} top-level rules")
-        if model_path:
-            SyntheticModel.load(model_path, space)
-            click.echo("model: coefficients cover the space")
-    except _CONFIG_ERRORS as exc:
-        _fail(2, str(exc))
+    space = ParameterSpace.load(space_path)
+    click.echo(f"space: {len(space.params)} parameters, "
+               f"{space.size()} configurations, encoded dim {space.encoded_dim}")
+    if constraints_path:
+        tree = load_constraints(constraints_path, space)
+        click.echo(f"constraints: parsed, {len(tree.children)} top-level rules")
+    if model_path:
+        SyntheticModel.load(model_path, space)
+        click.echo("model: coefficients cover the space")
     click.echo("ok")
 
 

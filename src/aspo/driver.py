@@ -41,7 +41,6 @@ from .checkpoints import (
     CheckpointStore,
     DistanceWeights,
     RelaxedCost,
-    cost_estimate,
     learn_pair_weights,
 )
 from .constraints import feasible_count, feasible_draws, load_constraints
@@ -62,7 +61,6 @@ from .solvers import walk_steps
 from .space import (
     ParameterSpace,
     config_ranks,
-    encode,
     encode_ranks,
     random_configuration,
     rank_configuration,
@@ -95,6 +93,11 @@ class RunConfig:
     stagnation_limit: int | None = STAGNATION_LIMIT
 
     def __post_init__(self):
+        for name in "budget_iterations", "warm_start_budget", "seed", "max_luts":
+            value = getattr(self, name)     # a type ``operator.index`` takes
+            if isinstance(value, bool) or not hasattr(type(value), "__index__") \
+                    and not (name == "max_luts" and value is None):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.budget_iterations < 0:
             raise ValueError("iteration budget must be non-negative")
         if self.warm_start_budget < 1:
@@ -176,18 +179,17 @@ def _surrogate(space: ParameterSpace, history):
     """
     valid = [e for e in history if e.result.valid]
     ranks = [e.ranks for e in valid]
-    if len(set(ranks)) < 2:
-        return None
-    return fit(space, encode_ranks(space, ranks), [e.eet_ms() for e in valid])
+    return None if len(set(ranks)) < 2 else \
+        fit(space, encode_ranks(space, ranks), [e.eet_ms() for e in valid])
 
 
 def _hill_climb(space: ParameterSpace, history):
     """Best-improvement ascent from the default: a ``walk_steps`` walk on
-    the negated EET, ``-inf`` where invalid.  Yields the default (unless the
-    warm start holds it), then each move the walk scores that is not yet
-    evaluated, in order; the driver answers each with one history entry.  A
-    strict-gain walk never revisits a configuration, so its ``space.size()``
-    step cap never ends the climb."""
+    the negated EET, ``-inf`` where invalid.  Yields the rank row of the
+    default (unless the warm start holds it), then of each move the walk
+    scores that is not yet evaluated, in order; the driver answers each with
+    one history entry.  A strict-gain walk never revisits a configuration,
+    so its ``space.size()`` step cap never ends the climb."""
     def score(entry):
         return -entry.eet_ms() if entry.result.valid else -math.inf
 
@@ -197,7 +199,7 @@ def _hill_climb(space: ParameterSpace, history):
         rows = [tuple(row) for row in rows]
         for row in rows:
             if row not in known:
-                yield rank_configuration(space, row)
+                yield row
                 known[row] = score(history[-1])
         return np.array([known[row] for row in rows])
 
@@ -227,13 +229,10 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     # distinct configurations that pass the tree, as ranks
     evaluated: set[tuple] = set()
 
-    def t_syn(record, reference, terms):    # priced from the pair's terms
-        return harness.backend.reuse_minutes(terms)
-
-    def run_eval(iteration, cfg, alpha_value):
+    def run_eval(iteration, ranks, alpha_value):    # ranks: the design's identity
         nonlocal clock, inserts, weights, best_entry, best_eet
-        ranks = tuple(config_ranks(space, cfg))
-        cost_before = cost_estimate(store, cfg, weights)
+        cfg = rank_configuration(space, ranks)
+        cost_before = store.cost(ranks, weights)
         cache_hit = rc.strategy == RETRIEVAL and store.find(ranks) is not None
         result = harness.evaluate(cfg, rc.strategy, db=store, weights=weights)
         clock += result.eval_minutes
@@ -248,14 +247,17 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
             _insert(store, cfg, ranks, result)
             inserts += 1
             if inserts % RELEARN_EVERY == 0 and len(store) >= 3:
-                weights = learn_pair_weights(store, t_syn, seed=rc.seed)
+                weights = learn_pair_weights(  # priced from a pair's terms
+                    store, lambda a, b, terms: harness.backend.reuse_minutes(terms),
+                    seed=rc.seed)
 
-    warm = warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)
-    for cfg in warm:
+    warm = [config_ranks(space, cfg) for cfg in
+            warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)]
+    for ranks in warm:
         if clock >= limit:
             stop_reason = "tdt-limit"
             break
-        run_eval(0, cfg, None)
+        run_eval(0, ranks, None)
 
     if baseline == "hill-climb":
         climber = _hill_climb(space, history)
@@ -264,32 +266,30 @@ def _run(rc: RunConfig, baseline: str | None = None) -> RunReport:
     rng = np.random.default_rng([rc.seed, 17 if baseline == "random" else 23])
 
     def propose(t):
-        if baseline == "random":
-            return random_configuration(space, rng), None
+        """The next design's rank row and its acquisition value."""
         if baseline == "hill-climb":
-            cfg = next(climber, None)
-            return None if cfg is None else (cfg, None)
-        model = _surrogate(space, history)
-        if baseline == "vanilla-bo":
-            if model is None:
-                return random_configuration(space, rng), None
-            cfg = maximize_ei_unconstrained(model, space, best_eet,
-                                            seed=rc.seed, iteration=t - 1,
-                                            warm_configs=warm)
-            return cfg, expected_improvement(model, encode(space, cfg),
-                                             best_eet)
+            ranks = next(climber, None)
+            return None if ranks is None else (ranks, None)
+        model = None if baseline == "random" else _surrogate(space, history)
         if model is None:
-            draws = feasible_draws(tree, space,
-                                   np.random.default_rng([rc.seed, t, 11]))
-            return next(draws), None
+            cfg = random_configuration(space, rng) if baseline else next(
+                feasible_draws(tree, space,
+                               np.random.default_rng([rc.seed, t, 11])))
+            return config_ranks(space, cfg), None
+        if baseline == "vanilla-bo":
+            ranks = config_ranks(space, maximize_ei_unconstrained(
+                model, space, best_eet, seed=rc.seed, iteration=t - 1,
+                warm_ranks=warm))
+            return ranks, expected_improvement(
+                model, encode_ranks(space, ranks), best_eet)
         ctx = AcquisitionContext(
             model=model, best_feasible=best_eet,
             cost=RelaxedCost(store, weights),
             schedule=CoolingSchedule(mode=rc.acquisition_mode),
             iteration=t - 1)
-        cfg = maximize_acquisition(ctx, space, tree, seed=rc.seed,
-                                   warm_configs=warm)
-        return cfg, alpha_cool(ctx, encode(space, cfg))
+        ranks = config_ranks(space, maximize_acquisition(
+            ctx, space, tree, seed=rc.seed, warm_ranks=warm))
+        return ranks, alpha_cool(ctx, encode_ranks(space, ranks))
 
     designs = feasible_count(tree, space)
     prev_best = best_eet
@@ -431,10 +431,8 @@ def run_eval_bench(rc: RunConfig, n_configs: int = 10) -> dict:
         warm_start_configs(space, tree, rc.seed, rc.warm_start_budget)
     for cfg in prepop:
         ranks = config_ranks(space, cfg)
-        if store.find(ranks) is not None:
-            continue
-        res = harness.evaluate(cfg, DIRECT)
-        if res.valid:
+        if store.find(ranks) is None and \
+                (res := harness.evaluate(cfg, DIRECT)).valid:
             _insert(store, cfg, ranks, res)
 
     out = {"configs": configs, "strategies": {}}

@@ -50,8 +50,7 @@ from .errors import (
     ToolError,
     UndefinedMetricError,
 )
-from .space import CATEGORICAL, ParameterSpace, config_ranks
-from .space import rank_configuration
+from .space import CATEGORICAL, ParameterSpace, config_ranks, rank_configuration
 
 DIRECT = "direct"
 FIXED_CHECKPOINT = "fixed-checkpoint"
@@ -61,6 +60,7 @@ STRATEGIES = (DIRECT, FIXED_CHECKPOINT, RETRIEVAL)
 STAGE_CONSTRAINT = "constraint"
 STAGE_RESOURCE = "resource"
 STAGE_SYNTHESIS = "synthesis"
+STAGES = (STAGE_CONSTRAINT, STAGE_RESOURCE, STAGE_SYNTHESIS)
 
 #: virtual minutes charged for a database hit and for a failed evaluation
 LOOKUP_MINUTES = 0.1
@@ -310,7 +310,8 @@ class ExternalEvaluator:
     ``config`` is the design in space order; ``checkpoint_hint`` is the
     reference's artifact handle, or null for a from-scratch run.  A timeout is a rejection
     at the synthesis stage charged ``timeout_s`` of the tool's time; an
-    ``invalid`` reply is one charged ``FAILURE_MINUTES``.
+    ``invalid`` reply is one charged ``FAILURE_MINUTES`` at its ``STAGES``
+    entry, ``synthesis`` when it names none.
     """
 
     REQUIRED = ("cycles", "fmax_mhz", "luts", "power_w", "synthesis_minutes")
@@ -357,8 +358,9 @@ class ExternalEvaluator:
                 f"response id {response.get('id')!r} does not echo request id")
         status = response.get("status")
         if status == "invalid":
-            raise Rejected(response.get("stage", STAGE_SYNTHESIS),
-                           FAILURE_MINUTES)
+            if (stage := response.get("stage", STAGE_SYNTHESIS)) not in STAGES:
+                raise ProtocolError(f"unknown stage {stage!r}")
+            raise Rejected(stage, FAILURE_MINUTES)
         if status != "ok":
             raise ProtocolError(f"unknown status {status!r}")
         # each a JSON number (not a bool), finite and >= 0; fmax_mhz > 0

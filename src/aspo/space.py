@@ -239,15 +239,15 @@ def _check_rows(space: ParameterSpace, points) -> np.ndarray:
     return arr
 
 
-def config_ranks(space: ParameterSpace, cfg: dict) -> list[int]:
-    """Rank of each parameter's value in declaration order; validates ``cfg``."""
+def config_ranks(space: ParameterSpace, cfg: dict) -> tuple[int, ...]:
+    """The rank row of ``cfg`` (values' ranks in order); validates ``cfg``."""
     try:
-        ranks = [table[cfg[name]] for name, table in space._rank_tables]
+        ranks = tuple([table[cfg[name]] for name, table in space._rank_tables])
     except (KeyError, TypeError):
         ranks = None
     if ranks is None or len(cfg) != len(space.params):
         space.validate(cfg)
-        ranks = [p.values.index(cfg[p.name]) for p in space.params]
+        ranks = tuple([p.values.index(cfg[p.name]) for p in space.params])
     return ranks
 
 

@@ -121,7 +121,7 @@ def warm_start_configs(space: ParameterSpace, tree, seed: int,
     try:
         while len(chosen) < budget:
             cfg = next(draws)
-            chosen.setdefault(tuple(config_ranks(space, cfg)), cfg)
+            chosen.setdefault(config_ranks(space, cfg), cfg)
     except InfeasibleSpaceError:
         if not chosen:
             raise

@@ -279,10 +279,10 @@ def reference_polish(score, space, tree, ranks, start_val):
 
 
 def reference_maximize_acquisition(ctx, space, tree, *, seed=0,
-                                   warm_configs=None):
+                                   warm_ranks=None):
     """``maximize_acquisition`` with its polish walks run one after another
     by ``reference_polish``."""
-    starts = acq._starts(space, seed, ctx.iteration, warm_configs)
+    starts = acq._starts(space, seed, ctx.iteration, warm_ranks)
     constraint = smooth_constraint(space, tree) if tree is not None else None
     runs = lockstep(
         acq._slsqp_rows(acq._relaxed_objective_batch(ctx), constraint),
@@ -318,9 +318,13 @@ def reference_maximize_acquisition(ctx, space, tree, *, seed=0,
 def reference_hill_climb(space, history):
     """The driver's hill climb with its own neighbours and best move: from
     the default, every unevaluated neighbour in (parameter, value) order,
-    then a move to the first best neighbour on a strict gain."""
+    then a move to the first best neighbour on a strict gain.  Yields each
+    proposal's rank row, as the driver takes it."""
     def key(cfg):
         return tuple(cfg[p.name] for p in space.params)
+
+    def ranks(cfg):
+        return tuple(p.values.index(cfg[p.name]) for p in space.params)
 
     def neighbors(cfg):
         return [dict(cfg, **{p.name: v}) for p in space.params
@@ -335,13 +339,13 @@ def reference_hill_climb(space, history):
     current = space.default_configuration()
     learn(history)                  # the warm start
     if key(current) not in known:
-        yield current
+        yield ranks(current)
         learn(history[-1:])
     current_eet = known[key(current)]
     while True:
         for cfg in neighbors(current):
             if key(cfg) not in known:
-                yield cfg
+                yield ranks(cfg)
                 learn(history[-1:])
         best = min(neighbors(current), key=lambda c: known[key(c)],
                    default=current)

@@ -361,7 +361,7 @@ class TestMaximizeAcquisition:
                     optimize=False)
         ctx = AcquisitionContext(model=model, best_feasible=4.0)
         got = maximize_acquisition(ctx, space, None, seed=0,
-                                   warm_configs=[{"c": "a"}, {"c": "b"}])
+                                   warm_ranks=[(0,), (1,)])
         # "b" is the only unvisited configuration, hence the only EI mass
         assert got == {"c": "b"}
 
@@ -1045,8 +1045,8 @@ class TestLockstepPolish:
         model = fit(space, [encode(space, default)] * 2, [1.0, 2.0], seed=0)
         ctx = AcquisitionContext(model=model, best_feasible=1.0)
         rounds = record_rounds(monkeypatch)
-        got = maximize_acquisition(ctx, space, None, warm_configs=[default])
+        got = maximize_acquisition(ctx, space, None, warm_ranks=[(0, 0)])
         assert got == default == reference_maximize_acquisition(
-            ctx, space, None, warm_configs=[default])
+            ctx, space, None, warm_ranks=[(0, 0)])
         # the one walk asks about an empty block of moves, then stops
         assert rounds[1] == [(1, 0, 2)]

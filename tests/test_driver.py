@@ -85,6 +85,15 @@ class TestRunOptimization:
         with pytest.raises(ValueError, match="stagnation limit"):
             boom_rc(stagnation_limit=limit)
 
+    @pytest.mark.parametrize("field, value", [
+        ("budget_iterations", 2.5), ("budget_iterations", True),
+        ("warm_start_budget", 2.5), ("warm_start_budget", "6"),
+        ("seed", 1.5), ("seed", None), ("seed", False),
+        ("max_luts", 1e5), ("max_luts", True)])
+    def test_counts_that_are_not_integers_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            boom_rc(**{field: value})
+
     def test_zero_budget_reports_warm_start_only(self):
         report = run_optimization(boom_rc(budget_iterations=0))
         assert report.evaluations == 6
@@ -327,11 +336,16 @@ class TestResourceStage:
 
 
 class TestRankBudget:
-    def test_retrieval_evaluation_ranks_its_design_at_most_four_times(
-            self, monkeypatch):
-        """The driver, the cost estimate, the harness and the store insert
-        each rank a design once; the weight learner, which relearns after
-        every fifth insert here, ranks none."""
+    @pytest.mark.parametrize("generator, per_evaluation", [
+        (None, 3), ("random", 3), ("vanilla-bo", 3), ("hill-climb", 2)],
+        ids=["aspo", "random", "vanilla-bo", "hill-climb"])
+    def test_rank_calls_per_evaluation(self, monkeypatch, generator,
+                                       per_evaluation):
+        """The driver ranks the dict a generator hands it, the harness and
+        the store insert rank it once each, and nothing after them does:
+        the hill climb hands over rank rows, and the cost estimate, the
+        acquisition value, the multi-start warm rows and the weight learner,
+        which relearns after every fifth insert here, rank none."""
         import sys
 
         from aspo import space as space_mod
@@ -349,9 +363,10 @@ class TestRankBudget:
                     getattr(mod, "config_ranks", None) is real_ranks:
                 monkeypatch.setattr(mod, "config_ranks", counted_ranks)
         rc = boom_rc(budget_iterations=34, stagnation_limit=None)
-        report = run_baseline(rc, "hill-climb")
+        report = run_optimization(rc) if generator is None \
+            else run_baseline(rc, generator)
         assert report.evaluations == 40
-        assert calls <= 4 * report.evaluations + 10
+        assert calls <= per_evaluation * report.evaluations + 10
 
     def test_hill_climb_never_asks_the_dict_synthesis_time(self, monkeypatch):
         from aspo.evaluation import SyntheticModel

@@ -482,7 +482,11 @@ class TestExternalEvaluator:
         '{"fmax_mhz": NaN, "synthesis_minutes": -3}',
         '{"fmax_mhz": 0}', '{"fmax_mhz": -62.5}',      # no frequency
         '{"synthesis_minutes": -3}', '{"luts": -1}',   # negative
-        '{"cycles": -1}', '{"power_w": -0.5}'])
+        '{"cycles": -1}', '{"power_w": -0.5}',
+        # an invalid reply must name a stage, if it names one at all
+        '{"status": "invalid", "stage": ["x"]}',
+        '{"status": "invalid", "stage": "x"}',
+        '{"status": "invalid", "stage": null}'])
     def test_malformed_reply_is_protocol_error(self, boom, reply):
         bundle, _ = boom
         with pytest.raises(ProtocolError):
